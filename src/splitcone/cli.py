@@ -103,9 +103,6 @@ def main(argv=None):
     except (TypeError, ValueError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if 0.0 in cfg.rho_list:
-        print("error: rho = 0 is excluded", file=sys.stderr)
-        return EXIT_USAGE
     try:
         rep = run(cfg)
     except QuadratureError as exc:

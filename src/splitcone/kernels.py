@@ -201,7 +201,6 @@ class LemmaValues:
 
     integrals: tuple  # four t-integral values
     references: tuple  # Psi0(+), Psi0(-), Phi0+(+), Phi0+(-) closed forms
-    slow_convergence: bool
     r1: float
     r2: float
 
@@ -224,7 +223,6 @@ def lemma_kernel_integrals(R, xi: ConePoint, xi2: ConePoint, spec=DEFAULT_SPEC):
     if r1 == r2:
         raise ValueError("lightlike separation r1 = r2 is excluded")
     inner = pair(cone_embed(xi), cone_embed(xi2))
-    slow = abs(r1 - r2) / max(r1, r2) < 0.2
 
     # phase A sinh t + B cosh t  ->  p = (B+A)/2, q = (B-A)/2
     h_a = hyperbolic_oscillatory(
@@ -246,7 +244,7 @@ def lemma_kernel_integrals(R, xi: ConePoint, xi2: ConePoint, spec=DEFAULT_SPEC):
         phi0_plus(targ),
         phi0_plus(-targ),
     )
-    return LemmaValues(vals, refs, slow, r1, r2)
+    return LemmaValues(vals, refs, r1, r2)
 
 
 @dataclass(frozen=True)

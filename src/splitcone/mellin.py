@@ -51,10 +51,11 @@ class MellinResult:
 def mellin(f, rho, s_lo=1e-8, s_hi=1e8, per_octave=10, order=12):
     """M f(rho) by Gauss-Legendre panels in log s on a certified window.
 
-    The caller certifies that f contributes less than the target accuracy
-    outside [s_lo, s_hi] (power-law windows can be corrected separately
-    with `mellin_power_tail`).  The error estimate compares against a
-    half-resolution pass.
+    Below s_lo, f is taken as the constant f(s_lo) and that tail is added
+    in closed form.  The caller certifies that f contributes less than the
+    target accuracy above s_hi (power-law windows can be corrected
+    separately with `mellin_power_tail`).  The error estimate is the
+    difference from a half-resolution pass plus the size of the lower tail.
     """
     x_lo, x_hi = math.log(s_lo), math.log(s_hi)
     n_pan = max(8, int(math.ceil((x_hi - x_lo) * per_octave / math.log(2.0))))
@@ -72,9 +73,11 @@ def mellin(f, rho, s_lo=1e-8, s_hi=1e8, per_octave=10, order=12):
         integ = vals * np.exp((1.0 - 1j * rho) * x)  # s^(1-i rho) ds/s
         return complex(np.dot(integ, w))
 
-    v1 = run(n_pan, order)
-    v0 = run(max(4, n_pan // 2), order)
-    return MellinResult(float(rho), v1, abs(v1 - v0))
+    f_lo = complex(np.asarray(f(np.full(1, s_lo)), dtype=complex).ravel()[0])
+    tail = mellin_power_tail(f_lo, 0.0, rho, s_lo, "lower")
+    v1 = run(n_pan, order) + tail
+    v0 = run(max(4, n_pan // 2), order) + tail
+    return MellinResult(float(rho), v1, abs(v1 - v0) + abs(tail))
 
 
 def mellin_power_tail(coeff, power, rho, s_edge, side):

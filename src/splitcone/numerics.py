@@ -37,9 +37,6 @@ class SplitMix64:
         u = (self.next_u64() >> 11) * 2.0 ** -53
         return lo + (hi - lo) * u
 
-    def uniforms(self, n, lo=0.0, hi=1.0):
-        return np.array([self.uniform(lo, hi) for _ in range(n)])
-
     def choice_sign(self) -> int:
         return 1 if self.next_u64() & 1 else -1
 
@@ -110,17 +107,6 @@ def integrate_panels(f, breaks, order=12):
     vals = f(nodes) * weights
     per_panel = vals.reshape(len(breaks) - 1, order).sum(axis=1)
     return stable_sum(per_panel)
-
-
-def geometric_breaks(a, b, first, ratio=2.0, max_panels=200):
-    """Panel breakpoints on [a, b] with widths growing geometrically from `a`."""
-    pts = [a]
-    h = first
-    while pts[-1] + h < b and len(pts) < max_panels:
-        pts.append(pts[-1] + h)
-        h *= ratio
-    pts.append(b)
-    return np.array(pts)
 
 
 def integrate_decaying(f, a, scale, abs_tol=1e-12, order=16, max_octaves=60):

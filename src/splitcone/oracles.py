@@ -1,4 +1,4 @@
-"""Independent integral-representation oracles for the Bessel evaluators.
+"""Independent integral-representation oracles for the Bessel functions.
 
 These follow the hyperbolic representations
 
@@ -7,8 +7,9 @@ These follow the hyperbolic representations
     K0(u) = int_0^inf cos(u sinh t) dt = int_0^inf exp(-u cosh t) dt,
     K_n(u) = int_0^inf exp(-u cosh t) cosh(n t) dt,
 
-computed through the oscillatory engine (never through the production
-series/asymptotic code they are meant to check).
+computed through the oscillatory engine or decaying-integrand quadrature,
+never through the `scipy.special` evaluators in `special` that they are
+meant to check.
 """
 
 from __future__ import annotations

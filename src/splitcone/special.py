@@ -1,20 +1,10 @@
-"""Bessel functions J0, Y0, K0, Kn, the renormalized family Kt_n, and the
-complex Gamma function.
+"""Bessel functions J0, Y0, K0, K1, K_n, the renormalized family Kt_n, and
+the complex Gamma function.
 
-Production paths are self-contained:
-
-  * J0/Y0: ascending power series for x <= 12, Hankel (phase-amplitude)
-    asymptotic expansion with adaptive truncation beyond.
-  * K0/K1: ascending series with the log term for x <= 2; for x > 2 the
-    exact Laguerre-type representation
-        K_nu(x) = sqrt(pi/2x) e^-x / Gamma(nu+1/2)
-                  * int_0^inf e^-t t^(nu-1/2) (1 + t/2x)^(nu-1/2) dt
-    evaluated with a fixed Gauss-Legendre rule after t = u^2 (this is the
-    un-truncated generator of the large-argument expansion; the divergent
-    asymptotic series itself is kept for overlap certification).
-  * K_n, n >= 2, by upward recurrence (stable for K).
-  * Gamma: Stirling series with exact Bernoulli coefficients after an
-    argument shift to Re w >= 14, reflection for Re z < 0.5.
+The evaluators are thin wrappers over `scipy.special`: they check the
+domain (rejecting NaN), keep the Gamma poles an error, and return a Python
+float for scalar input.  Kt_n and its closed-form derivative are built on
+top of `bessel_kn`.
 
 The hyperbolic integral representations (sin/cos of u*cosh t, cos of
 u*sinh t, exp of -u*cosh t) are wired up in `oracles` as independent
@@ -23,310 +13,60 @@ checks; they never feed the production values.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
-
-from .numerics import gauss_legendre
+from scipy import special as sp
 
 __all__ = [
     "bessel_j0",
     "bessel_y0",
-    "bessel_i0",
-    "bessel_i1",
     "bessel_k0",
     "bessel_k1",
     "bessel_kn",
     "ktilde",
     "ktilde_deriv_2r",
     "gamma_complex",
-    "BesselEvaluator",
-    "k0_asymptotic_series",
-    "j0_series",
-    "y0_series",
-    "j0_asymptotic",
-    "y0_asymptotic",
 ]
 
 EULER_GAMMA = 0.5772156649015328606
-
-_SERIES_KMAX = 64
-_JY_SWITCH = 12.0
-_K_SWITCH = 2.0
 
 
 def _as_positive_array(u, name, allow_zero=False):
     x = np.asarray(u, dtype=float)
     if allow_zero:
-        if np.any(x < 0):
+        if not np.all(x >= 0):
             raise ValueError(f"{name} requires a nonnegative argument")
     else:
-        if np.any(x <= 0):
+        if not np.all(x > 0):
             raise ValueError(f"{name} requires a positive argument")
     return x
 
 
-def j0_series(x):
-    """Ascending series sum_k (-x^2/4)^k / (k!)^2."""
-    x = np.asarray(x, dtype=float)
-    t = -0.25 * x * x
-    term = np.ones_like(t)
-    acc = np.ones_like(t)
-    for k in range(1, _SERIES_KMAX):
-        term = term * t / (k * k)
-        acc = acc + term
-        if np.all(np.abs(term) < 1e-18 * (1.0 + np.abs(acc))):
-            break
-    return acc
-
-
-def _i0_series(x):
-    x = np.asarray(x, dtype=float)
-    t = 0.25 * x * x
-    term = np.ones_like(t)
-    acc = np.ones_like(t)
-    for k in range(1, _SERIES_KMAX):
-        term = term * t / (k * k)
-        acc = acc + term
-        if np.all(term < 1e-18 * acc):
-            break
-    return acc
-
-
-def _i1_series(x):
-    x = np.asarray(x, dtype=float)
-    t = 0.25 * x * x
-    term = np.full_like(t, 0.5)
-    acc = np.full_like(t, 0.5)
-    for k in range(1, _SERIES_KMAX):
-        term = term * t / (k * (k + 1))
-        acc = acc + term
-        if np.all(term < 1e-18 * acc):
-            break
-    return x * acc
-
-
-def y0_series(x):
-    """Series with log term: (2/pi)[(log(x/2)+gamma) J0 + sum H_k ...]."""
-    x = np.asarray(x, dtype=float)
-    t = -0.25 * x * x
-    term = np.ones_like(t)
-    acc = np.zeros_like(t)
-    h = 0.0
-    for k in range(1, _SERIES_KMAX):
-        term = term * t / (k * k)
-        h += 1.0 / k
-        contrib = -h * term  # (-1)^(k+1) H_k (x^2/4)^k/(k!)^2 = -H_k * term
-        acc = acc + contrib
-        if np.all(np.abs(contrib) < 1e-18 * (1.0 + np.abs(acc))):
-            break
-    return (2.0 / np.pi) * ((np.log(0.5 * x) + EULER_GAMMA) * j0_series(x) + acc)
-
-
-def _k0_series(x):
-    x = np.asarray(x, dtype=float)
-    t = 0.25 * x * x
-    term = np.ones_like(t)
-    acc = np.zeros_like(t)
-    h = 0.0
-    for k in range(1, _SERIES_KMAX):
-        term = term * t / (k * k)
-        h += 1.0 / k
-        acc = acc + h * term
-        if np.all(h * term < 1e-18 * (1.0 + acc)):
-            break
-    return -(np.log(0.5 * x) + EULER_GAMMA) * _i0_series(x) + acc
-
-
-def _k1_series(x):
-    # DLMF 10.31: K1(x) = 1/x + log(x/2) I1(x)
-    #             - (x/4) sum_k [psi(k+1)+psi(k+2)] (x^2/4)^k / (k! (k+1)!)
-    x = np.asarray(x, dtype=float)
-    t = 0.25 * x * x
-    term = np.ones_like(t)
-    psi1 = -EULER_GAMMA
-    psi2 = 1.0 - EULER_GAMMA
-    acc = (psi1 + psi2) * term
-    for k in range(1, _SERIES_KMAX):
-        term = term * t / (k * (k + 1))
-        psi1 += 1.0 / k
-        psi2 += 1.0 / (k + 1)
-        contrib = (psi1 + psi2) * term
-        acc = acc + contrib
-        if np.all(np.abs(contrib) < 1e-18 * (1.0 + np.abs(acc))):
-            break
-    return 1.0 / x + np.log(0.5 * x) * _i1_series(x) - 0.25 * x * acc
-
-
-def _hankel_pq(x, nu=0):
-    """Adaptively truncated P, Q sums of the large-argument expansion."""
-    x = np.asarray(x, dtype=float)
-    mu = 4.0 * nu * nu
-    p = np.ones_like(x)
-    q = np.zeros_like(x)
-    a = np.ones_like(x)
-    best = np.full_like(x, np.inf)
-    for k in range(1, 40):
-        a = a * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        mag = np.abs(a)
-        if np.all(mag >= best):
-            break
-        grow = mag >= best
-        a = np.where(grow, 0.0, a)  # freeze entries past their smallest term
-        best = np.minimum(best, mag)
-        if k % 2 == 1:
-            q = q + np.where(grow, 0.0, a * (-1.0) ** ((k - 1) // 2))
-        else:
-            p = p + np.where(grow, 0.0, a * (-1.0) ** (k // 2))
-        if np.all(best < 1e-18):
-            break
-    return p, q
-
-
-def j0_asymptotic(x):
-    x = np.asarray(x, dtype=float)
-    p, q = _hankel_pq(x)
-    w = x - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(w) - q * np.sin(w))
-
-
-def y0_asymptotic(x):
-    x = np.asarray(x, dtype=float)
-    p, q = _hankel_pq(x)
-    w = x - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * x)) * (p * np.sin(w) + q * np.cos(w))
+def _like_input(out):
+    return out if out.ndim else float(out)
 
 
 def bessel_j0(u):
     """Bessel function of the first kind, order zero, u >= 0."""
-    x = _as_positive_array(u, "bessel_j0", allow_zero=True)
-    small = x <= _JY_SWITCH
-    out = np.empty_like(x)
-    if np.any(small):
-        out[small] = j0_series(x[small])
-    if np.any(~small):
-        out[~small] = j0_asymptotic(x[~small])
-    return out if out.ndim else float(out)
+    return _like_input(sp.j0(_as_positive_array(u, "bessel_j0", allow_zero=True)))
 
 
 def bessel_y0(u):
     """Bessel function of the second kind, order zero, u > 0."""
-    x = _as_positive_array(u, "bessel_y0")
-    small = x <= _JY_SWITCH
-    out = np.empty_like(x)
-    if np.any(small):
-        out[small] = y0_series(x[small])
-    if np.any(~small):
-        out[~small] = y0_asymptotic(x[~small])
-    return out if out.ndim else float(out)
-
-
-def bessel_i0(u):
-    x = np.asarray(u, dtype=float)
-    if np.any(np.abs(x) > 30):
-        raise ValueError("bessel_i0 series helper is for moderate arguments")
-    return _i0_series(np.abs(x))
-
-
-def bessel_i1(u):
-    x = np.asarray(u, dtype=float)
-    if np.any(np.abs(x) > 30):
-        raise ValueError("bessel_i1 series helper is for moderate arguments")
-    return np.sign(x) * _i1_series(np.abs(x))
-
-
-_K_GL_NODES = None
-
-
-def _k_laguerre_grid():
-    global _K_GL_NODES
-    if _K_GL_NODES is None:
-        xg, wg = gauss_legendre(28)
-        segs = [(0.0, 1.5), (1.5, 3.5), (3.5, 6.8)]
-        nodes, weights = [], []
-        for a, b in segs:
-            half = 0.5 * (b - a)
-            nodes.append(0.5 * (a + b) + half * xg)
-            weights.append(half * wg)
-        _K_GL_NODES = (np.concatenate(nodes), np.concatenate(weights))
-    return _K_GL_NODES
-
-
-def _k_large(x, nu):
-    """Scaled Laguerre-type representation for x > 2, nu in {0, 1}."""
-    u, w = _k_laguerre_grid()
-    x = np.asarray(x, dtype=float)
-    xs = x[..., None]
-    if nu == 0:
-        integ = np.exp(-u * u) * (1.0 + (u * u) / (2.0 * xs)) ** -0.5
-        pref = 2.0 / math.sqrt(math.pi)
-    else:
-        integ = np.exp(-u * u) * u * u * (1.0 + (u * u) / (2.0 * xs)) ** 0.5
-        pref = 4.0 / math.sqrt(math.pi)
-    val = np.sum(integ * w, axis=-1)
-    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * pref * val
+    return _like_input(sp.y0(_as_positive_array(u, "bessel_y0")))
 
 
 def bessel_k0(u):
     """Modified Bessel function of the second kind, order zero, u > 0."""
-    x = _as_positive_array(u, "bessel_k0")
-    small = x <= _K_SWITCH
-    out = np.empty_like(x)
-    if np.any(small):
-        out[small] = _k0_series(x[small])
-    if np.any(~small):
-        out[~small] = _k_large(x[~small], 0)
-    return out if out.ndim else float(out)
+    return _like_input(sp.k0(_as_positive_array(u, "bessel_k0")))
 
 
 def bessel_k1(u):
-    x = _as_positive_array(u, "bessel_k1")
-    small = x <= _K_SWITCH
-    out = np.empty_like(x)
-    if np.any(small):
-        out[small] = _k1_series(x[small])
-    if np.any(~small):
-        out[~small] = _k_large(x[~small], 1)
-    return out if out.ndim else float(out)
+    return _like_input(sp.k1(_as_positive_array(u, "bessel_k1")))
 
 
 def bessel_kn(n, u):
-    """K_n for integer n of either sign (K_{-n} = K_n), upward recurrence."""
-    n = abs(int(n))
-    x = _as_positive_array(u, "bessel_kn")
-    k0 = bessel_k0(x)
-    if n == 0:
-        return k0 if np.ndim(u) else float(k0)
-    k1 = bessel_k1(x)
-    if n == 1:
-        return k1 if np.ndim(u) else float(k1)
-    km, kc = np.asarray(k0, dtype=float), np.asarray(k1, dtype=float)
-    for m in range(1, n):
-        km, kc = kc, km + (2.0 * m / x) * kc
-    return kc if np.ndim(u) else float(kc)
-
-
-def k0_asymptotic_series(x):
-    """Raw divergent large-argument series for K0, adaptively truncated.
-
-    Kept distinct from the production path so the two can be compared in an
-    overlap window.
-    """
-    x = np.asarray(x, dtype=float)
-    acc = np.ones_like(x)
-    a = np.ones_like(x)
-    best = np.full_like(x, np.inf)
-    for k in range(1, 40):
-        a = a * (-((2 * k - 1) ** 2)) / (8.0 * k * x)
-        mag = np.abs(a)
-        stop = mag >= best
-        a = np.where(stop, 0.0, a)
-        best = np.minimum(best, mag)
-        acc = acc + a
-        if np.all(best < 1e-18):
-            break
-    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * acc
+    """K_n for integer n of either sign (K_{-n} = K_n)."""
+    return _like_input(sp.kn(abs(int(n)), _as_positive_array(u, "bessel_kn")))
 
 
 def ktilde(n, r):
@@ -347,145 +87,10 @@ def ktilde_deriv_2r(n, r):
     return -2.0 * r * ktilde(n + 1, 2.0 * r)
 
 
-@dataclass(frozen=True)
-class RenormalizedK:
-    """Value object for Kt_n(r) = 2^n r^-n K_n(r) at one (n, r)."""
-
-    n: int
-    r: float
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("r must be positive")
-
-    @property
-    def value(self):
-        return ktilde(self.n, self.r)
-
-    def recurrence_residual(self):
-        """|r^2 Kt_(n+1)(2r) - n Kt_n(2r) - Kt_(n-1)(2r)| at r = self.r/2,
-        so that self.r plays the doubled-argument role."""
-        half = 0.5 * self.r
-        return abs(
-            half * half * ktilde(self.n + 1, self.r)
-            - self.n * ktilde(self.n, self.r)
-            - ktilde(self.n - 1, self.r)
-        )
-
-
-# Exact Bernoulli numbers B_2 .. B_20 for the Stirling series.
-_BERNOULLI = [
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-    -3617.0 / 510,
-    43867.0 / 798,
-    -174611.0 / 330,
-]
-
-
-def _log_gamma_stirling(w):
-    acc = (w - 0.5) * np.log(w) - w + 0.5 * math.log(2.0 * math.pi)
-    w2 = w * w
-    p = w
-    for n, b in enumerate(_BERNOULLI, start=1):
-        acc = acc + b / (2 * n * (2 * n - 1) * p)
-        p = p * w2
-    return acc
-
-
 def gamma_complex(z):
-    """Gamma function for complex argument.
-
-    Reflection for Re z < 0.5, then an argument shift to Re w >= 14 feeding
-    the Stirling series with exact Bernoulli coefficients.  Relative accuracy
-    is a few ulps times the shift length on the strip |Re z| <= 4, |Im z| <= 10.
-    Poles (nonpositive integers) are rejected.
-    """
+    """Gamma function for complex argument; poles (nonpositive integers)
+    are rejected."""
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
         raise ValueError(f"gamma_complex pole at z = {z}")
-    if z.real < 0.5:
-        s = np.sin(np.pi * z)
-        return np.pi / (s * gamma_complex(1.0 - z))
-    shift = max(0, int(math.ceil(14.0 - z.real)))
-    w = z + shift
-    log_g = _log_gamma_stirling(w)
-    val = np.exp(log_g)
-    for j in range(shift):
-        val = val / (z + j)
-    return complex(val)
-
-
-@dataclass
-class BesselEvaluator:
-    """Dispatcher across the series / asymptotic / oracle routes.
-
-    `method` selects the branch explicitly; the module-level functions pick
-    the branch by argument automatically.  `certify_overlap` verifies that
-    the series and asymptotic branches agree on the stated window.
-    """
-
-    method: str = "auto"
-    target_accuracy: float = 2e-6
-    overlap_window: tuple = (6.0, 12.0)
-    _oracle_cache: dict = field(default_factory=dict, repr=False)
-
-    def j0(self, u):
-        if self.method == "series":
-            return j0_series(np.asarray(u, dtype=float))
-        if self.method == "asymptotic":
-            return j0_asymptotic(np.asarray(u, dtype=float))
-        if self.method == "integral_oracle":
-            return self._oracle("j0", u)
-        return bessel_j0(u)
-
-    def y0(self, u):
-        if self.method == "series":
-            return y0_series(np.asarray(u, dtype=float))
-        if self.method == "asymptotic":
-            return y0_asymptotic(np.asarray(u, dtype=float))
-        if self.method == "integral_oracle":
-            return self._oracle("y0", u)
-        return bessel_y0(u)
-
-    def k0(self, u):
-        if self.method == "series":
-            return _k0_series(np.asarray(u, dtype=float))
-        if self.method == "asymptotic":
-            return k0_asymptotic_series(np.asarray(u, dtype=float))
-        if self.method == "integral_oracle":
-            return self._oracle("k0", u)
-        return bessel_k0(u)
-
-    def _oracle(self, kind, u):
-        from . import oracles
-
-        fn = {
-            "j0": oracles.j0_oracle,
-            "y0": oracles.y0_oracle,
-            "k0": oracles.k0_oracle_cos,
-        }[kind]
-        if np.ndim(u) == 0:
-            return fn(float(u))
-        return np.array([fn(float(v)) for v in np.ravel(u)]).reshape(np.shape(u))
-
-    def certify_overlap(self, n_points=13):
-        """Max |series - asymptotic| over the overlap window for J0 and Y0,
-        and over [10, 16] for the K0 branches.  Returns a report dict."""
-        lo, hi = self.overlap_window
-        xs = np.linspace(lo, hi, n_points)
-        dj = np.max(np.abs(j0_series(xs) - j0_asymptotic(xs)))
-        dy = np.max(np.abs(y0_series(xs) - y0_asymptotic(xs)))
-        xk = np.linspace(10.0, 16.0, n_points)
-        dk = np.max(
-            np.abs(k0_asymptotic_series(xk) - _k_large(xk, 0))
-            / np.abs(_k_large(xk, 0))
-        )
-        ok = dj <= self.target_accuracy and dy <= self.target_accuracy
-        ok = ok and dk <= 1e-8
-        return {"j0": float(dj), "y0": float(dy), "k0_rel": float(dk), "pass": bool(ok)}
+    return complex(sp.gamma(z))

@@ -56,6 +56,15 @@ class SuiteConfig:
     panel_budget: int = None
     include_wall_time: bool = True
 
+    def __post_init__(self):
+        for name, vals in (("rho", self.rho_list), ("R", self.R_list)):
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(f"{name} values must be finite")
+        if 0.0 in self.rho_list:
+            raise ValueError("rho = 0 is excluded")
+        if not all(R > 0 for R in self.R_list):
+            raise ValueError("R values must be positive")
+
     def parities(self):
         if self.eps_parity == "both":
             return (0, 1)
@@ -186,15 +195,20 @@ def suite_bessel(cfg: SuiteConfig):
         "gamma.recurrence", "S6.gamma-chain", {"n_points": 20},
         worst, 0.0, 1e-11 * ts))
 
-    ov = special.BesselEvaluator().certify_overlap()
+    # worst production-vs-oracle difference over 13-point windows
+    xs = np.linspace(6.0, 12.0, 13)
+    dj = max(abs(special.bessel_j0(u) - oracles.j0_oracle(u)) for u in xs)
+    dy = max(abs(special.bessel_y0(u) - oracles.y0_oracle(u)) for u in xs)
+    dk = max(abs(special.bessel_k0(u) / oracles.k0_oracle_exp(u) - 1.0)
+             for u in np.linspace(10.0, 16.0, 13))
     checks.append(make_check(
-        "bessel.overlap_j0", "S5.eq-JY", {"window": "[6,12]"}, ov["j0"], 0.0,
+        "bessel.overlap_j0", "S5.eq-JY", {"window": "[6,12]"}, dj, 0.0,
         2e-6 * ts))
     checks.append(make_check(
-        "bessel.overlap_y0", "S5.eq-JY", {"window": "[6,12]"}, ov["y0"], 0.0,
+        "bessel.overlap_y0", "S5.eq-JY", {"window": "[6,12]"}, dy, 0.0,
         2e-6 * ts))
     checks.append(make_check(
-        "bessel.overlap_k0", "S5.eq-K", {"window": "[10,16]"}, ov["k0_rel"],
+        "bessel.overlap_k0", "S5.eq-K", {"window": "[10,16]"}, dk,
         0.0, 1e-8 * ts))
 
     # first positive zero of J0 bracketed near 2.4048

@@ -105,6 +105,23 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--R", "-1"), ("--R", "0"), ("--R", "nan"), ("--R", "inf"),
+    ("--rho", "0"), ("--rho", "nan"), ("--rho", "inf"), ("--rho", "-inf"),
+])
+def test_cli_bad_parameters_are_usage_errors(flag, value, capsys):
+    assert main(["mellin_ratio", f"{flag}={value}"]) == 2
+    assert "bad configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["bessel", "fourier", "corollary", "lemma",
+                                   "mellin_ratio"])
+def test_cheap_suites_pass_at_defaults(suite):
+    failed = [c.check_id for c in build_suite(SuiteConfig(suite=suite))
+              if not c.passed]
+    assert failed == []
+
+
 def test_cli_no_wall_time_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["corollary", "--seed", "7", "--format", "json", "--out",

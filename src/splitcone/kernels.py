@@ -12,15 +12,18 @@ transverse variables leaves
 
 and in light-cone variables u = x1+x3, v = x1-x3 the inner v-integral is a
 single simple pole evaluated exactly at finite eps, leaving one hyperbolic-
-phase oscillatory integral per epsilon rung:
+phase oscillatory integral:
 
     I(eps) = -1/4 int_0^inf exp(i(a eta w - b eta sR R^2 / w))
              exp(-|b| eps / w) dw/w,
     a = (r1+r2)/2,  b = (r1-r2)/2,  eta = -sign(b) sign_eps.
 
-The rung values are Richardson-extrapolated along the epsilon ladder.  No
-Bessel identity enters this path, so agreement with the closed-form branch
-table is a genuine two-route check.
+I(eps) is continuous at eps = 0 (the exact E_n tails of the hyperbolic
+integral H carry the conditionally convergent ends), so the limit is the
+single undamped H call I(0); only the delta functionals use the epsilon
+ladder.  No Bessel
+identity enters this path, so agreement with the closed-form branch table
+is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .geometry import ConePoint, DualVector, cone_embed, pair
 from .numerics import stable_sum
 from .quadrature import (
     DEFAULT_SPEC,
-    QuadratureError,
     QuadratureSpec,
+    _undamped_error_bound,
     hyperbolic_oscillatory,
 )
 
@@ -82,7 +85,6 @@ def phi0_plus(t):
 class FtResult:
     value: complex
     error_estimate: float
-    ladder_values: tuple
 
     def __complex__(self):
         return complex(self.value)
@@ -102,37 +104,33 @@ def _check_signs(sign_R2, sign_eps):
         raise ValueError("sign_R2 and sign_eps must be +-1")
 
 
+def _check_radius(R):
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError("R must be positive and finite")
+
+
 def ft_regularized(R, xi, sign_R2, sign_eps, spec: QuadratureSpec = DEFAULT_SPEC):
     """lim_{eps->0+} (1/4pi^2) int e^{i xi.X} (N(X) + sign_R2 R^2
-    + sign_eps i eps)^-2 dV, by epsilon ladder + extrapolation.
+    + sign_eps i eps)^-2 dV, as the undamped reduced integral I(0).
 
-    The ladder is interpreted in units of R^2 (scale invariant).  Returns an
-    FtResult carrying the extrapolation error estimate; non-convergence
-    raises QuadratureError instead of returning a silent value.
+    Returns an FtResult carrying H's error bound (tail truncation plus
+    rounding); non-convergence raises QuadratureError instead of returning
+    a silent value.
     """
     _check_signs(sign_R2, sign_eps)
-    if not R > 0:
-        raise ValueError("R must be positive")
+    _check_radius(R)
     r1, r2 = _polar_radii(xi)
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise ValueError("xi must be finite")
     q = r1 * r1 - r2 * r2
     if q == 0.0:
         raise ValueError("ft_regularized requires <xi, xi> != 0 (cone excluded)")
     a = 0.5 * (r1 + r2)
     b = 0.5 * (r1 - r2)
     eta = -math.copysign(1.0, b) * sign_eps
-    vals = []
-    for eps in spec.epsilon_ladder:
-        h = hyperbolic_oscillatory(
-            a * eta, -b * eta * sign_R2 * R * R, abs(b) * eps * R * R, spec
-        )
-        vals.append(-0.25 * h)
-    limit, err = spec.extrapolate(vals)
-    scale = max(abs(limit), 1.0)
-    if not np.isfinite(limit) or err > max(100.0 * spec.rel_tol * scale, 1e-3 * scale):
-        raise QuadratureError(
-            f"epsilon extrapolation did not settle (estimate {err:.2e})"
-        )
-    return FtResult(complex(limit), float(err), tuple(vals))
+    pq = (a * eta, -b * eta * sign_R2 * R * R)
+    h = hyperbolic_oscillatory(*pq, 0.0, spec)
+    return FtResult(complex(-0.25 * h), 0.25 * _undamped_error_bound(*pq, spec))
 
 
 def ft_closed_form(R, q, sign_R2, sign_eps):
@@ -146,9 +144,10 @@ def ft_closed_form(R, q, sign_R2, sign_eps):
         q < 0: (pi/4) Y0(R sqrt(-q)) -+ i (pi/4) J0(R sqrt(-q))
     """
     _check_signs(sign_R2, sign_eps)
-    if not R > 0:
-        raise ValueError("R must be positive")
+    _check_radius(R)
     q = float(q)
+    if not math.isfinite(q):
+        raise ValueError("q must be finite")
     if q == 0.0:
         raise ValueError("closed form is singular on the cone q = 0")
     root = R * math.sqrt(abs(q))

@@ -45,8 +45,9 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Tolerances and regularization ladder for improper integrals.
 
-    epsilon_ladder drives the +-i*eps limits (values are in units of R^2,
-    i.e. scale-invariant); it must decrease strictly toward zero.
+    epsilon_ladder drives the +-i*eps limits of the delta functionals
+    (values are in units of R^2, i.e. scale-invariant); it must decrease
+    strictly toward zero.
     truncation_T bounds hyperbolic-variable windows; panel_budget caps the
     number of quadrature panels per 1-d integral.
     """
@@ -74,6 +75,8 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
+_EPS = np.finfo(float).eps
+_TAIL_ORDER = 16
 
 
 def _exp1_cf(z, max_iter=400):
@@ -183,7 +186,7 @@ def _poly_exp(h, m):
     return b
 
 
-def _osc_tail(p1, q1, d_decay, d_grow, x0, order=16):
+def _osc_tail(p1, q1, d_decay, d_grow, x0, order=_TAIL_ORDER):
     """Exact-series tail  int_x0^inf e^{i(p1 e^x + q1 e^-x)}
     e^{-d_decay e^-x} e^{-d_grow e^x} dx  with p1 > 0.
 
@@ -211,9 +214,12 @@ def _osc_tail(p1, q1, d_decay, d_grow, x0, order=16):
             A[2 * k + 1] = C[k] * E**k
     # exponent series: -d_decay*T(w) + (d_grow/(2 p1))*S(w); linear part of
     # the growing damping, e^{-(d_grow/p1) u}, moves into the E_n argument.
-    h = -d_decay * T + (d_grow / (2.0 * p1)) * S
-    B = _poly_exp(h, m)
-    G = _poly_mul(A, B, m)
+    # Undamped, the series is zero and its exponential is exactly 1.
+    if d_decay == 0.0 and d_grow == 0.0:
+        G = A
+    else:
+        h = -d_decay * T + (d_grow / (2.0 * p1)) * S
+        G = _poly_mul(A, _poly_exp(h, m), m)
     # int_U^inf e^{-(c-i)u} u^-j du = U^(1-j) E_j((c-i)U)
     z = (d_grow / p1 - 1j) * U
     ens = expn_complex(m + 1, z)
@@ -224,8 +230,11 @@ def _osc_tail(p1, q1, d_decay, d_grow, x0, order=16):
             terms.append(G[j] * U ** (1 - j) * ens[j - 1])
     if terms:
         total = stable_sum(np.array(terms))
-    # Truncation estimate: magnitude of the last retained band.
-    est = abs(G[m] * U ** (1 - m) * ens[m - 1]) if G[m] != 0 else 0.0
+    # Truncation estimate: magnitude of the last nonzero retained band
+    # (undamped, G holds only odd powers, so G[m] is zero for even m).
+    nz = np.flatnonzero(G)
+    j = int(nz[-1]) if nz.size else 0
+    est = abs(G[j] * U ** (1 - j) * ens[j - 1]) if j else 0.0
     return total, est
 
 
@@ -239,15 +248,24 @@ def _dphase(p, q, x):
 
 def _build_breaks(p, q, delta, x_from, x_to, budget):
     """Breakpoints marching from x_from to x_to (either direction), tracking
-    local frequency and the damping profile."""
+    local frequency, phase curvature and the damping profile."""
     if x_to == x_from:
         return [x_from]
     sgn = 1.0 if x_to > x_from else -1.0
+    # phase'' = phase and phase^2 = phase'^2 + E, so the quadratic phase
+    # change of a panel, |phase| step^2 / 2, can pass pi under the frequency
+    # rule below only near a strong saddle, where E > E_saddle
+    E = 4.0 * p * q
+    saddle = E > (2.0 * math.pi / 0.4**2) ** 2 - (math.pi / 0.4) ** 2
     xs = [x_from]
     x = x_from
     for _ in range(budget):
         freq = abs(_dphase(p, q, x))
         step = min(0.4, math.pi / max(1.0, freq))
+        if saddle:
+            curv = math.sqrt(freq * freq + E)
+            if 0.5 * curv * step * step > math.pi:
+                step = math.sqrt(2.0 * math.pi / curv)
         damp = delta * math.exp(-x) if delta > 0 else 0.0
         if damp > 1.0:
             step = min(step, 1.0 / damp)
@@ -259,18 +277,9 @@ def _build_breaks(p, q, delta, x_from, x_to, budget):
     raise QuadratureError("panel budget exhausted in oscillatory window")
 
 
-def hyperbolic_oscillatory(p, q, delta=0.0, spec: QuadratureSpec = DEFAULT_SPEC):
-    """H(p, q, delta) as defined in the module docstring.  p*q != 0."""
-    p = float(p)
-    q = float(q)
-    delta = float(delta)
-    if p == 0.0 or q == 0.0:
-        raise ValueError("hyperbolic_oscillatory requires p*q != 0")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    if p < 0.0:
-        return np.conj(hyperbolic_oscillatory(-p, -q, delta, spec))
-
+def _window(p, q, delta, spec):
+    """Ends (x_left, x_right) of H's panel window, for p > 0.  Past them the
+    exact tails take over, where the phase rate has reached u_cut."""
     E = 4.0 * p * q
     x_c = 0.5 * math.log(abs(q) / p)
     u_floor = max(40.0, spec.truncation_T - 5.0)
@@ -285,7 +294,45 @@ def hyperbolic_oscillatory(p, q, delta=0.0, spec: QuadratureSpec = DEFAULT_SPEC)
     uq_cut = max(u_floor, 3.6 * math.sqrt(abs(E)), 2.0 * delta * p)
     y_right = math.log((uq_cut + math.sqrt(uq_cut * uq_cut + abs(E) + 4.0)) / (2.0 * abs(q)))
     y_right = max(y_right, -x_c + 0.5)
-    x_left = -y_right
+    return -y_right, x_right
+
+
+def _undamped_error_bound(p, q, spec):
+    """Error bound for H(p, q, 0): the last retained band of each exact
+    tail, with |E_j(-iU)| <= 2/U, plus a rounding of a few ulp in each
+    window node's phase, up to u_cut."""
+    if p < 0.0:  # H(p, q) = conj H(-p, -q)
+        p, q = -p, -q
+    x_left, x_right = _window(p, q, 0.0, spec)
+    E = 4.0 * p * q
+    k = (_TAIL_ORDER - 1) // 2  # the last band is w^(2k+1) = u^-(2k+1)
+    c_k = _inv_sqrt_coeffs(k)[k]
+    tails = sum(
+        2.0 * c_k * abs(E) ** k / u ** (2 * k + 1)
+        for u in (abs(_phase(p, q, x_left)), abs(_phase(p, q, x_right)))
+    )
+    # integral of 1 + |phase| over the window, with |phase| <= p e^x + |q| e^-x
+    span = (x_right - x_left) + p * (math.exp(x_right) - math.exp(x_left))
+    span += abs(q) * (math.exp(-x_left) - math.exp(-x_right))
+    return tails + 8.0 * _EPS * span
+
+
+def hyperbolic_oscillatory(p, q, delta=0.0, spec: QuadratureSpec = DEFAULT_SPEC):
+    """H(p, q, delta) as defined in the module docstring.  p*q != 0."""
+    p = float(p)
+    q = float(q)
+    delta = float(delta)
+    if not (math.isfinite(p) and math.isfinite(q) and math.isfinite(delta)):
+        raise ValueError("hyperbolic_oscillatory requires finite p, q, delta")
+    if p == 0.0 or q == 0.0:
+        raise ValueError("hyperbolic_oscillatory requires p*q != 0")
+    if delta < 0.0:
+        raise ValueError("delta must be nonnegative")
+    if p < 0.0:
+        return np.conj(hyperbolic_oscillatory(-p, -q, delta, spec))
+
+    x_left, x_right = _window(p, q, delta, spec)
+    y_right = -x_left
 
     # Window integral with panels tracking frequency and damping.
     breaks = _build_breaks(p, q, delta, x_left, x_right, spec.panel_budget)

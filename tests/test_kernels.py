@@ -17,7 +17,8 @@ from splitcone.kernels import (
     psi0,
 )
 from splitcone.numerics import SplitMix64
-from splitcone.quadrature import hyperbolic_oscillatory
+from splitcone.quadrature import DEFAULT_SPEC, hyperbolic_oscillatory
+from splitcone.suites import _sample_offcone_dual
 
 
 def test_psi0_branches():
@@ -81,6 +82,73 @@ def test_ft_regularized_matches_closed_form():
 def test_ft_regularized_rejects_cone():
     with pytest.raises(ValueError):
         ft_regularized(1.0, DualVector(1.0, 0.0, 1.0, 0.0), -1, 1)
+
+
+def _criterion_01_points():
+    """Criterion 1's 200 (R, xi, q, sign_R2, sign_eps) branch values."""
+    rng = SplitMix64(2024)
+    for _ in range(50):
+        R, xi, q = _sample_offcone_dual(rng)
+        for sR in (-1, 1):
+            for se in (-1, 1):
+                yield R, xi, q, sR, se
+
+
+def test_ft_error_estimate_bounds_closed_form_error():
+    for R, xi, q, sR, se in _criterion_01_points():
+        res = ft_regularized(R, xi, sR, se)
+        ref = ft_closed_form(R, q, sR, se)
+        assert abs(res.value - ref) <= res.error_estimate
+
+
+def test_damped_rungs_converge_to_undamped_limit_at_first_order():
+    # the +-i eps regularization: on the default ladder (ratio 2) each
+    # halving of eps halves |I(eps) - I(0)|
+    ladder = DEFAULT_SPEC.epsilon_ladder
+    for R, xi, q, sR, se in _criterion_01_points():
+        r1, r2 = xi.polar_radii
+        a, b = 0.5 * (r1 + r2), 0.5 * (r1 - r2)
+        eta = -math.copysign(1.0, b) * se
+        p, qq = a * eta, -b * eta * sR * R * R
+        h0 = hyperbolic_oscillatory(p, qq, 0.0)
+        gaps = [abs(hyperbolic_oscillatory(p, qq, abs(b) * e * R * R) - h0)
+                for e in ladder]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 1.5 <= coarse / fine <= 2.1
+
+
+@pytest.mark.parametrize("q", [1e4, -1e4])
+@pytest.mark.parametrize("sR", [-1, 1])
+@pytest.mark.parametrize("se", [-1, 1])
+def test_ft_regularized_high_frequency(q, sR, se):
+    # R sqrt|q| = 100, far outside the sampled range |q| <= 16
+    sig = 1.3 * math.sqrt(abs(q))
+    xi = DualVector(0.5 * (sig + q / sig), 0.0, 0.0, 0.5 * (sig - q / sig))
+    res = ft_regularized(1.0, xi, sR, se)
+    err = abs(res.value - ft_closed_form(1.0, q, sR, se))
+    assert err <= 1e-9
+    assert err <= res.error_estimate
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hyperbolic_oscillatory(math.nan, 1.0),
+    lambda: hyperbolic_oscillatory(math.inf, 1.0),
+    lambda: hyperbolic_oscillatory(1.0, -math.inf),
+    lambda: hyperbolic_oscillatory(1.0, 1.0, math.inf),
+    lambda: hyperbolic_oscillatory(1.0, 1.0, math.nan),
+    lambda: ft_regularized(math.inf, DualVector(1.5, 0.0, 0.5, 0.0), -1, 1),
+    lambda: ft_regularized(math.nan, DualVector(1.5, 0.0, 0.5, 0.0), -1, 1),
+    lambda: ft_regularized(1.0, DualVector(math.nan, 0.0, 0.5, 0.0), -1, 1),
+    lambda: ft_regularized(1.0, DualVector(1.5, 0.0, math.inf, 0.0), -1, 1),
+    lambda: ft_closed_form(math.inf, 2.0, -1, 1),
+    lambda: ft_closed_form(1.0, math.nan, -1, 1),
+    lambda: ft_closed_form(1.0, -math.inf, 1, -1),
+], ids=["H-p-nan", "H-p-inf", "H-q-inf", "H-delta-inf", "H-delta-nan",
+        "ft-R-inf", "ft-R-nan", "ft-xi-nan", "ft-xi-inf",
+        "closed-R-inf", "closed-q-nan", "closed-q-inf"])
+def test_non_finite_inputs_are_value_errors(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_corollary_kernels():

@@ -122,6 +122,16 @@ def test_cheap_suites_pass_at_defaults(suite):
     assert failed == []
 
 
+@pytest.mark.parametrize("seed", [136, 184, 211, 1169, 1247])
+def test_corollary_symmetric_passes_at_former_failing_seeds(seed):
+    # seeds where extrapolating the transform along the epsilon ladder
+    # misses one corollary.symmetric check
+    failed = [c.check_id for c in build_suite(SuiteConfig(suite="corollary",
+                                                          seed=seed))
+              if not c.passed]
+    assert failed == []
+
+
 def test_cli_no_wall_time_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["corollary", "--seed", "7", "--format", "json", "--out",

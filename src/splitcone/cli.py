@@ -49,8 +49,6 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--panel-budget", type=int, default=None,
-                   help="override the quadrature panel budget (diagnostics)")
     p.add_argument("--no-wall-time", action="store_true",
                    help="write wall_ms as 0 for byte-stable reports")
     return p
@@ -86,7 +84,6 @@ def main(argv=None):
         workers=max(1, args.workers),
         output_format=args.format,
         out_path=args.out,
-        panel_budget=args.panel_budget,
         include_wall_time=not args.no_wall_time,
     )
     if args.rho is not None:

@@ -472,11 +472,8 @@ def kfinite_certificate(elem, closure_bound=4000):
 def _ktilde_derivs(n, x):
     """Kt_n(x), Kt_n'(x), Kt_n''(x) from K_(n-2..n+2)."""
     x = np.asarray(x, dtype=float)
-    km2 = special.bessel_kn(n - 2, x)
-    km1 = special.bessel_kn(n - 1, x)
-    k0 = special.bessel_kn(n, x)
-    kp1 = special.bessel_kn(n + 1, x)
-    kp2 = special.bessel_kn(n + 2, x)
+    orders = (n + np.arange(-2, 3)).reshape((5,) + (1,) * x.ndim)
+    km2, km1, k0, kp1, kp2 = special.bessel_kn(orders, x)
     kp = -0.5 * (km1 + kp1)
     kpp = 0.25 * (km2 + 2.0 * k0 + kp2)
     c = 2.0**n
@@ -559,14 +556,6 @@ class AmbientBasis:
             return -lap2
         lap1 = (4.0 * ktpp + (2.0 + 4.0 * e.l) * ktp / r1) * m1 * m2
         return lap1
-
-    def deg(self, pts):
-        """Euler operator plus one."""
-        e = self.elem
-        p = self._pieces(pts)
-        rad, kt, ktp, m1, m2 = p[6], p[7], p[8], p[12], p[13]
-        F = kt * m1 * m2
-        return (1.0 + e.l + e.k) * F + 2.0 * rad * ktp * m1 * m2
 
     def p_j(self, j, pts):
         """P_j = eps_j xi_j box - 2 deg(d_j .) on the ambient extension.

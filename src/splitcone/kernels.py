@@ -35,13 +35,8 @@ import numpy as np
 
 from . import special
 from .geometry import ConePoint, DualVector, cone_embed, pair
-from .numerics import stable_sum
-from .quadrature import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    _undamped_error_bound,
-    hyperbolic_oscillatory,
-)
+from .numerics import gauss_legendre, panel_nodes, richardson_limit, stable_sum
+from .quadrature import EPSILON_LADDER, _undamped_error_bound, hyperbolic_oscillatory
 
 __all__ = [
     "psi0",
@@ -58,22 +53,38 @@ __all__ = [
 ]
 
 
+def _finite_argument(t, name):
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"{name} requires a finite argument")
+    return t
+
+
 def psi0(t):
     """Kernel Psi0: Y0(2 sqrt(2t)) for t > 0, -(2/pi) K0(2 sqrt(-2t)) for t < 0.
 
-    The argument t = 0 is a logarithmic singularity and is rejected.
+    Scalar or array t; t = 0 (a logarithmic singularity) and non-finite t
+    are rejected.
     """
-    t = float(t)
-    if t == 0.0:
+    t = _finite_argument(t, "Psi0")
+    if np.any(t == 0.0):
         raise ValueError("Psi0 has a logarithmic singularity at t = 0")
-    if t > 0:
-        return special.bessel_y0(2.0 * math.sqrt(2.0 * t))
-    return -(2.0 / math.pi) * special.bessel_k0(2.0 * math.sqrt(-2.0 * t))
+    out = np.empty_like(t)
+    pos = t > 0
+    neg = ~pos
+    if np.any(pos):
+        out[pos] = special.bessel_y0(2.0 * np.sqrt(2.0 * t[pos]))
+    if np.any(neg):
+        out[neg] = -(2.0 / math.pi) * special.bessel_k0(
+            2.0 * np.sqrt(-2.0 * t[neg])
+        )
+    return out if out.ndim else float(out)
 
 
 def phi0_plus(t):
-    """Kernel Phi0+: J0(2 sqrt(2t)) for t > 0, 0 for t <= 0."""
-    t = np.asarray(t, dtype=float)
+    """Kernel Phi0+: J0(2 sqrt(2t)) for t > 0, 0 for t <= 0; non-finite t
+    is rejected."""
+    t = _finite_argument(t, "Phi0+")
     out = np.zeros_like(t)
     pos = t > 0
     if np.any(pos):
@@ -109,7 +120,7 @@ def _check_radius(R):
         raise ValueError("R must be positive and finite")
 
 
-def ft_regularized(R, xi, sign_R2, sign_eps, spec: QuadratureSpec = DEFAULT_SPEC):
+def ft_regularized(R, xi, sign_R2, sign_eps):
     """lim_{eps->0+} (1/4pi^2) int e^{i xi.X} (N(X) + sign_R2 R^2
     + sign_eps i eps)^-2 dV, as the undamped reduced integral I(0).
 
@@ -129,8 +140,8 @@ def ft_regularized(R, xi, sign_R2, sign_eps, spec: QuadratureSpec = DEFAULT_SPEC
     b = 0.5 * (r1 - r2)
     eta = -math.copysign(1.0, b) * sign_eps
     pq = (a * eta, -b * eta * sign_R2 * R * R)
-    h = hyperbolic_oscillatory(*pq, 0.0, spec)
-    return FtResult(complex(-0.25 * h), 0.25 * _undamped_error_bound(*pq, spec))
+    h = hyperbolic_oscillatory(*pq, 0.0)
+    return FtResult(complex(-0.25 * h), 0.25 * _undamped_error_bound(*pq))
 
 
 def ft_closed_form(R, q, sign_R2, sign_eps):
@@ -166,7 +177,7 @@ def ft_closed_form(R, q, sign_R2, sign_eps):
     )
 
 
-def corollary_kernels(R, xi: ConePoint, xi2: ConePoint, spec=DEFAULT_SPEC):
+def corollary_kernels(R, xi: ConePoint, xi2: ConePoint):
     """The two sign-combined transforms at xi - xi' for cone points.
 
     Returns (symmetric, antisymmetric) where
@@ -182,14 +193,14 @@ def corollary_kernels(R, xi: ConePoint, xi2: ConePoint, spec=DEFAULT_SPEC):
     inner = pair(cone_embed(xi), cone_embed(xi2))
     if inner == 0.0:
         raise ValueError("lightlike-separated cone points are excluded")
-    f_plus_2 = ft_regularized(2.0, d, -1, +1, spec)
-    f_minus_2 = ft_regularized(2.0, d, -1, -1, spec)
+    f_plus_2 = ft_regularized(2.0, d, -1, +1)
+    f_minus_2 = ft_regularized(2.0, d, -1, -1)
     sym = f_plus_2.value + f_minus_2.value
     if R == 2.0:
         f_plus_R, f_minus_R = f_plus_2, f_minus_2
     else:
-        f_plus_R = ft_regularized(R, d, -1, +1, spec)
-        f_minus_R = ft_regularized(R, d, -1, -1, spec)
+        f_plus_R = ft_regularized(R, d, -1, +1)
+        f_minus_R = ft_regularized(R, d, -1, -1)
     anti = f_plus_R.value - f_minus_R.value
     return sym, anti
 
@@ -204,7 +215,7 @@ class LemmaValues:
     r2: float
 
 
-def lemma_kernel_integrals(R, xi: ConePoint, xi2: ConePoint, spec=DEFAULT_SPEC):
+def lemma_kernel_integrals(R, xi: ConePoint, xi2: ConePoint):
     """The four oscillatory t-integrals built on r1, r2 of xi - xi',
     compared against Psi0 / Phi0+ at +-(R^2/4) <xi, xi'>.
 
@@ -225,10 +236,10 @@ def lemma_kernel_integrals(R, xi: ConePoint, xi2: ConePoint, spec=DEFAULT_SPEC):
 
     # phase A sinh t + B cosh t  ->  p = (B+A)/2, q = (B-A)/2
     h_a = hyperbolic_oscillatory(
-        0.5 * R * (r2 + r1), 0.5 * R * (r2 - r1), 0.0, spec
+        0.5 * R * (r2 + r1), 0.5 * R * (r2 - r1), 0.0
     )  # A = R r1, B = R r2
     h_b = hyperbolic_oscillatory(
-        0.5 * R * (r1 + r2), 0.5 * R * (r1 - r2), 0.0, spec
+        0.5 * R * (r1 + r2), 0.5 * R * (r1 - r2), 0.0
     )  # A = R r2, B = R r1
     vals = (
         -(1.0 / math.pi) * h_a.real,
@@ -266,7 +277,6 @@ def _angular_grid(n):
 def delta_quadric_apply(
     psi,
     offset=0.0,
-    spec: QuadratureSpec = DEFAULT_SPEC,
     n_theta=16,
     n_radial=80,
     radial_max=6.5,
@@ -277,9 +287,10 @@ def delta_quadric_apply(
     (1/2) iiint psi(X(r2, th1, th2)) r2 dr2 dth1 dth2 with
     r1 = sqrt(r2^2 + offset).  Volume route: the +-i eps difference
     (1/pi) eps / ((N-offset)^2 + eps^2) integrated over R^4 in bipolar
-    coordinates with the pole resolved by mu = eps tan(phi), then
-    Richardson-extrapolated along the ladder.  `psi` maps an (..., 4)
-    array to values.
+    coordinates with the pole resolved by mu = eps tan(phi), at each eps
+    of quadrature.EPSILON_LADDER plus two further halvings, then fitted to
+    eps -> 0 with a log-aware basis; the gap to a plain Richardson pass
+    enters the error estimate.  `psi` maps an (..., 4) array to values.
     """
     th1 = _angular_grid(n_theta)
     th2 = _angular_grid(n_theta)
@@ -287,8 +298,6 @@ def delta_quadric_apply(
     w_ang = (2.0 * np.pi / n_theta) ** 2
 
     # surface route
-    from .numerics import gauss_legendre
-
     xg, wg = gauss_legendre(n_radial)
     r2 = 0.5 * radial_max * (xg + 1.0)
     wr = 0.5 * radial_max * wg
@@ -305,8 +314,6 @@ def delta_quadric_apply(
 
     # volume route per epsilon
     nu_max = 2.0 * radial_max * radial_max + abs(offset) + 4.0
-    xphi, wphi = gauss_legendre(8)
-    xnu, wnu = gauss_legendre(10)
 
     def _nu_grid(eps):
         """Panels refined on scale eps around nu = offset, where the
@@ -321,11 +328,7 @@ def delta_quadric_apply(
         if 0.0 < offset < nu_max:
             marks.add(offset)
         marks.update(np.linspace(0.0, nu_max, 30).tolist())
-        breaks = np.array(sorted(marks))
-        a = breaks[:-1][:, None]
-        b = breaks[1:][:, None]
-        half = 0.5 * (b - a)
-        return (0.5 * (a + b) + half * xnu).ravel(), (half * wnu).ravel()
+        return panel_nodes(sorted(marks), 10)
 
     def _phi_panels(mu_lo, mu_hi, eps):
         """Panel breakpoints in phi = atan(mu/eps), geometric in mu/eps so
@@ -348,12 +351,7 @@ def delta_quadric_apply(
         acc = np.zeros(len(nu_nodes), dtype=complex)
         for i, nu in enumerate(nu_nodes):
             mu_lo, mu_hi = -nu - offset, nu - offset
-            breaks = _phi_panels(mu_lo, mu_hi, eps)
-            a = breaks[:-1][:, None]
-            b = breaks[1:][:, None]
-            half = 0.5 * (b - a)
-            ph = (0.5 * (a + b) + half * xphi).ravel()
-            wph = (half * wphi).ravel()
+            ph, wph = panel_nodes(_phi_panels(mu_lo, mu_hi, eps), 8)
             mu = eps * np.tan(ph)
             rho = np.clip(0.5 * (nu + mu + offset), 0.0, None)
             sig = np.clip(0.5 * (nu - mu - offset), 0.0, None)
@@ -369,10 +367,7 @@ def delta_quadric_apply(
         return (1.0 / (8.0 * math.pi)) * w_ang * stable_sum(acc * nu_w)
 
     # two extra halvings sharpen the log-aware fit below the stated ladder
-    ladder = tuple(spec.epsilon_ladder) + (
-        spec.epsilon_ladder[-1] / 2.0,
-        spec.epsilon_ladder[-1] / 4.0,
-    )
+    ladder = EPSILON_LADDER + (EPSILON_LADDER[-1] / 2.0, EPSILON_LADDER[-1] / 4.0)
     vols = np.array([volume_at(e) for e in ladder])
     # The cone corner (the chart boundary sigma = 0 crossing N = offset)
     # puts eps*log(eps) terms in the limit; fit with the log-aware basis.
@@ -389,21 +384,21 @@ def delta_quadric_apply(
     coef, *_ = np.linalg.lstsq(A, vols, rcond=None)
     vol = coef[0]
     fit_resid = float(np.max(np.abs(A @ coef - vols)))
-    poly, perr = spec.extrapolate(list(vols))
+    poly, _ = richardson_limit(list(vols), ratio=2.0, order=3)
     err = max(fit_resid, float(abs(vol - poly)) * 0.1)
     return DeltaResult(complex(surface), complex(vol), float(err))
 
 
-def delta_cone_apply(psi, spec: QuadratureSpec = DEFAULT_SPEC, **kw):
+def delta_cone_apply(psi, **kw):
     """Cone delta functional, surface vs regularized volume routes."""
-    return delta_quadric_apply(psi, 0.0, spec, **kw)
+    return delta_quadric_apply(psi, 0.0, **kw)
 
 
-def delta_hyperboloid_apply(psi, R, spec: QuadratureSpec = DEFAULT_SPEC, **kw):
+def delta_hyperboloid_apply(psi, R, **kw):
     """Same two-route check on the hyperboloid N(X) = R^2."""
     if not R > 0:
         raise ValueError("R must be positive")
-    return delta_quadric_apply(psi, R * R, spec, **kw)
+    return delta_quadric_apply(psi, R * R, **kw)
 
 
 def ft_bruteforce_damped(
@@ -428,9 +423,6 @@ def ft_bruteforce_damped(
     if r1 <= 0 or r2 <= 0 or r1 == r2:
         raise ValueError("oracle wants r1, r2 > 0 and r1 != r2")
     c = sign_R2 * R * R + 1j * sign_eps * eps
-    from .numerics import gauss_legendre
-
-    xg, wg = gauss_legendre(10)
 
     def inner(v):
         """int_0^inf J0(r1 sqrt(u)) (u - v + c)^-2 du."""
@@ -456,12 +448,7 @@ def ft_bruteforce_damped(
             u += step
             pts.append(u)
             wdt *= 1.6
-        breaks = np.asarray(pts)
-        a = breaks[:-1][:, None]
-        b = breaks[1:][:, None]
-        half = 0.5 * (b - a)
-        nodes = (0.5 * (a + b) + half * xg[None, :]).ravel()
-        wq = (half * wg[None, :]).ravel()
+        nodes, wq = panel_nodes(pts, 10)
         f = special.bessel_j0(r1 * np.sqrt(nodes)) * (nodes - v + c) ** -2.0
         return np.dot(f, wq)
 
@@ -474,11 +461,7 @@ def ft_bruteforce_damped(
     s_breaks2 = np.linspace(s_max, s_end, n_pan2 + 1)
 
     def outer_sum(breaks):
-        a = breaks[:-1][:, None]
-        b = breaks[1:][:, None]
-        half = 0.5 * (b - a)
-        nodes = (0.5 * (a + b) + half * xg[None, :]).ravel()
-        wq = (half * wg[None, :]).ravel()
+        nodes, wq = panel_nodes(breaks, 10)
         vals = np.array([inner(s * s) for s in nodes])
         f = special.bessel_j0(r2 * nodes) * 2.0 * nodes * vals
         return np.dot(f, wq)

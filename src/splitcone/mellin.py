@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConePoint
-from .numerics import gauss_legendre
+from .numerics import panel_nodes
 from .operators import make_f_xi_eps, ray_values
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .special import gamma_complex
 
 __all__ = [
@@ -61,13 +60,7 @@ def mellin(f, rho, s_lo=1e-8, s_hi=1e8, per_octave=10, order=12):
     n_pan = max(8, int(math.ceil((x_hi - x_lo) * per_octave / math.log(2.0))))
 
     def run(npan, orde):
-        xg, wg = gauss_legendre(orde)
-        xb = np.linspace(x_lo, x_hi, npan + 1)
-        a = xb[:-1][:, None]
-        b = xb[1:][:, None]
-        half = 0.5 * (b - a)
-        x = (0.5 * (a + b) + half * xg).ravel()
-        w = (half * wg).ravel()
+        x, w = panel_nodes(np.linspace(x_lo, x_hi, npan + 1), orde)
         s = np.exp(x)
         vals = np.asarray(f(s), dtype=complex)
         integ = vals * np.exp((1.0 - 1j * rho) * x)  # s^(1-i rho) ds/s
@@ -104,13 +97,7 @@ def gr_2667_integrals(a, b, n_panels=400):
     t_max = (math.log(1e16) + 12.0) / a
     step = min(t_max / 40.0, math.pi / max(1.0, abs(b)) / 3.0)
     n_pan = int(math.ceil(t_max / step))
-    xg, wg = gauss_legendre(12)
-    tb = np.linspace(0.0, t_max, n_pan + 1)
-    aa = tb[:-1][:, None]
-    bb = tb[1:][:, None]
-    half = 0.5 * (bb - aa)
-    t = (0.5 * (aa + bb) + half * xg).ravel()
-    w = (half * wg).ravel()
+    t, w = panel_nodes(np.linspace(0.0, t_max, n_pan + 1), 12)
     base = t * t * np.exp(-a * t)
     sin_q = float(np.dot(base * np.sin(b * t), w))
     cos_q = float(np.dot(base * np.cos(b * t), w))
@@ -233,13 +220,9 @@ class RayTable:
         self.parity_eps = parity_eps
         base_xi = base_xi or ConePoint(1.0, 0.7, 0.3)
         self.f = make_f_xi_eps(base_xi, parity_eps)
-        xg, wg = gauss_legendre(order)
-        xb = np.linspace(math.log(s_lo), math.log(s_hi), n_panels + 1)
-        a = xb[:-1][:, None]
-        b = xb[1:][:, None]
-        half = 0.5 * (b - a)
-        self.x = (0.5 * (a + b) + half * xg).ravel()
-        self.w = (half * wg).ravel()
+        self.x, self.w = panel_nodes(
+            np.linspace(math.log(s_lo), math.log(s_hi), n_panels + 1), order
+        )
         self.s = np.exp(self.x)
         self.s_lo = s_lo
         self.s_hi = s_hi
@@ -301,8 +284,7 @@ class RayTable:
 
 
 def verify_ratio(rho, R, parity_eps, mode="closed_form",
-                 spec: QuadratureSpec = DEFAULT_SPEC, ray_table: RayTable = None,
-                 calibration=None):
+                 ray_table: RayTable = None, calibration=None):
     """Ratio verdict at one (rho, R, parity) against the reference factor.
 
     closed_form: per-theta Gamma expressions (theta-independence asserted).

@@ -89,7 +89,10 @@ def gauss_legendre(n: int):
 def panel_nodes(breaks, order=12):
     """Gauss-Legendre nodes and weights for the panels defined by `breaks`.
 
-    Returns (nodes, weights) flattened over panels in breakpoint order.
+    Returns (nodes, weights) flattened over panels in breakpoint order, so
+    `reshape(-1, order)` recovers one row per panel.  This is the package's
+    only multi-panel rule: H's window, the delta volume route, the
+    operator grids and the Mellin grids all call it.
     """
     breaks = np.asarray(breaks, dtype=float)
     x, w = gauss_legendre(order)

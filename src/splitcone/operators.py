@@ -39,8 +39,8 @@ import numpy as np
 
 from . import special
 from .geometry import ConePoint
-from .numerics import gauss_legendre, stable_sum
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .kernels import phi0_plus, psi0
+from .numerics import gauss_legendre, panel_nodes, stable_sum
 
 __all__ = [
     "DecayCertificate",
@@ -327,11 +327,7 @@ def _u_grid(f: TestFunctionFxiEps, osc_coeff, tol):
     breaks = np.concatenate(
         [[0.0], sorted(small), np.arange(step, u_max + step, step)]
     )
-    xg, wg = gauss_legendre(10)
-    a = breaks[:-1][:, None]
-    b = breaks[1:][:, None]
-    half = 0.5 * (b - a)
-    return (0.5 * (a + b) + half * xg).ravel(), (half * wg).ravel()
+    return panel_nodes(breaks, 10)
 
 
 def _radial_transform(f, kind, coeff, tol=1e-12):
@@ -405,18 +401,15 @@ def _angular_grid_rotated(zero_lines, order=6, refine=1.0):
         2.0 * np.pi,
         coarse=0.5 / refine,
     )
-    xg, wg = gauss_legendre(order)
-    a = breaks[:-1][:, None]
-    b = breaks[1:][:, None]
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b) + half * xg).ravel()
-    weights = (half * wg).ravel()
-    return nodes, weights
+    return panel_nodes(breaks, order)
+
+
+# Absolute accuracy the generic path's radial truncation is certified for.
+_GENERIC_TOL = 1e-9
 
 
 def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
-                   spec: QuadratureSpec, half_space=None, tol=None,
-                   refine=1.0, osc_scale=1.0):
+                   half_space=None, refine=1.0):
     """Kernel integral over the cone with density r' dr' dth1 dth2.
 
     kernel(vals) maps pairing values to kernel values; pairing is
@@ -427,7 +420,6 @@ def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
     exposes `angular_support_mask`, angular nodes outside the support are
     pruned before any kernel work.
     """
-    tol = tol if tol is not None else spec.abs_tol
     T1b, T2b = xi.theta1, xi.theta2
     zeros = [0.0, np.pi] if pairing == "lorentz" else [0.5 * np.pi, 1.5 * np.pi]
     ph_p, w_p = _angular_grid_rotated(zeros, refine=refine)
@@ -451,17 +443,11 @@ def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
     t1k = th1[keep][:, None]
     t2k = th2[keep][:, None]
 
-    r_max = f.decay.truncation_radius(max(tol, 1e-9) * 1e-2)
+    r_max = f.decay.truncation_radius(_GENERIC_TOL * 1e-2)
     v_max = math.sqrt(r_max)
-    osc = 2.0 * math.sqrt(2.0 * xi.r * 2.0) * osc_scale
+    osc = 2.0 * math.sqrt(2.0 * xi.r * 2.0)
     n_pan = max(10, int(math.ceil(refine * v_max / min(0.5, math.pi / osc))))
-    xg, wg = gauss_legendre(8)
-    vb = np.linspace(0.0, v_max, n_pan + 1)
-    a = vb[:-1][:, None]
-    b = vb[1:][:, None]
-    half = 0.5 * (b - a)
-    v = (0.5 * (a + b) + half * xg).ravel()
-    wv = (half * wg).ravel()
+    v, wv = panel_nodes(np.linspace(0.0, v_max, n_pan + 1), 8)
     rr = (v * v)[None, :]
     wmeas = wv * 2.0 * v**3  # r' dr' = v^2 * 2v dv
 
@@ -476,46 +462,19 @@ def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
     return prefactor * total
 
 
-def _psi0_arr(t):
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t > 0
-    neg = ~pos
-    if np.any(pos):
-        out[pos] = special.bessel_y0(2.0 * np.sqrt(2.0 * t[pos]))
-    if np.any(neg):
-        out[neg] = -(2.0 / math.pi) * special.bessel_k0(
-            2.0 * np.sqrt(-2.0 * t[neg])
-        )
-    return out
-
-
-def _phi0_arr(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    if np.any(pos):
-        out[pos] = special.bessel_j0(2.0 * np.sqrt(2.0 * t[pos]))
-    return out
-
-
-def op_FCstar(f, xi: ConePoint, spec: QuadratureSpec = DEFAULT_SPEC):
+def op_FCstar(f, xi: ConePoint):
     """(-1/pi) int Psi0(xi . xi'_euclid) f(xi') dS/|xi'| over the cone."""
-    return _apply_generic(
-        f, xi, lambda p: _psi0_arr(p), "euclid", -1.0 / math.pi, spec
-    )
+    return _apply_generic(f, xi, psi0, "euclid", -1.0 / math.pi)
 
 
-def op_FC(f, xi: ConePoint, spec: QuadratureSpec = DEFAULT_SPEC):
+def op_FC(f, xi: ConePoint):
     """(-1/pi) int Psi0(-<xi, xi'>) f(xi') dS/|xi'|."""
     if isinstance(f, TestFunctionFxiEps) and _on_ray(f, xi):
         return _ray_fc(f, xi.r / f.base_xi.r)
-    return _apply_generic(
-        f, xi, lambda p: _psi0_arr(-p), "lorentz", -1.0 / math.pi, spec
-    )
+    return _apply_generic(f, xi, lambda p: psi0(-p), "lorentz", -1.0 / math.pi)
 
 
-def op_PlHatPrime(f, R, xi: ConePoint, spec: QuadratureSpec = DEFAULT_SPEC):
+def op_PlHatPrime(f, R, xi: ConePoint):
     """(i/4pi) int Phi0+(-(R^2/4) <xi, xi'>) f(xi') dS/|xi'|.
 
     The kernel vanishes on <xi, xi'> > 0; that half of the angular torus is
@@ -529,10 +488,9 @@ def op_PlHatPrime(f, R, xi: ConePoint, spec: QuadratureSpec = DEFAULT_SPEC):
     return _apply_generic(
         f,
         xi,
-        lambda p: _phi0_arr(-rr4 * p),
+        lambda p: phi0_plus(-rr4 * p),
         "lorentz",
         1j / (4.0 * math.pi),
-        spec,
         half_space="negative",
     )
 
@@ -592,14 +550,8 @@ def chain_fc_theta_integrand(theta, s, parity_eps):
 def _theta_integral(fn, s):
     """int_0^inf fn(theta) dtheta for the chain integrands."""
     theta_max = math.log(4.0 / math.sqrt(min(s, 1.0))) + 14.0
-    xg, wg = gauss_legendre(14)
     n_pan = max(12, int(theta_max / 0.5))
-    tb = np.linspace(0.0, theta_max, n_pan + 1)
-    a = tb[:-1][:, None]
-    b = tb[1:][:, None]
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b) + half * xg).ravel()
-    w = (half * wg).ravel()
+    nodes, w = panel_nodes(np.linspace(0.0, theta_max, n_pan + 1), 14)
     return complex(np.dot(fn(nodes), w))
 
 

@@ -16,88 +16,48 @@ the growing exponential) times a function with an explicit series in 1/u,
 so the tails reduce to generalized exponential integrals E_n evaluated by
 continued fraction.  Panel sums run in fixed order; results are bit-stable
 regardless of worker count.
+
+The settings are module constants, not parameters: the window uses
+Gauss-Legendre order 12 on at most PANEL_BUDGET panels, the tails start
+at a phase rate of at least 40 and must estimate their truncation below
+1e-6.  EPSILON_LADDER is the regularization ladder of the delta
+functionals in `kernels`; the Fourier transforms need none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import exp1
 
-from .numerics import gauss_legendre, stable_sum, richardson_limit
+from .numerics import panel_nodes, stable_sum
 
 __all__ = [
-    "QuadratureSpec",
+    "EPSILON_LADDER",
+    "PANEL_BUDGET",
     "QuadratureError",
     "expn_complex",
     "hyperbolic_oscillatory",
-    "DEFAULT_SPEC",
 ]
 
+# +-i eps ladder of the delta functionals (kernels.delta_quadric_apply),
+# strictly decreasing by the ratio 2 that their Richardson pass assumes.
+EPSILON_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125)
+# Panels per 1-d window before H gives up with QuadratureError.
+PANEL_BUDGET = 4000
 
-class QuadratureError(RuntimeError):
-    """Raised when an integral cannot be certified within its budget."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and regularization ladder for improper integrals.
-
-    epsilon_ladder drives the +-i*eps limits of the delta functionals
-    (values are in units of R^2, i.e. scale-invariant); it must decrease
-    strictly toward zero.
-    truncation_T bounds hyperbolic-variable windows; panel_budget caps the
-    number of quadrature panels per 1-d integral.
-    """
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-8
-    truncation_T: float = 45.0
-    epsilon_ladder: tuple = (0.2, 0.1, 0.05, 0.025, 0.0125)
-    extrapolation_order: int = 3
-    panel_budget: int = 4000
-    gl_order: int = 12
-
-    def __post_init__(self):
-        lad = tuple(float(e) for e in self.epsilon_ladder)
-        if not lad or any(e <= 0 for e in lad):
-            raise ValueError("epsilon ladder must be positive")
-        if any(b >= a for a, b in zip(lad, lad[1:])):
-            raise ValueError("epsilon ladder must decrease strictly")
-        object.__setattr__(self, "epsilon_ladder", lad)
-
-    def extrapolate(self, values):
-        """Richardson limit over the ladder with its error estimate."""
-        ratio = self.epsilon_ladder[0] / self.epsilon_ladder[1]
-        return richardson_limit(values, ratio=ratio, order=self.extrapolation_order)
-
-
-DEFAULT_SPEC = QuadratureSpec()
+_GL_ORDER = 12
+# Smallest phase rate at which the exact tails take over from the window.
+_U_FLOOR = 40.0
+# Largest tail truncation estimate H accepts.
+_TAIL_BUDGET = 1e-6
 _EPS = np.finfo(float).eps
 _TAIL_ORDER = 16
 
 
-def _exp1_cf(z, max_iter=400):
-    """Continued fraction for E_1(z), modified Lentz, |arg z| < pi."""
-    tiny = 1e-290
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, max_iter):
-        a = -(i * i)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        if c == 0:
-            c = tiny
-        delta = c * d
-        h = h * delta
-        if abs(delta - 1.0) < 1e-16:
-            return h * np.exp(-z)
-    raise QuadratureError("E1 continued fraction did not converge")
+class QuadratureError(RuntimeError):
+    """Raised when an integral cannot be certified within its budget."""
 
 
 def _expn_cf(n, z, max_iter=500):
@@ -132,7 +92,7 @@ def expn_complex(nmax, z):
     if z == 0:
         raise ValueError("E_n undefined at z = 0")
     out = [0j] * (nmax + 1)
-    out[nmax] = _expn_cf(nmax, z) if nmax > 1 else _exp1_cf(z)
+    out[nmax] = _expn_cf(nmax, z)
     ez = np.exp(-z)
     for n in range(nmax - 1, 0, -1):
         out[n] = (ez - n * out[n + 1]) / z
@@ -277,13 +237,12 @@ def _build_breaks(p, q, delta, x_from, x_to, budget):
     raise QuadratureError("panel budget exhausted in oscillatory window")
 
 
-def _window(p, q, delta, spec):
+def _window(p, q, delta):
     """Ends (x_left, x_right) of H's panel window, for p > 0.  Past them the
     exact tails take over, where the phase rate has reached u_cut."""
     E = 4.0 * p * q
     x_c = 0.5 * math.log(abs(q) / p)
-    u_floor = max(40.0, spec.truncation_T - 5.0)
-    u_cut = max(u_floor, 3.6 * math.sqrt(abs(E)), 1.6 * delta * p)
+    u_cut = max(_U_FLOOR, 3.6 * math.sqrt(abs(E)), 1.6 * delta * p)
 
     # Right window end: first x >= x_c with phase' >= u_cut (phase ~ p e^x).
     x_right = math.log((u_cut + math.sqrt(u_cut * u_cut + abs(E) + 4.0)) / (2.0 * p))
@@ -291,19 +250,19 @@ def _window(p, q, delta, spec):
 
     # Left side, mirrored (y = -x): integrand exp(i(q e^y + p e^-y)) with
     # damping delta*e^y now on the growing exponential.
-    uq_cut = max(u_floor, 3.6 * math.sqrt(abs(E)), 2.0 * delta * p)
+    uq_cut = max(_U_FLOOR, 3.6 * math.sqrt(abs(E)), 2.0 * delta * p)
     y_right = math.log((uq_cut + math.sqrt(uq_cut * uq_cut + abs(E) + 4.0)) / (2.0 * abs(q)))
     y_right = max(y_right, -x_c + 0.5)
     return -y_right, x_right
 
 
-def _undamped_error_bound(p, q, spec):
+def _undamped_error_bound(p, q):
     """Error bound for H(p, q, 0): the last retained band of each exact
     tail, with |E_j(-iU)| <= 2/U, plus a rounding of a few ulp in each
     window node's phase, up to u_cut."""
     if p < 0.0:  # H(p, q) = conj H(-p, -q)
         p, q = -p, -q
-    x_left, x_right = _window(p, q, 0.0, spec)
+    x_left, x_right = _window(p, q, 0.0)
     E = 4.0 * p * q
     k = (_TAIL_ORDER - 1) // 2  # the last band is w^(2k+1) = u^-(2k+1)
     c_k = _inv_sqrt_coeffs(k)[k]
@@ -317,7 +276,7 @@ def _undamped_error_bound(p, q, spec):
     return tails + 8.0 * _EPS * span
 
 
-def hyperbolic_oscillatory(p, q, delta=0.0, spec: QuadratureSpec = DEFAULT_SPEC):
+def hyperbolic_oscillatory(p, q, delta=0.0):
     """H(p, q, delta) as defined in the module docstring.  p*q != 0."""
     p = float(p)
     q = float(q)
@@ -329,26 +288,18 @@ def hyperbolic_oscillatory(p, q, delta=0.0, spec: QuadratureSpec = DEFAULT_SPEC)
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     if p < 0.0:
-        return np.conj(hyperbolic_oscillatory(-p, -q, delta, spec))
+        return np.conj(hyperbolic_oscillatory(-p, -q, delta))
 
-    x_left, x_right = _window(p, q, delta, spec)
+    x_left, x_right = _window(p, q, delta)
     y_right = -x_left
 
     # Window integral with panels tracking frequency and damping.
-    breaks = _build_breaks(p, q, delta, x_left, x_right, spec.panel_budget)
-    breaks = np.asarray(breaks)
-    xg, wg = gauss_legendre(spec.gl_order)
-    a = breaks[:-1][:, None]
-    b = breaks[1:][:, None]
-    half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * xg[None, :]
-    weights = half * wg[None, :]
-    ph = _phase(p, q, nodes)
-    vals = np.exp(1j * ph)
+    breaks = _build_breaks(p, q, delta, x_left, x_right, PANEL_BUDGET)
+    nodes, weights = panel_nodes(breaks, _GL_ORDER)
+    vals = np.exp(1j * _phase(p, q, nodes))
     if delta > 0:
         vals = vals * np.exp(-delta * np.exp(-nodes))
-    per_panel = (vals * weights).sum(axis=1)
-    window = stable_sum(per_panel)
+    window = stable_sum((vals * weights).reshape(-1, _GL_ORDER).sum(axis=1))
 
     # Exact tails. Right: damping sits on the decaying exponential.
     t_right, e_right = _osc_tail(p, q, delta, 0.0, x_right)
@@ -360,7 +311,7 @@ def hyperbolic_oscillatory(p, q, delta=0.0, spec: QuadratureSpec = DEFAULT_SPEC)
         t_left = np.conj(t_left)
     total = window + t_right + t_left
     est = e_right + e_left
-    if est > max(spec.abs_tol * 100.0, 1e-6):
+    if est > _TAIL_BUDGET:
         raise QuadratureError(
             f"hyperbolic_oscillatory tail estimate {est:.2e} above budget"
         )

@@ -65,8 +65,10 @@ def bessel_k1(u):
 
 
 def bessel_kn(n, u):
-    """K_n for integer n of either sign (K_{-n} = K_n)."""
-    return _like_input(sp.kn(abs(int(n)), _as_positive_array(u, "bessel_kn")))
+    """K_n for integer n of either sign (K_{-n} = K_n); an integer array of
+    orders broadcasts against u."""
+    x = _as_positive_array(u, "bessel_kn")
+    return _like_input(sp.kn(np.abs(np.asarray(n, dtype=int)), x))
 
 
 def ktilde(n, r):

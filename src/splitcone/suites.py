@@ -27,7 +27,6 @@ from .geometry import (
     w0_act,
 )
 from .numerics import SplitMix64, gauss_legendre
-from .quadrature import QuadratureSpec
 from .report import CheckResult, make_check
 
 SUITE_NAMES = (
@@ -53,7 +52,6 @@ class SuiteConfig:
     workers: int = 1
     output_format: str = "text"
     out_path: str = None
-    panel_budget: int = None
     include_wall_time: bool = True
 
     def __post_init__(self):
@@ -69,11 +67,6 @@ class SuiteConfig:
         if self.eps_parity == "both":
             return (0, 1)
         return (int(self.eps_parity),)
-
-    def spec(self):
-        if self.panel_budget is not None:
-            return QuadratureSpec(panel_budget=self.panel_budget)
-        return QuadratureSpec()
 
 
 def _sample_offcone_dual(rng):
@@ -255,7 +248,6 @@ def _gaussian_family():
 
 def suite_kernels(cfg: SuiteConfig):
     ts = cfg.tol_scale
-    spec = cfg.spec()
     checks = []
     # kernel branch values
     checks.append(make_check(
@@ -290,23 +282,23 @@ def suite_kernels(cfg: SuiteConfig):
 
     # delta functional two-route agreement (cone and hyperboloid)
     for name, psi in _gaussian_family().items():
-        res = kernels.delta_cone_apply(psi, spec)
+        res = kernels.delta_cone_apply(psi)
         checks.append(make_check(
             f"delta_cone.two_routes.{name}", "S2.delta-cone", {"psi": name},
             res.volume, res.surface, 1e-5 * ts, kind="rel"))
     odd = lambda X: X[..., 0] * np.exp(-(X**2).sum(axis=-1))
-    res = kernels.delta_cone_apply(odd, spec)
+    res = kernels.delta_cone_apply(odd)
     checks.append(make_check(
         "delta_cone.odd_vanishes", "S2.delta-cone", {"psi": "odd"},
         abs(res.surface) + abs(res.volume), 0.0, 1e-8 * ts))
     away = lambda X: np.exp(-(X**2).sum(axis=-1)) * np.clip(
         X[..., 0] ** 2 + X[..., 1] ** 2 - X[..., 2] ** 2 - X[..., 3] ** 2 - 1.0,
         0.0, None) ** 2
-    res = kernels.delta_cone_apply(away, spec)
+    res = kernels.delta_cone_apply(away)
     checks.append(make_check(
         "delta_cone.support_away", "S2.delta-cone", {"psi": "off-cone"},
         abs(res.surface) + abs(res.volume), 0.0, 1e-6 * ts))
-    res = kernels.delta_hyperboloid_apply(_gaussian_family()["plain"], 1.0, spec)
+    res = kernels.delta_hyperboloid_apply(_gaussian_family()["plain"], 1.0)
     checks.append(make_check(
         "delta_hyperboloid.two_routes", "S2.delta-hyperboloid", {"R": 1.0},
         res.volume, res.surface, 1e-5 * ts, kind="rel"))
@@ -331,14 +323,13 @@ def suite_kernels(cfg: SuiteConfig):
 
 def suite_fourier(cfg: SuiteConfig, n_samples=50):
     ts = cfg.tol_scale
-    spec = cfg.spec()
     rng = SplitMix64(cfg.seed)
     checks = []
     for i in range(n_samples):
         R, xi, q = _sample_offcone_dual(rng)
         for sR in (-1, 1):
             for se in (-1, 1):
-                res = kernels.ft_regularized(R, xi, sR, se, spec)
+                res = kernels.ft_regularized(R, xi, sR, se)
                 ref = kernels.ft_closed_form(R, q, sR, se)
                 tol = max(1e-4 * abs(ref), 1e-5) * ts
                 checks.append(make_check(
@@ -348,13 +339,13 @@ def suite_fourier(cfg: SuiteConfig, n_samples=50):
     rng2 = SplitMix64(cfg.seed + 1)
     for i in range(6):
         R, xi, q = _sample_offcone_dual(rng2)
-        plus = kernels.ft_regularized(R, xi, -1, +1, spec).value
-        minus = kernels.ft_regularized(R, xi, -1, -1, spec).value
+        plus = kernels.ft_regularized(R, xi, -1, +1).value
+        minus = kernels.ft_regularized(R, xi, -1, -1).value
         checks.append(make_check(
             f"ft.conjugation.{i}", "S5.prop-ft", {"R": R, "q": q},
             minus, np.conj(plus), 1e-9 * ts))
         sR = 1 if q > 0 else -1  # K-branch (purely real) for this q
-        val = kernels.ft_regularized(R, xi, sR, +1, spec).value
+        val = kernels.ft_regularized(R, xi, sR, +1).value
         checks.append(make_check(
             f"ft.spacelike_real.{i}", "S5.prop-ft", {"R": R, "q": q},
             val.imag, 0.0, 1e-6 * ts))
@@ -366,7 +357,6 @@ def suite_fourier(cfg: SuiteConfig, n_samples=50):
 
 def suite_corollary(cfg: SuiteConfig, n_pairs=20):
     ts = cfg.tol_scale
-    spec = cfg.spec()
     rng = SplitMix64(cfg.seed + 2)
     checks = []
     count = 0
@@ -376,7 +366,7 @@ def suite_corollary(cfg: SuiteConfig, n_pairs=20):
         if abs(inner) < 0.05:
             continue
         R = rng.uniform(0.5, 2.0)
-        sym, anti = kernels.corollary_kernels(R, p1, p2, spec)
+        sym, anti = kernels.corollary_kernels(R, p1, p2)
         ref_sym = 0.5 * math.pi * kernels.psi0(-inner)
         checks.append(make_check(
             f"corollary.symmetric.{count:02d}", "S5.cor-kernels",
@@ -411,7 +401,6 @@ def suite_corollary(cfg: SuiteConfig, n_pairs=20):
 
 def suite_lemma(cfg: SuiteConfig, n_samples=10):
     ts = cfg.tol_scale
-    spec = cfg.spec()
     rng = SplitMix64(cfg.seed + 4)
     checks = []
     count = 0
@@ -422,7 +411,7 @@ def suite_lemma(cfg: SuiteConfig, n_samples=10):
         r1, r2 = d.polar_radii
         if min(r1, r2) == 0 or abs(r1 - r2) / max(r1, r2) <= 0.2:
             continue
-        lv = kernels.lemma_kernel_integrals(R, p1, p2, spec)
+        lv = kernels.lemma_kernel_integrals(R, p1, p2)
         for j, (got, ref) in enumerate(zip(lv.integrals, lv.references)):
             scale = max(abs(x) for x in lv.references) + 1e-12
             checks.append(make_check(
@@ -439,7 +428,7 @@ def suite_lemma(cfg: SuiteConfig, n_samples=10):
     R = 1.2
     from .quadrature import hyperbolic_oscillatory
 
-    h = hyperbolic_oscillatory(0.5 * R * r1d, 0.5 * R * r1d, 0.0, spec)
+    h = hyperbolic_oscillatory(0.5 * R * r1d, 0.5 * R * r1d, 0.0)
     checks.append(make_check(
         "lemma.r2_zero_reduction", "S5.eq-JY", {"R": R, "r1": r1d, "r2": r2d},
         -(1.0 / math.pi) * h.real, special.bessel_y0(R * r1d), 1e-9 * ts))
@@ -454,7 +443,7 @@ def suite_lemma(cfg: SuiteConfig, n_samples=10):
         if inner >= -0.1 or min(r1, r2) <= 0 or abs(r1 - r2) / max(r1, r2) <= 0.25:
             continue
         R = 1.0 + 0.3 * found
-        lv = kernels.lemma_kernel_integrals(R, p1, p2, spec)
+        lv = kernels.lemma_kernel_integrals(R, p1, p2)
         checks.append(make_check(
             f"lemma.sine_vanishes.{found}", "S5.lemma-integrals",
             {"inner": inner, "R": R}, lv.integrals[2], 0.0, 1e-6 * ts))
@@ -467,7 +456,6 @@ def suite_lemma(cfg: SuiteConfig, n_samples=10):
 
 def suite_operators(cfg: SuiteConfig):
     ts = cfg.tol_scale
-    spec = cfg.spec()
     checks = []
     base = ConePoint(1.0, 0.7, 0.3)
     s_grid = np.exp(np.linspace(math.log(0.2), math.log(2.0), 7))
@@ -498,14 +486,14 @@ def suite_operators(cfg: SuiteConfig):
 
         # ray-restriction fidelity against the reference chains
         for R in (1.0, 2.0):
-            pl = np.array([operators.op_PlHatPrime(f, R, ConePoint(s, 0.7, 0.3), spec)
+            pl = np.array([operators.op_PlHatPrime(f, R, ConePoint(s, 0.7, 0.3))
                            for s in s_grid])
             ch = np.array([operators.chain_pl(s, R, e) for s in s_grid])
             resid = np.max(np.abs(pl - f.c_plus * ch)) / np.max(np.abs(pl))
             checks.append(make_check(
                 f"op_pl.chain_fidelity.e{e}.R{R}", "S6.plhat-chain",
                 {"eps": e, "R": R}, resid, 0.0, 1e-3 * ts))
-        fc = np.array([operators.op_FC(f, ConePoint(s, 0.7, 0.3), spec)
+        fc = np.array([operators.op_FC(f, ConePoint(s, 0.7, 0.3))
                        for s in s_grid])
         ch = np.array([operators.chain_fc(s, e) for s in s_grid])
         resid = np.max(np.abs(fc - f.c_plus * ch)) / np.max(np.abs(fc))
@@ -514,21 +502,21 @@ def suite_operators(cfg: SuiteConfig):
             0.0, 1e-3 * ts))
         # the same single constant calibrates both operators
         s0 = 0.5
-        c_pl = operators.op_PlHatPrime(f, 1.0, ConePoint(s0, 0.7, 0.3), spec) \
+        c_pl = operators.op_PlHatPrime(f, 1.0, ConePoint(s0, 0.7, 0.3)) \
             / operators.chain_pl(s0, 1.0, e)
-        c_fc = operators.op_FC(f, ConePoint(s0, 0.7, 0.3), spec) \
+        c_fc = operators.op_FC(f, ConePoint(s0, 0.7, 0.3)) \
             / operators.chain_fc(s0, e)
         checks.append(make_check(
             f"op.common_constant.e{e}", "S6.plhat-chain", {"eps": e, "s": s0},
             c_pl, c_fc, 1e-6 * abs(c_fc) * ts))
         # s -> 0 behavior along the ray matches the chain integrand limits
         s_small = 1e-3
-        got = operators.op_FC(f, ConePoint(s_small, 0.7, 0.3), spec)
+        got = operators.op_FC(f, ConePoint(s_small, 0.7, 0.3))
         ref = f.c_plus * operators.chain_fc(s_small, e)
         checks.append(make_check(
             f"op_fc.small_s.e{e}", "S6.fc-chain", {"eps": e, "s": s_small},
             got, ref, 1e-4 * abs(ref) * ts))
-        got = operators.op_PlHatPrime(f, 1.0, ConePoint(s_small, 0.7, 0.3), spec)
+        got = operators.op_PlHatPrime(f, 1.0, ConePoint(s_small, 0.7, 0.3))
         ref = f.c_plus * operators.chain_pl(s_small, 1.0, e)
         checks.append(make_check(
             f"op_pl.small_s.e{e}", "S6.plhat-chain", {"eps": e, "s": s_small},
@@ -540,8 +528,8 @@ def suite_operators(cfg: SuiteConfig):
             xi_ray = ConePoint(0.6, base.theta1, base.theta2)
             xi_anti = ConePoint(0.6, base.theta1 + math.pi,
                                 base.theta2 + math.pi)
-            v_ray = operators.op_FC(wrapped_e, xi_ray, spec)
-            v_anti = operators.op_FC(wrapped_e, xi_anti, spec)
+            v_ray = operators.op_FC(wrapped_e, xi_ray)
+            v_anti = operators.op_FC(wrapped_e, xi_anti)
             checks.append(make_check(
                 f"op_fc.center_parity.e{e}", "S6.f-xi-eps", {"eps": e},
                 v_anti, (-1.0) ** e * v_ray, 1e-12 * abs(v_ray) * ts))
@@ -552,17 +540,17 @@ def suite_operators(cfg: SuiteConfig):
     for s in (0.5, 1.7):
         xi = ConePoint(s, 0.7, 0.3)
         gen = operators._apply_generic(
-            fexp, xi, lambda p: operators._psi0_arr(-p), "lorentz",
-            -1.0 / math.pi, spec)
-        fast = operators.op_FC(fexp, xi, spec)
+            fexp, xi, lambda p: kernels.psi0(-p), "lorentz",
+            -1.0 / math.pi)
+        fast = operators.op_FC(fexp, xi)
         checks.append(make_check(
             f"op_fc.generic_vs_ray.s{s}", "S3.operators", {"s": s}, gen, fast,
             2e-4 * abs(fast) * ts))
     xi = ConePoint(0.5, 0.7, 0.3)
     genp = operators._apply_generic(
-        fexp, xi, lambda p: operators._phi0_arr(-0.25 * 1.3**2 * p), "lorentz",
-        1j / (4.0 * math.pi), spec, half_space="negative")
-    fastp = operators.op_PlHatPrime(fexp, 1.3, xi, spec)
+        fexp, xi, lambda p: kernels.phi0_plus(-0.25 * 1.3**2 * p), "lorentz",
+        1j / (4.0 * math.pi), half_space="negative")
+    fastp = operators.op_PlHatPrime(fexp, 1.3, xi)
     checks.append(make_check(
         "op_pl.generic_vs_ray", "S6.plhat", {"s": 0.5, "R": 1.3}, genp, fastp,
         2e-4 * abs(fastp) * ts))
@@ -586,7 +574,7 @@ def suite_operators(cfg: SuiteConfig):
 
         __call__ = values
 
-    val = operators.op_PlHatPrime(OneBump(), 1.0, ConePoint(0.8, 0.7, 0.3), spec)
+    val = operators.op_PlHatPrime(OneBump(), 1.0, ConePoint(0.8, 0.7, 0.3))
     checks.append(make_check(
         "op_pl.half_space_support", "S6.eq-Phi0", {}, val, 0.0, 1e-12 * ts))
 
@@ -604,8 +592,8 @@ def suite_operators(cfg: SuiteConfig):
         gauss.decay,
     )
     for name, op in (
-        ("fcstar", lambda ff, x: operators.op_FCstar(ff, x, spec)),
-        ("fc", lambda ff, x: operators.op_FC(ff, x, spec)),
+        ("fcstar", operators.op_FCstar),
+        ("fc", operators.op_FC),
     ):
         x0 = ConePoint(0.9, 0.5, 1.2)
         x1 = ConePoint(0.9, 0.5 + shift[0], 1.2 + shift[1])
@@ -623,8 +611,8 @@ def suite_operators(cfg: SuiteConfig):
     )
     # With kernel K(<xi,xi'>) and density r' dr', f(lam .) at xi/lam picks
     # up exactly lam^-2 relative to f at xi under xi' -> xi'/lam.
-    v_plain = operators.op_FC(gauss, ConePoint(0.8, 0.5, 1.2), spec)
-    v_scaled = operators.op_FC(gauss_scaled, ConePoint(0.8 * lam, 0.5, 1.2), spec)
+    v_plain = operators.op_FC(gauss, ConePoint(0.8, 0.5, 1.2))
+    v_scaled = operators.op_FC(gauss_scaled, ConePoint(0.8 * lam, 0.5, 1.2))
     checks.append(make_check(
         "op_fc.scaling", "S3.operators", {"lambda": lam},
         v_scaled, v_plain / lam**2, 2e-6 * max(abs(v_plain), 1e-3) * ts))
@@ -632,11 +620,10 @@ def suite_operators(cfg: SuiteConfig):
     # self-consistency of the generic grid under refinement
     v_coarse = operators._apply_generic(
         gauss, ConePoint(0.9, 0.5, 1.2),
-        lambda p: operators._psi0_arr(p), "euclid", -1.0 / math.pi, spec)
+        kernels.psi0, "euclid", -1.0 / math.pi)
     v_fine = operators._apply_generic(
         gauss, ConePoint(0.9, 0.5, 1.2),
-        lambda p: operators._psi0_arr(p), "euclid", -1.0 / math.pi, spec,
-        refine=1.6)
+        kernels.psi0, "euclid", -1.0 / math.pi, refine=1.6)
     checks.append(make_check(
         "op_fcstar.grid_refinement", "S3.operators", {},
         v_coarse, v_fine, 1e-5 * max(abs(v_fine), 1e-3) * ts))
@@ -651,7 +638,7 @@ def suite_operators(cfg: SuiteConfig):
         thetas = [(0.0, 0.0), (1.3, 0.4), (2.1, 3.9), (4.4, 2.6)]
         outs = []
         for t1, t2 in thetas:
-            v = operators.op_FC(mode, ConePoint(0.9, t1, t2), spec)
+            v = operators.op_FC(mode, ConePoint(0.9, t1, t2))
             outs.append(v * np.exp(-1j * (l * t1 + k * t2)))
         spread = max(abs(o - outs[0]) for o in outs)
         checks.append(make_check(

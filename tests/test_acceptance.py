@@ -184,7 +184,8 @@ def test_criterion_09_delta_two_routes():
             worst < 1e-5, f"worst rel {worst:.2e} (<1e-5), {time.time()-t0:.0f}s")
 
 
-def test_criterion_10_infrastructure(tmp_path):
+def test_criterion_10_infrastructure(tmp_path, monkeypatch):
+    from splitcone import quadrature
     from splitcone.cli import main
 
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -197,8 +198,8 @@ def test_criterion_10_infrastructure(tmp_path):
     forced_fail = main(["corollary", "--tol", "1e-30", "--format", "json",
                         "--out", scratch]) == 1
     usage = main(["corollary", "--rho", "x"]) == 2
-    numeric = main(["fourier", "--panel-budget", "3", "--format", "json",
-                    "--out", scratch]) == 3
+    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 3)
+    numeric = main(["fourier", "--format", "json", "--out", scratch]) == 3
     ok = rc1 == 0 and rc2 == 0 and identical and forced_fail and usage and numeric
     _report("criterion 10 (byte-identical reports, exit-code contract)", ok,
             f"identical={identical}, exit codes 0/1/2/3 honored")

@@ -17,15 +17,29 @@ from splitcone.kernels import (
     psi0,
 )
 from splitcone.numerics import SplitMix64
-from splitcone.quadrature import DEFAULT_SPEC, hyperbolic_oscillatory
+from splitcone.quadrature import EPSILON_LADDER, hyperbolic_oscillatory
 from splitcone.suites import _sample_offcone_dual
 
 
 def test_psi0_branches():
     assert abs(psi0(-0.5) + (2 / math.pi) * sp.k0(2.0)) < 1e-12
     assert abs(psi0(0.5) - sp.y0(2.0)) < 1e-12
+    ts = np.array([-2.0, -0.5, -1e-6, 1e-6, 0.5, 3.0])
+    assert psi0(ts).tolist() == [psi0(t) for t in ts]
     with pytest.raises(ValueError):
         psi0(0.0)
+    with pytest.raises(ValueError):
+        psi0(np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("kernel", [psi0, phi0_plus], ids=["psi0", "phi0_plus"])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+def test_kernels_reject_non_finite(kernel, t):
+    with pytest.raises(ValueError):
+        kernel(t)
+    with pytest.raises(ValueError):
+        kernel(np.array([0.5, t]))
 
 
 def test_phi0_branches():
@@ -104,7 +118,6 @@ def test_ft_error_estimate_bounds_closed_form_error():
 def test_damped_rungs_converge_to_undamped_limit_at_first_order():
     # the +-i eps regularization: on the default ladder (ratio 2) each
     # halving of eps halves |I(eps) - I(0)|
-    ladder = DEFAULT_SPEC.epsilon_ladder
     for R, xi, q, sR, se in _criterion_01_points():
         r1, r2 = xi.polar_radii
         a, b = 0.5 * (r1 + r2), 0.5 * (r1 - r2)
@@ -112,7 +125,7 @@ def test_damped_rungs_converge_to_undamped_limit_at_first_order():
         p, qq = a * eta, -b * eta * sR * R * R
         h0 = hyperbolic_oscillatory(p, qq, 0.0)
         gaps = [abs(hyperbolic_oscillatory(p, qq, abs(b) * e * R * R) - h0)
-                for e in ladder]
+                for e in EPSILON_LADDER]
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 1.5 <= coarse / fine <= 2.1
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from splitcone import quadrature, suites
 from splitcone.cli import main
 from splitcone.report import (
     VerificationReport,
@@ -79,14 +80,16 @@ def test_fixed_seed_reports_are_byte_identical():
         rep2, include_wall_time=False)
 
 
-def test_worker_count_does_not_change_numbers():
-    rep1 = build_suite(SuiteConfig(suite="lemma", seed=3, workers=1))
-    rep2 = build_suite(SuiteConfig(suite="lemma", seed=3, workers=4))
+def test_worker_count_does_not_change_numbers(monkeypatch):
+    # several suites, so workers > 1 runs them on the thread pool
+    monkeypatch.setattr(suites, "SUITE_NAMES", ("bessel", "corollary", "lemma"))
+    rep1 = build_suite(SuiteConfig(suite="all", seed=3, workers=1))
+    rep2 = build_suite(SuiteConfig(suite="all", seed=3, workers=3))
     assert [(c.check_id, c.computed) for c in rep1] == [
         (c.check_id, c.computed) for c in rep2]
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     assert main(["corollary", "--format", "json", "--out", str(out),
                  "--seed", "7"]) == 0
@@ -100,9 +103,10 @@ def test_cli_exit_codes(tmp_path):
     assert main(["not-a-suite"]) == 2
     assert main(["corollary", "--tol", "-1"]) == 2
     assert main(["corollary", "--rho", "abc"]) == 2
+    assert main(["fourier", "--panel-budget", "3"]) == 2
     # numerical non-convergence via a starved panel budget
-    assert main(["fourier", "--panel-budget", "3", "--format", "json",
-                 "--out", str(out)]) == 3
+    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 3)
+    assert main(["fourier", "--format", "json", "--out", str(out)]) == 3
 
 
 @pytest.mark.parametrize("flag, value", [

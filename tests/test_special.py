@@ -35,6 +35,15 @@ def test_negative_order_symmetry():
     assert special.bessel_kn(-3, 1.7) == special.bessel_kn(3, 1.7)
 
 
+def test_kn_array_of_orders_broadcasts():
+    xs = np.array([0.3, 1.7, 6.0])
+    orders = np.arange(-2, 3)[:, None]
+    got = special.bessel_kn(orders, xs)
+    assert got.shape == (5, 3)
+    for row, n in zip(got, range(-2, 3)):
+        assert row.tolist() == special.bessel_kn(n, xs).tolist()
+
+
 def test_domain_rejections():
     with pytest.raises(ValueError):
         special.bessel_j0(-1.0)

@@ -95,6 +95,14 @@ def test_h_conjugation_and_domain():
         hyperbolic_oscillatory(1.0, 1.0, -0.5)
 
 
+def test_h_small_damping_regime(monkeypatch):
+    # ft-like regime: strong oscillation with weak damping on the 1/w side
+    got = hyperbolic_oscillatory(1.3, -2.1, 2.1 * 0.0125)
+    monkeypatch.setattr(quadrature, "_GL_ORDER", 16)
+    ref = hyperbolic_oscillatory(1.3, -2.1, 2.1 * 0.0125)
+    assert abs(got - ref) < 1e-10
+
+
 def test_panel_budget_error(monkeypatch):
     monkeypatch.setattr(quadrature, "PANEL_BUDGET", 3)
     with pytest.raises(QuadratureError):

@@ -269,19 +269,17 @@ def reduce_symbolic_r2(raw):
 
 
 def apply_mult_xi(j, v: KVector):
-    """Multiplication by 2 xi_j (the factor 2 keeps coefficients exact)."""
-    if j == 1:
-        return apply_plane_mult(v, 1, 1) + apply_plane_mult(v, 1, -1)
-    if j == 2:
-        # 2 xi2 = -i [ (xi1+i xi2) - (xi1-i xi2) ]
-        diff = apply_plane_mult(v, 1, 1) - apply_plane_mult(v, 1, -1)
-        return diff.scaled(GaussianInt(0, -1))
-    if j == 3:
-        return apply_plane_mult(v, 2, 1) + apply_plane_mult(v, 2, -1)
-    if j == 4:
-        diff = apply_plane_mult(v, 2, 1) - apply_plane_mult(v, 2, -1)
-        return diff.scaled(GaussianInt(0, -1))
-    raise ValueError("j must be 1..4")
+    """Multiplication by 2 xi_j (the factor 2 keeps coefficients exact):
+    2 xi1 = (xi1 + i xi2) + (xi1 - i xi2) and
+    2 xi2 = -i [(xi1 + i xi2) - (xi1 - i xi2)], likewise xi3, xi4 in plane 2."""
+    if j not in (1, 2, 3, 4):
+        raise ValueError("j must be 1..4")
+    plane = 1 if j <= 2 else 2
+    up = apply_plane_mult(v, plane, 1)
+    down = apply_plane_mult(v, plane, -1)
+    if j % 2:
+        return up + down
+    return (up - down).scaled(GaussianInt(0, -1))
 
 
 def _p_one_basis(key: KBasisElement, plane):
@@ -312,50 +310,22 @@ def _p_one_basis(key: KBasisElement, plane):
     return KVector(out)
 
 
-def _p_two_basis(key: KBasisElement, plane):
-    """P2 (plane 1) or P4 (plane 2) on a single basis element."""
-    n = key.n
-    if plane == 1:
-        idx, other = key.a, key.k
-    else:
-        idx, other = key.b, key.l
-    l, k = abs(idx), other
-    out = {}
-
-    def add(nn, d, coeff):
-        tgt = _shift_plane(KBasisElement(nn, key.a, key.b), plane, d)
-        out[tgt] = out.get(tgt, GaussianInt()) + coeff
-
-    if idx == 0:
-        # -2i [(k-n)([n+1,+1] - [n+1,-1]) - ([n,+1] - [n,-1])]
-        for d, sgn in ((1, 1), (-1, -1)):
-            add(n + 1, d, GaussianInt(0, -2 * sgn * (k - n)))
-            add(n, d, GaussianInt(0, 2 * sgn))
-        return KVector(out)
-    s = 1 if idx > 0 else -1
-    up = s
-    add(n + 1, up, GaussianInt(0, -2 * s * (k - n)))
-    add(n, up, GaussianInt(0, 2 * s))
-    add(n, -up, GaussianInt(0, 2 * s * (n - l) * (l + k - n)))
-    add(n - 1, -up, GaussianInt(0, 2 * s * (2 * l + k - 2 * n + 1)))
-    add(n - 2, -up, GaussianInt(0, -2 * s))
-    return KVector(out)
-
-
 def apply_P(j, v: KVector):
-    """The second-order operators P_j as exact rewrites."""
+    """The second-order operators P_j as exact rewrites.  P2 (P4) is P1
+    (P3) with each term times -i d, d the term's shift of that plane's
+    index."""
     if j not in (1, 2, 3, 4):
         raise ValueError("j must be 1..4")
+    plane = 1 if j <= 2 else 2
     out = ZERO
     for key, c in v.terms.items():
-        if j == 1:
-            part = _p_one_basis(key, 1)
-        elif j == 2:
-            part = _p_two_basis(key, 1)
-        elif j == 3:
-            part = _p_one_basis(key, 2)
-        else:
-            part = _p_two_basis(key, 2)
+        part = _p_one_basis(key, plane)
+        if j % 2 == 0:
+            idx = _plane_index(key, plane)
+            part = KVector({
+                t: GaussianInt(0, idx - _plane_index(t, plane)) * tc
+                for t, tc in part.terms.items()
+            })
         out = out + part.scaled(c)
     return out
 
@@ -431,11 +401,16 @@ def apply_X(j, k, v: KVector):
     )
 
 
-def orbit_closure(start: KBasisElement, max_elements=4000):
+# Labels an orbit may reach before orbit_closure gives up.
+_ORBIT_BUDGET = 4000
+
+
+def orbit_closure(start: KBasisElement):
     """Reachable basis labels under the four ladder operators.
 
-    Returns (labels, dimension).  Raises if the frontier exceeds the bound
-    (which certifies non-closure for lattice violations in practice)."""
+    Returns (labels, dimension).  Raises if the orbit exceeds _ORBIT_BUDGET
+    labels (which certifies non-closure for lattice violations in
+    practice)."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -449,20 +424,20 @@ def orbit_closure(start: KBasisElement, max_elements=4000):
                         if kk not in seen:
                             seen.add(kk)
                             nxt.append(kk)
-            if len(seen) > max_elements:
+            if len(seen) > _ORBIT_BUDGET:
                 raise RuntimeError("orbit exceeded the element budget")
         frontier = nxt
     return frozenset(seen), len(seen)
 
 
-def kfinite_certificate(elem, closure_bound=4000):
+def kfinite_certificate(elem):
     """True iff n <= min(l, k); when true the ladder orbit is verified
     finite by explicit closure search."""
     if isinstance(elem, tuple):
         elem = KBasisElement(*elem)
     if not elem.in_l2_lattice():
         return False
-    orbit_closure(elem, closure_bound)
+    orbit_closure(elem)
     return True
 
 
@@ -599,9 +574,11 @@ class AmbientBasis:
         return self.p_j(j, pts) - 4.0 * d[j - 1]
 
 
-def box22_fd(fn, pts, h=3e-3):
+def box22_fd(fn, pts):
     """4th-order central-difference ultrahyperbolic operator of a callable
-    fn(points) -> values, as an independent check of the closed forms."""
+    fn(points) -> values, step 3e-3, as an independent check of the closed
+    forms."""
+    h = 3e-3
     pts = np.asarray(pts, dtype=float)
     out = np.zeros(pts.shape[:-1], dtype=complex)
     signs = (1.0, 1.0, -1.0, -1.0)

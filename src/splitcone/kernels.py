@@ -18,12 +18,11 @@ phase oscillatory integral:
              exp(-|b| eps / w) dw/w,
     a = (r1+r2)/2,  b = (r1-r2)/2,  eta = -sign(b) sign_eps.
 
-I(eps) is continuous at eps = 0 (the exact E_n tails of the hyperbolic
-integral H carry the conditionally convergent ends), so the limit is the
+I(eps) is continuous at eps = 0 (H integrates the conditionally
+convergent ends on complex rays where they decay), so the limit is the
 single undamped H call I(0); only the delta functionals use the epsilon
-ladder.  No Bessel
-identity enters this path, so agreement with the closed-form branch table
-is a genuine two-route check.
+ladder.  No Bessel identity enters this path, so agreement with the
+closed-form branch table is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -124,8 +123,8 @@ def ft_regularized(R, xi, sign_R2, sign_eps):
     """lim_{eps->0+} (1/4pi^2) int e^{i xi.X} (N(X) + sign_R2 R^2
     + sign_eps i eps)^-2 dV, as the undamped reduced integral I(0).
 
-    Returns an FtResult carrying H's error bound (tail truncation plus
-    rounding); non-convergence raises QuadratureError instead of returning
+    Returns an FtResult carrying H's error bound (the tails' two-rule gap
+    plus rounding); non-convergence raises QuadratureError instead of returning
     a silent value.
     """
     _check_signs(sign_R2, sign_eps)
@@ -274,24 +273,20 @@ def _angular_grid(n):
     return th
 
 
-def delta_quadric_apply(
-    psi,
-    offset=0.0,
-    n_theta=16,
-    n_radial=80,
-    radial_max=6.5,
-):
+def delta_quadric_apply(psi, offset=0.0):
     """Two-route evaluation of the delta functional of N(X) - offset.
 
     Surface route: (1/2) int psi dS/|X| over {N = offset}, i.e.
     (1/2) iiint psi(X(r2, th1, th2)) r2 dr2 dth1 dth2 with
-    r1 = sqrt(r2^2 + offset).  Volume route: the +-i eps difference
+    r1 = sqrt(r2^2 + offset), on 16 x 16 angles and 80 Gauss-Legendre
+    nodes in r2 on [0, 6.5].  Volume route: the +-i eps difference
     (1/pi) eps / ((N-offset)^2 + eps^2) integrated over R^4 in bipolar
     coordinates with the pole resolved by mu = eps tan(phi), at each eps
     of quadrature.EPSILON_LADDER plus two further halvings, then fitted to
     eps -> 0 with a log-aware basis; the gap to a plain Richardson pass
     enters the error estimate.  `psi` maps an (..., 4) array to values.
     """
+    n_theta, n_radial, radial_max = 16, 80, 6.5
     th1 = _angular_grid(n_theta)
     th2 = _angular_grid(n_theta)
     T1, T2 = np.meshgrid(th1, th2, indexing="ij")
@@ -389,23 +384,22 @@ def delta_quadric_apply(
     return DeltaResult(complex(surface), complex(vol), float(err))
 
 
-def delta_cone_apply(psi, **kw):
+def delta_cone_apply(psi):
     """Cone delta functional, surface vs regularized volume routes."""
-    return delta_quadric_apply(psi, 0.0, **kw)
+    return delta_quadric_apply(psi, 0.0)
 
 
-def delta_hyperboloid_apply(psi, R, **kw):
+def delta_hyperboloid_apply(psi, R):
     """Same two-route check on the hyperboloid N(X) = R^2."""
     if not R > 0:
         raise ValueError("R must be positive")
-    return delta_quadric_apply(psi, R * R, **kw)
+    return delta_quadric_apply(psi, R * R)
 
 
-def ft_bruteforce_damped(
-    R, xi, sign_R2, sign_eps, eps=0.4, s_max=120.0, inner_tol=2e-8
-):
+def ft_bruteforce_damped(R, xi, sign_R2, sign_eps, eps=0.4):
     """Low-accuracy spot-check oracle for the regularized transform at one
-    finite eps (flagged use only; never on the acceptance path).
+    finite eps; the default `kernels` suite runs it in its
+    `ft.reduction_oracle` checks.
 
     Both angular planes of the defining 4-d integral are reduced exactly in
     polar coordinates, leaving
@@ -414,9 +408,9 @@ def ft_bruteforce_damped(
 
     c = sign_R2 R^2 + i sign_eps eps, computed by direct panel quadrature:
     the inner u-integral clusters panels at the pole shadow, the outer
-    integral (in s = sqrt(v)) is truncated with half-period averaging of the
-    slowest beat phase.  Compare against the single-rung production value at
-    the same eps; expect ~1e-3 relative.
+    integral (in s = sqrt(v)) is truncated at s = 120 with half-period
+    averaging of the slowest beat phase.  Compare against the damped
+    production value at the same eps; expect ~1e-3 relative.
     """
     _check_signs(sign_R2, sign_eps)
     r1, r2 = _polar_radii(xi)
@@ -452,6 +446,7 @@ def ft_bruteforce_damped(
         f = special.bessel_j0(r1 * np.sqrt(nodes)) * (nodes - v + c) ** -2.0
         return np.dot(f, wq)
 
+    s_max = 120.0
     beat = 2.0 * math.pi / abs(r1 - r2)
     s_end = s_max + 0.5 * beat
     # outer panels in s = sqrt(v), aligned so s_max and s_end are boundaries

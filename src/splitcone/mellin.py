@@ -47,8 +47,9 @@ class MellinResult:
     error_estimate: float
 
 
-def mellin(f, rho, s_lo=1e-8, s_hi=1e8, per_octave=10, order=12):
-    """M f(rho) by Gauss-Legendre panels in log s on a certified window.
+def mellin(f, rho, s_lo=1e-8, s_hi=1e8):
+    """M f(rho) by order-12 Gauss-Legendre panels in log s, 10 per octave,
+    on a certified window.
 
     Below s_lo, f is taken as the constant f(s_lo) and that tail is added
     in closed form.  The caller certifies that f contributes less than the
@@ -57,10 +58,10 @@ def mellin(f, rho, s_lo=1e-8, s_hi=1e8, per_octave=10, order=12):
     difference from a half-resolution pass plus the size of the lower tail.
     """
     x_lo, x_hi = math.log(s_lo), math.log(s_hi)
-    n_pan = max(8, int(math.ceil((x_hi - x_lo) * per_octave / math.log(2.0))))
+    n_pan = max(8, int(math.ceil((x_hi - x_lo) * 10 / math.log(2.0))))
 
-    def run(npan, orde):
-        x, w = panel_nodes(np.linspace(x_lo, x_hi, npan + 1), orde)
+    def run(npan):
+        x, w = panel_nodes(np.linspace(x_lo, x_hi, npan + 1), 12)
         s = np.exp(x)
         vals = np.asarray(f(s), dtype=complex)
         integ = vals * np.exp((1.0 - 1j * rho) * x)  # s^(1-i rho) ds/s
@@ -68,8 +69,8 @@ def mellin(f, rho, s_lo=1e-8, s_hi=1e8, per_octave=10, order=12):
 
     f_lo = complex(np.asarray(f(np.full(1, s_lo)), dtype=complex).ravel()[0])
     tail = mellin_power_tail(f_lo, 0.0, rho, s_lo, "lower")
-    v1 = run(n_pan, order) + tail
-    v0 = run(max(4, n_pan // 2), order) + tail
+    v1 = run(n_pan) + tail
+    v0 = run(max(4, n_pan // 2)) + tail
     return MellinResult(float(rho), v1, abs(v1 - v0) + abs(tail))
 
 
@@ -86,7 +87,7 @@ def mellin_power_tail(coeff, power, rho, s_edge, side):
     return -coeff * s_edge**mu / mu
 
 
-def gr_2667_integrals(a, b, n_panels=400):
+def gr_2667_integrals(a, b):
     """(int_0^inf t^2 e^{-at} sin(bt) dt, ... cos(bt) dt) by quadrature,
     with the rational closed forms 2b(3a^2-b^2)/(a^2+b^2)^3 and
     2a(a^2-3b^2)/(a^2+b^2)^3 attached for comparison.
@@ -209,23 +210,24 @@ def _ratio_closed_form(rho, R, parity_eps, thetas=(0.0, 0.5, 1.5)):
 class RayTable:
     """Cached ray evaluations of both operators on a log-s Gauss grid.
 
-    The grid doubles as the Mellin quadrature rule (Gauss-Legendre panels
-    in log s); known asymptotic exponents supply analytic tail models:
-    the Phi0+ chain opens like s^(1/2) and closes like s^(-3/2); the Psi0
-    chain has an s -> 0 form A + B log s and closes like s^(-3/2), s^(-2).
+    The operators act on the test function at the base point (1, 0.7, 0.3).
+    The grid doubles as the Mellin quadrature rule (10 Gauss-Legendre
+    panels of order 8 in log s on [s_lo, s_hi]); known asymptotic exponents
+    supply analytic tail models: the Phi0+ chain opens like s^(1/2) and
+    closes like s^(-3/2); the Psi0 chain has an s -> 0 form A + B log s and
+    closes like s^(-3/2), s^(-2).
     """
 
-    def __init__(self, parity_eps, R_list, base_xi=None, s_lo=1e-3, s_hi=400.0,
-                 n_panels=10, order=8):
+    s_lo = 1e-3
+    s_hi = 400.0
+
+    def __init__(self, parity_eps, R_list):
         self.parity_eps = parity_eps
-        base_xi = base_xi or ConePoint(1.0, 0.7, 0.3)
-        self.f = make_f_xi_eps(base_xi, parity_eps)
+        self.f = make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), parity_eps)
         self.x, self.w = panel_nodes(
-            np.linspace(math.log(s_lo), math.log(s_hi), n_panels + 1), order
+            np.linspace(math.log(self.s_lo), math.log(self.s_hi), 11), 8
         )
         self.s = np.exp(self.x)
-        self.s_lo = s_lo
-        self.s_hi = s_hi
         self.fc_vals = ray_values(self.f, "fc", self.s)
         self.pl_vals = {R: ray_values(self.f, "pl", self.s, R=R) for R in R_list}
 

@@ -112,22 +112,23 @@ def integrate_panels(f, breaks, order=12):
     return stable_sum(per_panel)
 
 
-def integrate_decaying(f, a, scale, abs_tol=1e-12, order=16, max_octaves=60):
+def integrate_decaying(f, a, scale):
     """Integrate f over [a, inf) for integrands decaying on the given scale.
 
-    Doubles the integration window in octaves of width `scale` until the
-    last octave contributes less than abs_tol. The integrand must decay at
-    least exponentially-ish on `scale`; raises RuntimeError otherwise.
+    Doubles the integration window in octaves of width `scale` (order-16
+    panels) until the last octave contributes less than 1e-16, for at most
+    60 octaves.  The integrand must decay at least exponentially-ish on
+    `scale`; raises RuntimeError otherwise.
     """
     total = 0.0 + 0.0j
     lo = float(a)
     width = float(scale)
-    for _ in range(max_octaves):
+    for _ in range(60):
         breaks = np.linspace(lo, lo + width, 5)
-        part = integrate_panels(f, breaks, order)
+        part = integrate_panels(f, breaks, 16)
         total += part
-        if abs(part) < abs_tol:
+        if abs(part) < 1e-16:
             return total
         lo += width
         width *= 1.5
-    raise RuntimeError("integrate_decaying: tail did not fall below abs_tol")
+    raise RuntimeError("integrate_decaying: tail did not fall below 1e-16")

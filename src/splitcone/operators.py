@@ -227,18 +227,17 @@ def _search_center(base: ConePoint, width):
     return best
 
 
-def make_f_xi_eps(base_xi: ConePoint, parity_eps, width=0.8,
-                  radial="sqrt_exponential"):
+def make_f_xi_eps(base_xi: ConePoint, parity_eps, radial="sqrt_exponential"):
     """Construct the symmetrized test function at the given base point.
 
-    Shrinks the bump width (at most three times) until the pairing factor
+    Shrinks the bump width from 0.8 (at most three times, by 0.7) until the pairing factor
     is bounded away from zero on every bump and the discs are disjoint.
     The angular constants C+- and their parity relation C- = (-1)^e C+ are
     computed at construction for diagnostics and calibration checks.
     """
     if parity_eps not in (0, 1):
         raise ValueError("parity_eps must be 0 or 1")
-    w = float(width)
+    w = 0.8
     found = None
     for _ in range(4):
         best = _search_center(base_xi, w)
@@ -508,10 +507,10 @@ def ray_values(f: TestFunctionFxiEps, op, s_grid, R=None):
     return out
 
 
-def l2_norm_sq(f, r_max=None, n_r=160, n_th=48):
-    """Numerical L^2 norm squared against the r/2 dr dth1 dth2 density."""
-    if r_max is None:
-        r_max = f.decay.truncation_radius(1e-10)
+def l2_norm_sq(f, n_r=160, n_th=48):
+    """Numerical L^2 norm squared against the r/2 dr dth1 dth2 density,
+    over the radii where f's decay certificate exceeds 1e-10."""
+    r_max = f.decay.truncation_radius(1e-10)
     xg, wg = gauss_legendre(n_r)
     v = 0.5 * math.sqrt(r_max) * (xg + 1.0)
     wv = 0.5 * math.sqrt(r_max) * wg

@@ -60,7 +60,7 @@ def k0_oracle_exp(u):
     if u <= 0:
         raise ValueError("oracle requires u > 0")
     f = lambda t: np.exp(-u * np.cosh(t))
-    return float(np.real(integrate_decaying(f, 0.0, 1.0, abs_tol=1e-16)))
+    return float(np.real(integrate_decaying(f, 0.0, 1.0)))
 
 
 def kn_oracle(n, u):
@@ -68,4 +68,4 @@ def kn_oracle(n, u):
         raise ValueError("oracle requires u > 0")
     n = abs(int(n))
     f = lambda t: np.exp(-u * np.cosh(t)) * np.cosh(n * t)
-    return float(np.real(integrate_decaying(f, 0.0, 1.0, abs_tol=1e-16)))
+    return float(np.real(integrate_decaying(f, 0.0, 1.0)))

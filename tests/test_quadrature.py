@@ -9,7 +9,7 @@ from splitcone import quadrature
 from splitcone.numerics import SplitMix64, richardson_limit, stable_sum
 from splitcone.quadrature import (
     QuadratureError,
-    expn_complex,
+    _undamped_error_bound,
     hyperbolic_oscillatory,
 )
 
@@ -40,23 +40,14 @@ def test_stable_sum_deterministic():
     assert stable_sum(xs) == stable_sum(xs.copy())
 
 
-def test_expn_complex_against_mpmath():
-    mpmath.mp.dps = 30
-    for n in (1, 2, 5, 12):
-        for z in (-40j, 2 - 40j, 0.3 - 70j, 5 + 3j, 0.05 - 1.2j):
-            got = expn_complex(n, z)[n - 1]
-            ref = complex(mpmath.expint(n, z))
-            assert abs(got - ref) < 1e-13 * max(1.0, abs(ref))
-
-
 def test_h_matches_bessel_identities():
     # int_R exp(i u cosh t) dt = pi (i J0(u) - Y0(u))
-    for u in (0.3, 1.0, 4.0, 15.0, 40.0):
+    for u in (0.3, 1.0, 4.0, 15.0, 40.0, 100.0, 400.0, 1000.0):
         got = hyperbolic_oscillatory(u / 2, u / 2)
         ref = math.pi * (1j * sp.j0(u) - sp.y0(u))
         assert abs(got - ref) < 5e-11
     # int_R exp(i u sinh t) dt = 2 K0(u)
-    for u in (0.3, 1.0, 4.0, 15.0):
+    for u in (0.3, 1.0, 4.0, 15.0, 100.0, 400.0, 1000.0):
         got = hyperbolic_oscillatory(u / 2, -u / 2)
         assert abs(got - 2 * sp.k0(u)) < 5e-11
 
@@ -75,12 +66,29 @@ def test_h_damped_against_mpmath():
         v += mpmath.quadosc(g, [U, mpmath.inf], period=2 * mpmath.pi)
         return complex(v)
 
-    # the last case is the weakly damped, strongly oscillating regime of
-    # the finite-eps rungs (delta = |q| eps at the smallest ladder eps)
+    # (1.3, -2.1, ...) is the weakly damped, strongly oscillating regime of
+    # the finite-eps rungs (delta = |q| eps at the smallest ladder eps); the
+    # last three are strongly damped
     for (p, q, d) in ((1.0, -0.7, 0.3), (0.6, 0.9, 1.2), (2.0, 0.25, 0.05),
-                      (1.3, -2.1, 2.1 * 0.0125)):
+                      (1.3, -2.1, 2.1 * 0.0125), (1.0, 0.1, 2.0),
+                      (1.0, -0.1, 2.0), (2.0, -0.2, 3.0)):
         got = hyperbolic_oscillatory(p, q, d)
         assert abs(got - brute(p, q, d)) < 1e-12
+
+
+def test_undamped_error_bound_bounds_closed_form_error():
+    # H(p, q, 0) is pi (i J0(u) - Y0(u)) for p, q > 0 and 2 K0(u) for
+    # p > 0 > q, u = 2 sqrt(|p q|); H(-p, -q) = conj H(p, q)
+    grid = np.geomspace(0.05, 40.0, 20)
+    for p in grid:
+        for aq in grid:
+            u = 2.0 * math.sqrt(p * aq)
+            cosh_ref = math.pi * (1j * sp.j0(u) - sp.y0(u))
+            for sp_, sq, ref in ((1, 1, cosh_ref), (1, -1, 2 * sp.k0(u)),
+                                 (-1, 1, 2 * sp.k0(u)),
+                                 (-1, -1, np.conj(cosh_ref))):
+                got = hyperbolic_oscillatory(sp_ * p, sq * aq)
+                assert abs(got - ref) <= _undamped_error_bound(sp_ * p, sq * aq)
 
 
 def test_h_conjugation_and_domain():
@@ -107,3 +115,10 @@ def test_panel_budget_error(monkeypatch):
     monkeypatch.setattr(quadrature, "PANEL_BUDGET", 3)
     with pytest.raises(QuadratureError):
         hyperbolic_oscillatory(1.0, -40.0, 0.002)
+
+
+def test_tail_budget_error(monkeypatch):
+    # any tail estimate, even an exact 0, is above a negative budget
+    monkeypatch.setattr(quadrature, "_TAIL_BUDGET", -1.0)
+    with pytest.raises(QuadratureError):
+        hyperbolic_oscillatory(1.0, -1.0)

@@ -89,6 +89,19 @@ def test_worker_count_does_not_change_numbers(monkeypatch):
         (c.check_id, c.computed) for c in rep2]
 
 
+def test_tolerance_scale_keeps_ids_and_scales_every_tolerance(monkeypatch):
+    monkeypatch.setattr(suites, "SUITE_NAMES", ("bessel", "corollary", "lemma"))
+    base = build_suite(SuiteConfig(suite="all"))
+    tight = build_suite(SuiteConfig(suite="all", tol_scale=1e-3))
+    assert [c.check_id for c in tight] == [c.check_id for c in base]
+    for b, t in zip(base, tight):
+        assert t.tolerance == (b.tolerance * 1e-3 if b.tolerance > 0 else -1.0)
+    # an exact check keeps tolerance 0 unless the scale tightens it
+    exact = make_check("x", "S", {}, 1.0, 1.0, 0.0)
+    assert suites._scale_tolerance(exact, 1.0).passed
+    assert not suites._scale_tolerance(exact, 1e-3).passed
+
+
 def test_cli_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     assert main(["corollary", "--format", "json", "--out", str(out),

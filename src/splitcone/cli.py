@@ -91,9 +91,6 @@ def main(argv=None):
     if args.R is not None:
         kwargs["R_list"] = args.R
     if args.tol is not None:
-        if args.tol <= 0:
-            print("error: --tol must be positive", file=sys.stderr)
-            return EXIT_USAGE
         kwargs["tol_scale"] = args.tol
     try:
         cfg = SuiteConfig(**kwargs)

@@ -20,9 +20,11 @@ phase oscillatory integral:
 
 I(eps) is continuous at eps = 0 (H integrates the conditionally
 convergent ends on complex rays where they decay), so the limit is the
-single undamped H call I(0); only the delta functionals use the epsilon
-ladder.  No Bessel identity enters this path, so agreement with the
-closed-form branch table is a genuine two-route check.
+single undamped H call I(0).  An epsilon ladder is left only in the
+delta functionals' volume route, where a rung is a set of exact
+Lorentzian weights on one sampling of psi.  No Bessel identity enters this
+path, so agreement with the closed-form branch table is a genuine two-route
+check.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import numpy as np
 
 from . import special
 from .geometry import ConePoint, DualVector, cone_embed, pair
-from .numerics import gauss_legendre, panel_nodes, richardson_limit, stable_sum
-from .quadrature import EPSILON_LADDER, _undamped_error_bound, hyperbolic_oscillatory
+from .numerics import gauss_legendre, panel_nodes, stable_sum
+from .quadrature import _undamped_error_bound, hyperbolic_oscillatory
 
 __all__ = [
     "psi0",
@@ -258,6 +260,10 @@ def lemma_kernel_integrals(R, xi: ConePoint, xi2: ConePoint):
 
 @dataclass(frozen=True)
 class DeltaResult:
+    """`volume_error` estimates the volume route's eps -> 0 extrapolation
+    error; for smooth psi it bounds |volume - surface| (kinked psi, such as
+    a clipped support, is not covered)."""
+
     surface: complex
     volume: complex
     volume_error: float
@@ -268,9 +274,51 @@ class DeltaResult:
         return abs(self.surface - self.volume) / scale
 
 
-def _angular_grid(n):
-    th = np.arange(n) * (2.0 * np.pi / n)
-    return th
+# Volume route: +-i eps rungs of ratio 2, the last 7 fitted to eps -> 0;
+# at each nu node, 8 equal mu panels of 10 Gauss-Legendre nodes.
+_DELTA_LADDER = 0.2 / 2.0 ** np.arange(12)
+_MU_PANELS = 8
+_MU_X, _MU_W = gauss_legendre(10)
+# inverse of V[j, k] = x_j^k: maps moments to interpolatory weights
+_MU_VINV = np.linalg.inv(np.vander(_MU_X, increasing=True))
+
+
+def _angular_sum(psi, r1, r2):
+    """Sum of psi over 16 x 16 angles at X = (r1 e^{i th1}, r2 e^{i th2}),
+    for radius arrays r1, r2 of one shape."""
+    th = np.arange(16) * (2.0 * np.pi / 16)
+    c, s = np.cos(th), np.sin(th)
+    r1, r2 = r1[..., None, None], r2[..., None, None]
+    parts = np.broadcast_arrays(r1 * c[:, None], r1 * s[:, None], r2 * c, r2 * s)
+    return np.asarray(psi(np.stack(parts, axis=-1))).sum(axis=(-2, -1))
+
+
+def _lorentz_weights(c, h, eps):
+    """Weights w (last axis: the nodes c + h x_j) with sum_j w_j f(c + h x_j)
+    = int_{c-h}^{c+h} f(mu) eps / (mu^2 + eps^2) dmu for polynomials f of
+    degree < 10; broadcasts over c, h and eps.
+
+    With mu = c + h x and z = (i eps - c)/h the weight is Im 1/(x - z) on
+    [-1, 1], whose moments q_k = int x^k / (x - z) dx follow from
+    q_0 = log(1-z) - log(-1-z), q_k = z q_(k-1) + (1 - (-1)^k)/k.  Far
+    from the pole (|z| > 3) Gauss weights times the Lorentzian suffice.
+    """
+    z = (1j * eps - c) / h
+    q = [np.log(1.0 - z) - np.log(-1.0 - z)]
+    for k in range(1, len(_MU_X)):
+        q.append(z * q[-1] + (k % 2) * 2.0 / k)
+    near = np.einsum("...k,kj->...j", np.stack(q, axis=-1).imag, _MU_VINV)
+    far = _MU_W * (1.0 / (_MU_X - z[..., None])).imag
+    return np.where(np.abs(z)[..., None] > 3.0, far, near)
+
+
+def _eps_limit(eps, vals):
+    """eps -> 0 value of a least-squares fit through the rungs.  The cone
+    corner (the chart boundary sigma = 0 crossing N = offset) puts
+    eps log(eps) terms in the limit, so the basis is log-aware."""
+    lg = np.log(eps)
+    A = np.stack([eps**0, eps * lg, eps, eps**2 * lg, eps**2, eps**3 * lg], axis=1)
+    return np.linalg.lstsq(A, vals, rcond=None)[0][0]
 
 
 def delta_quadric_apply(psi, offset=0.0):
@@ -279,109 +327,53 @@ def delta_quadric_apply(psi, offset=0.0):
     Surface route: (1/2) int psi dS/|X| over {N = offset}, i.e.
     (1/2) iiint psi(X(r2, th1, th2)) r2 dr2 dth1 dth2 with
     r1 = sqrt(r2^2 + offset), on 16 x 16 angles and 80 Gauss-Legendre
-    nodes in r2 on [0, 6.5].  Volume route: the +-i eps difference
-    (1/pi) eps / ((N-offset)^2 + eps^2) integrated over R^4 in bipolar
-    coordinates with the pole resolved by mu = eps tan(phi), at each eps
-    of quadrature.EPSILON_LADDER plus two further halvings, then fitted to
-    eps -> 0 with a log-aware basis; the gap to a plain Richardson pass
-    enters the error estimate.  `psi` maps an (..., 4) array to values.
+    nodes in r2 on [0, 6.5].
+
+    Volume route: the +-i eps difference (1/pi) eps / ((N-offset)^2 + eps^2)
+    integrated over R^4 in nu = r1^2 + r2^2 and mu = N - offset
+    (dV = dnu dmu dth1 dth2 / 8).  The angular sum of psi is sampled once:
+    on nu panels graded toward nu = offset on the scale of the smallest
+    eps, and at each nu node on 8 equal mu panels of 10 Gauss-Legendre
+    nodes.  Each eps of _DELTA_LADDER only changes the product-integration
+    weights of the exact Lorentzian (Atkinson, The Numerical Solution of
+    Integral Equations of the Second Kind, CUP 1997).  The last 7 rungs are
+    fitted to eps -> 0; `volume_error` is the gap to the same fit one rung
+    coarser.  `psi` maps an (..., 4) array to values.
     """
-    n_theta, n_radial, radial_max = 16, 80, 6.5
-    th1 = _angular_grid(n_theta)
-    th2 = _angular_grid(n_theta)
-    T1, T2 = np.meshgrid(th1, th2, indexing="ij")
-    w_ang = (2.0 * np.pi / n_theta) ** 2
+    w_ang = (2.0 * np.pi / 16) ** 2
+    radial_max = 6.5
 
     # surface route
-    xg, wg = gauss_legendre(n_radial)
+    xg, wg = gauss_legendre(80)
     r2 = 0.5 * radial_max * (xg + 1.0)
     wr = 0.5 * radial_max * wg
-    r1 = np.sqrt(r2 * r2 + offset)
-    X = np.empty(r2.shape + T1.shape + (4,))
-    X[..., 0] = r1[:, None, None] * np.cos(T1)[None]
-    X[..., 1] = r1[:, None, None] * np.sin(T1)[None]
-    X[..., 2] = r2[:, None, None] * np.cos(T2)[None]
-    X[..., 3] = r2[:, None, None] * np.sin(T2)[None]
-    vals = np.asarray(psi(X))
-    surface = 0.5 * w_ang * stable_sum(
-        (vals.sum(axis=(1, 2)) * r2 * wr)
-    )
+    vals = _angular_sum(psi, np.sqrt(r2 * r2 + offset), r2)
+    surface = 0.5 * w_ang * stable_sum(vals * r2 * wr)
 
-    # volume route per epsilon
+    # volume route: the mu-integral is a step smoothed on scale eps around
+    # nu = offset; the marks eps_min 2^k contain every coarser rung's marks
     nu_max = 2.0 * radial_max * radial_max + abs(offset) + 4.0
-
-    def _nu_grid(eps):
-        """Panels refined on scale eps around nu = offset, where the
-        mu-integral is a smoothed step."""
-        marks = {0.0, nu_max}
-        m = eps
-        while m < nu_max:
-            for cand in (offset - m, offset + m):
-                if 0.0 < cand < nu_max:
-                    marks.add(cand)
-            m *= 2.0
-        if 0.0 < offset < nu_max:
-            marks.add(offset)
-        marks.update(np.linspace(0.0, nu_max, 30).tolist())
-        return panel_nodes(sorted(marks), 10)
-
-    def _phi_panels(mu_lo, mu_hi, eps):
-        """Panel breakpoints in phi = atan(mu/eps), geometric in mu/eps so
-        both the Lorentzian core and the psi-scale wings are resolved."""
-        marks = [0.0]
-        m = 1.0
-        top = max(abs(mu_lo), abs(mu_hi)) / eps
-        while m < top:
-            marks.append(m)
-            m *= 2.0
-        mus = sorted(
-            {mu_lo, mu_hi}
-            | {eps * v for v in marks if mu_lo < eps * v < mu_hi}
-            | {-eps * v for v in marks if mu_lo < -eps * v < mu_hi}
-        )
-        return np.arctan(np.asarray(mus) / eps)
-
-    def volume_at(eps):
-        nu_nodes, nu_w = _nu_grid(eps)
-        acc = np.zeros(len(nu_nodes), dtype=complex)
-        for i, nu in enumerate(nu_nodes):
-            mu_lo, mu_hi = -nu - offset, nu - offset
-            ph, wph = panel_nodes(_phi_panels(mu_lo, mu_hi, eps), 8)
-            mu = eps * np.tan(ph)
-            rho = np.clip(0.5 * (nu + mu + offset), 0.0, None)
-            sig = np.clip(0.5 * (nu - mu - offset), 0.0, None)
-            rr1 = np.sqrt(rho)
-            rr2 = np.sqrt(sig)
-            Xp = np.empty((len(mu),) + T1.shape + (4,))
-            Xp[..., 0] = rr1[:, None, None] * np.cos(T1)[None]
-            Xp[..., 1] = rr1[:, None, None] * np.sin(T1)[None]
-            Xp[..., 2] = rr2[:, None, None] * np.cos(T2)[None]
-            Xp[..., 3] = rr2[:, None, None] * np.sin(T2)[None]
-            v = np.asarray(psi(Xp)).sum(axis=(1, 2))
-            acc[i] = np.dot(v, wph)
-        return (1.0 / (8.0 * math.pi)) * w_ang * stable_sum(acc * nu_w)
-
-    # two extra halvings sharpen the log-aware fit below the stated ladder
-    ladder = EPSILON_LADDER + (EPSILON_LADDER[-1] / 2.0, EPSILON_LADDER[-1] / 4.0)
-    vols = np.array([volume_at(e) for e in ladder])
-    # The cone corner (the chart boundary sigma = 0 crossing N = offset)
-    # puts eps*log(eps) terms in the limit; fit with the log-aware basis.
-    terms = [
-        lambda e: np.ones_like(e),
-        lambda e: e * np.log(e),
-        lambda e: e,
-        lambda e: e * e * np.log(e),
-        lambda e: e * e,
-        lambda e: e**3 * np.log(e),
-    ]
-    eps_arr = np.array(ladder)
-    A = np.stack([t(eps_arr) for t in terms], axis=1)
-    coef, *_ = np.linalg.lstsq(A, vols, rcond=None)
-    vol = coef[0]
-    fit_resid = float(np.max(np.abs(A @ coef - vols)))
-    poly, _ = richardson_limit(list(vols), ratio=2.0, order=3)
-    err = max(fit_resid, float(abs(vol - poly)) * 0.1)
-    return DeltaResult(complex(surface), complex(vol), float(err))
+    marks = set(np.linspace(0.0, nu_max, 30).tolist())
+    if 0.0 < offset < nu_max:
+        marks.add(offset)
+    m = _DELTA_LADDER[-1]
+    while m < nu_max:
+        marks.update(x for x in (offset - m, offset + m) if 0.0 < x < nu_max)
+        m *= 2.0
+    nu, nu_w = panel_nodes(sorted(marks), 10)
+    # mu runs over [-nu - offset, nu - offset], where rho, sigma >= 0
+    h = nu / _MU_PANELS
+    c = (h - nu - offset)[:, None] + 2.0 * h[:, None] * np.arange(_MU_PANELS)
+    mu = c[..., None] + h[:, None, None] * _MU_X
+    rho = np.clip(0.5 * (nu[:, None, None] + mu + offset), 0.0, None)
+    sig = np.clip(0.5 * (nu[:, None, None] - mu - offset), 0.0, None)
+    Psi = np.array([_angular_sum(psi, a, b)
+                    for a, b in zip(np.sqrt(rho), np.sqrt(sig))])
+    w = _lorentz_weights(c, h[:, None], _DELTA_LADDER[:, None, None])
+    vols = np.einsum("rnpj,npj,n->r", w, Psi, nu_w) * (w_ang / (8.0 * math.pi))
+    vol, coarser = (_eps_limit(_DELTA_LADDER[k:k + 7], vols[k:k + 7])
+                    for k in (5, 4))
+    return DeltaResult(complex(surface), complex(vol), float(abs(vol - coarser)))
 
 
 def delta_cone_apply(psi):

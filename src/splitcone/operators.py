@@ -268,27 +268,23 @@ def make_f_xi_eps(base_xi: ConePoint, parity_eps, radial="sqrt_exponential"):
     return f
 
 
-def _disc_nodes(center, width, order=20):
-    """Tensor Gauss-Legendre nodes over the bounding square of one disc."""
-    xg, wg = gauss_legendre(order)
-    t1 = center[0] + width * xg
-    t2 = center[1] + width * xg
-    w1 = width * wg
-    T1, T2 = np.meshgrid(t1, t2, indexing="ij")
-    W = np.outer(w1, w1)
-    return T1, T2, W
-
-
 def _angular_constants(f: TestFunctionFxiEps):
-    """C+- = int_{+-g>0} psi / g^2 over the angular torus."""
+    """C+- = int_{+-g>0} psi / g^2 over the angular torus.
+
+    Each bump depends only on the distance to its centre, so it is
+    integrated in polar coordinates about that centre: 40 Gauss-Legendre
+    radii times 20 trapezoid angles.
+    """
+    x, wx = gauss_legendre(40)
+    r = 0.5 * f.width * (x + 1.0)
+    wr = (0.5 * f.width * wx) * r * _bump(r * r, f.width)
+    a = np.arange(20) * (2.0 * np.pi / 20)
     cp = 0.0
     cm = 0.0
     for (c1, c2), coeff in f.centers_and_coeffs:
-        T1, T2, W = _disc_nodes((c1, c2), f.width)
-        d2 = _torus_dist(T1, c1) ** 2 + _torus_dist(T2, c2) ** 2
-        bump = _bump(d2, f.width) * coeff
-        g = f.pairing_factor(T1, T2)
-        val = float(np.sum(bump / (g * g) * W))
+        g = f.pairing_factor(c1 + np.outer(r, np.cos(a)),
+                             c2 + np.outer(r, np.sin(a)))
+        val = coeff * (2.0 * np.pi / 20) * float(np.sum(wr[:, None] / (g * g)))
         if np.median(np.sign(g)) > 0:
             cp += val
         else:

@@ -21,9 +21,7 @@ count.
 The settings are module constants, not parameters: the window uses
 Gauss-Legendre order 12 on at most PANEL_BUDGET panels, the tails start
 at a phase rate of at least 40, and the gap between the 16- and 8-node
-Laguerre rules must stay below 1e-6.  EPSILON_LADDER is the regularization
-ladder of the delta functionals in `kernels`; the Fourier transforms need
-none.
+Laguerre rules must stay below 1e-6.
 """
 
 from __future__ import annotations
@@ -35,15 +33,11 @@ import numpy as np
 from .numerics import panel_nodes, stable_sum
 
 __all__ = [
-    "EPSILON_LADDER",
     "PANEL_BUDGET",
     "QuadratureError",
     "hyperbolic_oscillatory",
 ]
 
-# +-i eps ladder of the delta functionals (kernels.delta_quadric_apply),
-# strictly decreasing by the ratio 2 that their Richardson pass assumes.
-EPSILON_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125)
 # Panels per 1-d window before H gives up with QuadratureError.
 PANEL_BUDGET = 4000
 

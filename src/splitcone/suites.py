@@ -61,6 +61,8 @@ class SuiteConfig:
             raise ValueError("rho = 0 is excluded")
         if not all(R > 0 for R in self.R_list):
             raise ValueError("R values must be positive")
+        if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
+            raise ValueError("tol scale must be positive and finite")
 
     def parities(self):
         if self.eps_parity == "both":
@@ -1126,6 +1128,6 @@ def _scale_tolerance(check, scale):
     tol = check.tolerance
     if tol > 0:
         tol *= scale
-    elif not scale >= 1:  # NaN too
+    elif scale < 1:
         tol = -1.0
     return replace(check, tolerance=tol)

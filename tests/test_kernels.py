@@ -9,6 +9,7 @@ from splitcone.kernels import (
     corollary_kernels,
     delta_cone_apply,
     delta_hyperboloid_apply,
+    delta_quadric_apply,
     ft_bruteforce_damped,
     ft_closed_form,
     ft_regularized,
@@ -17,8 +18,8 @@ from splitcone.kernels import (
     psi0,
 )
 from splitcone.numerics import SplitMix64
-from splitcone.quadrature import EPSILON_LADDER, hyperbolic_oscillatory
-from splitcone.suites import _sample_offcone_dual
+from splitcone.quadrature import hyperbolic_oscillatory
+from splitcone.suites import _gaussian_family, _sample_offcone_dual
 
 
 def test_psi0_branches():
@@ -116,8 +117,8 @@ def test_ft_error_estimate_bounds_closed_form_error():
 
 
 def test_damped_rungs_converge_to_undamped_limit_at_first_order():
-    # the +-i eps regularization: on the default ladder (ratio 2) each
-    # halving of eps halves |I(eps) - I(0)|
+    # the +-i eps regularization: on a ladder of ratio 2 each halving of
+    # eps halves |I(eps) - I(0)|
     for R, xi, q, sR, se in _criterion_01_points():
         r1, r2 = xi.polar_radii
         a, b = 0.5 * (r1 + r2), 0.5 * (r1 - r2)
@@ -125,7 +126,7 @@ def test_damped_rungs_converge_to_undamped_limit_at_first_order():
         p, qq = a * eta, -b * eta * sR * R * R
         h0 = hyperbolic_oscillatory(p, qq, 0.0)
         gaps = [abs(hyperbolic_oscillatory(p, qq, abs(b) * e * R * R) - h0)
-                for e in EPSILON_LADDER]
+                for e in (0.2, 0.1, 0.05, 0.025, 0.0125)]
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 1.5 <= coarse / fine <= 2.1
 
@@ -220,6 +221,16 @@ def test_delta_hyperboloid():
     res = delta_hyperboloid_apply(psi, 1.0)
     assert abs(res.surface - math.pi**2 / 2 * math.exp(-1.0)) < 1e-10
     assert res.rel_difference < 1e-5
+
+
+@pytest.mark.parametrize("name, offset", [
+    *((name, 0.0) for name in _gaussian_family()), ("plain", 1.0)])
+def test_delta_volume_error_bounds_route_gap(name, offset):
+    # the eps -> 0 extrapolation estimate covers the gap to the
+    # independent surface route, without overstating it by more than 100x
+    res = delta_quadric_apply(_gaussian_family()[name], offset)
+    gap = abs(res.volume - res.surface)
+    assert gap <= res.volume_error <= 100.0 * gap
 
 
 @pytest.mark.slow

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splitcone.geometry import ConePoint
+from splitcone.numerics import gauss_legendre
 from splitcone.operators import (
     ConeFunction,
     DecayCertificate,
@@ -16,6 +17,8 @@ from splitcone.operators import (
     op_FC,
     op_FCstar,
     op_PlHatPrime,
+    _bump,
+    _torus_dist,
     ray_values,
 )
 
@@ -50,6 +53,24 @@ def test_f_construction_and_parity():
         assert f.g_min > 0.25
     with pytest.raises(ValueError):
         make_f_xi_eps(BASE, 2)
+
+
+def test_angular_constants_against_tensor_reference():
+    # order-320 tensor Gauss rule over the bounding square of each bump disc
+    xg, wg = gauss_legendre(320)
+    for e in (0, 1):
+        f = make_f_xi_eps(BASE, e)
+        ref = [0.0, 0.0]
+        for (c1, c2), coeff in f.centers_and_coeffs:
+            T1, T2 = np.meshgrid(c1 + f.width * xg, c2 + f.width * xg,
+                                 indexing="ij")
+            d2 = _torus_dist(T1, c1) ** 2 + _torus_dist(T2, c2) ** 2
+            g = f.pairing_factor(T1, T2)
+            val = np.sum(coeff * _bump(d2, f.width) / (g * g)
+                         * np.outer(wg, wg)) * f.width**2
+            ref[0 if np.median(np.sign(g)) > 0 else 1] += val
+        assert abs(f.c_plus - ref[0]) < 1e-8 * abs(ref[0])
+        assert abs(f.c_minus - ref[1]) < 1e-8 * abs(ref[1])
 
 
 def test_f_values_and_l2():

@@ -125,6 +125,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
 @pytest.mark.parametrize("flag, value", [
     ("--R", "-1"), ("--R", "0"), ("--R", "nan"), ("--R", "inf"),
     ("--rho", "0"), ("--rho", "nan"), ("--rho", "inf"), ("--rho", "-inf"),
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
 ])
 def test_cli_bad_parameters_are_usage_errors(flag, value, capsys):
     assert main(["mellin_ratio", f"{flag}={value}"]) == 2
@@ -132,7 +133,7 @@ def test_cli_bad_parameters_are_usage_errors(flag, value, capsys):
 
 
 @pytest.mark.parametrize("suite", ["bessel", "fourier", "corollary", "lemma",
-                                   "mellin_ratio"])
+                                   "mellin_ratio", "kernels"])
 def test_cheap_suites_pass_at_defaults(suite):
     failed = [c.check_id for c in build_suite(SuiteConfig(suite=suite))
               if not c.passed]

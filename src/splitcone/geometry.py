@@ -106,15 +106,18 @@ def norm(X) -> float:
     return float(x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2)
 
 
-def pair(xi, xi2) -> float:
-    """Signature-(2,2) bilinear form on dual vectors."""
+def pair(xi, xi2):
+    """Signature-(2,2) bilinear form on dual vectors; stacked (..., 4)
+    arrays pair row by row, and a single pair gives a float."""
     if isinstance(xi, DualVector):
         xi = xi.as_array()
     if isinstance(xi2, DualVector):
         xi2 = xi2.as_array()
     a = np.asarray(xi, dtype=float)
     b = np.asarray(xi2, dtype=float)
-    return float(a[0] * b[0] + a[1] * b[1] - a[2] * b[2] - a[3] * b[3])
+    out = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+           - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
+    return float(out) if out.ndim == 0 else out
 
 
 def dot(xi, X) -> float:

@@ -103,21 +103,30 @@ class FtResult:
 
 
 def _polar_radii(xi):
+    """(r1, r2) of a ConePoint, a DualVector or stacked (..., 4) arrays."""
     if isinstance(xi, ConePoint):
         xi = cone_embed(xi)
     if isinstance(xi, DualVector):
         return xi.polar_radii
     arr = np.asarray(xi, dtype=float)
-    return float(np.hypot(arr[0], arr[1])), float(np.hypot(arr[2], arr[3]))
+    return np.hypot(arr[..., 0], arr[..., 1]), np.hypot(arr[..., 2], arr[..., 3])
+
+
+def _embedded(points):
+    """(..., 4) cone embedding of one ConePoint or a sequence of them."""
+    if isinstance(points, ConePoint):
+        return cone_embed(points).as_array()
+    return np.array([cone_embed(p).as_array() for p in points]).reshape(-1, 4)
 
 
 def _check_signs(sign_R2, sign_eps):
-    if sign_R2 not in (-1, 1) or sign_eps not in (-1, 1):
+    if not (np.all(np.abs(sign_R2) == 1) and np.all(np.abs(sign_eps) == 1)):
         raise ValueError("sign_R2 and sign_eps must be +-1")
 
 
 def _check_radius(R):
-    if not (math.isfinite(R) and R > 0):
+    R = np.asarray(R, dtype=float)
+    if not np.all(np.isfinite(R) & (R > 0)):
         raise ValueError("R must be positive and finite")
 
 
@@ -125,24 +134,26 @@ def ft_regularized(R, xi, sign_R2, sign_eps):
     """lim_{eps->0+} (1/4pi^2) int e^{i xi.X} (N(X) + sign_R2 R^2
     + sign_eps i eps)^-2 dV, as the undamped reduced integral I(0).
 
-    Returns an FtResult carrying H's error bound (the tails' two-rule gap
-    plus rounding); non-convergence raises QuadratureError instead of returning
-    a silent value.
+    R, the signs and xi (a DualVector, a ConePoint or stacked (..., 4)
+    coordinates) broadcast: a batch of transforms is one H call, and each
+    value is bit for bit what it would be alone.  Returns an FtResult
+    carrying H's error bound (the tails' two-rule gap plus rounding), as
+    arrays for a batch; non-convergence anywhere in the batch raises
+    QuadratureError instead of returning a silent value.
     """
     _check_signs(sign_R2, sign_eps)
     _check_radius(R)
     r1, r2 = _polar_radii(xi)
-    if not (math.isfinite(r1) and math.isfinite(r2)):
+    if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r2))):
         raise ValueError("xi must be finite")
-    q = r1 * r1 - r2 * r2
-    if q == 0.0:
+    if np.any(r1 * r1 - r2 * r2 == 0.0):
         raise ValueError("ft_regularized requires <xi, xi> != 0 (cone excluded)")
     a = 0.5 * (r1 + r2)
     b = 0.5 * (r1 - r2)
-    eta = -math.copysign(1.0, b) * sign_eps
-    pq = (a * eta, -b * eta * sign_R2 * R * R)
-    h = hyperbolic_oscillatory(*pq, 0.0)
-    return FtResult(complex(-0.25 * h), 0.25 * _undamped_error_bound(*pq))
+    eta = -np.copysign(1.0, b) * sign_eps
+    p, q = a * eta, -b * eta * sign_R2 * R * R
+    h = hyperbolic_oscillatory(p, q, 0.0)
+    return FtResult(-0.25 * h, 0.25 * _undamped_error_bound(p, q))
 
 
 def ft_closed_form(R, q, sign_R2, sign_eps):
@@ -178,7 +189,7 @@ def ft_closed_form(R, q, sign_R2, sign_eps):
     )
 
 
-def corollary_kernels(R, xi: ConePoint, xi2: ConePoint):
+def corollary_kernels(R, xi, xi2):
     """The two sign-combined transforms at xi - xi' for cone points.
 
     Returns (symmetric, antisymmetric) where
@@ -189,21 +200,21 @@ def corollary_kernels(R, xi: ConePoint, xi2: ConePoint):
     which must equal (pi/2) Psi0(-<xi,xi'>) and
     (pi i/2) Phi0+(-(R^2/4) <xi,xi'>) respectively.  Uses
     <xi-xi', xi-xi'> = -2 <xi,xi'>; lightlike-separated pairs are rejected.
+
+    xi and xi2 are ConePoints or equal-length sequences of them, with R a
+    scalar or one value per pair; the pairs' four transforms each are one
+    `ft_regularized` batch, and the results are arrays for sequences.
     """
-    d = cone_embed(xi) - cone_embed(xi2)
-    inner = pair(cone_embed(xi), cone_embed(xi2))
-    if inner == 0.0:
+    a, b = _embedded(xi), _embedded(xi2)
+    if np.any(pair(a, b) == 0.0):
         raise ValueError("lightlike-separated cone points are excluded")
-    f_plus_2 = ft_regularized(2.0, d, -1, +1)
-    f_minus_2 = ft_regularized(2.0, d, -1, -1)
-    sym = f_plus_2.value + f_minus_2.value
-    if R == 2.0:
-        f_plus_R, f_minus_R = f_plus_2, f_minus_2
-    else:
-        f_plus_R = ft_regularized(R, d, -1, +1)
-        f_minus_R = ft_regularized(R, d, -1, -1)
-    anti = f_plus_R.value - f_minus_R.value
-    return sym, anti
+    R = np.asarray(R, dtype=float)
+    shape = np.broadcast_shapes(R.shape, a.shape[:-1])
+    # rows: (R = 2, +i eps), (R = 2, -i eps), (R, +i eps), (R, -i eps)
+    radii = np.stack([np.broadcast_to(v, shape) for v in (2.0, 2.0, R, R)])
+    signs = np.array([1, -1, 1, -1]).reshape((4,) + (1,) * len(shape))
+    f = ft_regularized(radii, (a - b)[None], -1, signs).value
+    return f[0] + f[1], f[2] - f[3]
 
 
 @dataclass(frozen=True)
@@ -216,7 +227,7 @@ class LemmaValues:
     r2: float
 
 
-def lemma_kernel_integrals(R, xi: ConePoint, xi2: ConePoint):
+def lemma_kernel_integrals(R, xi, xi2):
     """The four oscillatory t-integrals built on r1, r2 of xi - xi',
     compared against Psi0 / Phi0+ at +-(R^2/4) <xi, xi'>.
 
@@ -224,24 +235,27 @@ def lemma_kernel_integrals(R, xi: ConePoint, xi2: ConePoint):
         -(1/pi) int cos(R r1 cosh t + R r2 sinh t) dt  vs  Psi0(-.)
         +(1/pi) int sin(R r1 sinh t + R r2 cosh t) dt  vs  Phi0+(+.)
         +(1/pi) int sin(R r1 cosh t + R r2 sinh t) dt  vs  Phi0+(-.)
-    """
-    if not R > 0:
-        raise ValueError("R must be positive")
-    d = cone_embed(xi) - cone_embed(xi2)
-    r1, r2 = d.polar_radii
-    if r1 == 0.0 and r2 == 0.0:
-        raise ValueError("coincident points: r1 = r2 = 0")
-    if r1 == r2:
-        raise ValueError("lightlike separation r1 = r2 is excluded")
-    inner = pair(cone_embed(xi), cone_embed(xi2))
 
-    # phase A sinh t + B cosh t  ->  p = (B+A)/2, q = (B-A)/2
-    h_a = hyperbolic_oscillatory(
-        0.5 * R * (r2 + r1), 0.5 * R * (r2 - r1), 0.0
-    )  # A = R r1, B = R r2
-    h_b = hyperbolic_oscillatory(
-        0.5 * R * (r1 + r2), 0.5 * R * (r1 - r2), 0.0
-    )  # A = R r2, B = R r1
+    xi and xi2 are ConePoints or equal-length sequences of them, with R a
+    scalar or one value per pair; both phases of every pair are one H
+    batch, and each field of the result is then an array over the pairs.
+    """
+    R = np.asarray(R, dtype=float)
+    if not np.all(R > 0):
+        raise ValueError("R must be positive")
+    a, b = _embedded(xi), _embedded(xi2)
+    r1, r2 = _polar_radii(a - b)
+    if np.any((r1 == 0.0) & (r2 == 0.0)):
+        raise ValueError("coincident points: r1 = r2 = 0")
+    if np.any(r1 == r2):
+        raise ValueError("lightlike separation r1 = r2 is excluded")
+    inner = pair(a, b)
+
+    # phase A sinh t + B cosh t  ->  p = (B+A)/2, q = (B-A)/2; rows
+    # (A, B) = (R r1, R r2) and (R r2, R r1)
+    h_a, h_b = hyperbolic_oscillatory(
+        0.5 * R * np.stack([r2 + r1, r1 + r2]),
+        0.5 * R * np.stack([r2 - r1, r1 - r2]), 0.0)
     vals = (
         -(1.0 / math.pi) * h_a.real,
         -(1.0 / math.pi) * h_b.real,
@@ -338,8 +352,11 @@ def delta_quadric_apply(psi, offset=0.0):
     weights of the exact Lorentzian (Atkinson, The Numerical Solution of
     Integral Equations of the Second Kind, CUP 1997).  The last 7 rungs are
     fitted to eps -> 0; `volume_error` is the gap to the same fit one rung
-    coarser.  `psi` maps an (..., 4) array to values.
+    coarser.  `psi` maps an (..., 4) array to values; `offset` must be
+    finite and nonnegative (the surface route's r1 = sqrt(r2^2 + offset)).
     """
+    if not (math.isfinite(offset) and offset >= 0.0):
+        raise ValueError("delta functional offset must be finite and >= 0")
     w_ang = (2.0 * np.pi / 16) ** 2
     radial_max = 6.5
 

@@ -86,21 +86,28 @@ def gauss_legendre(n: int):
     return _GL_CACHE[n]
 
 
+def interval_nodes(a, b, order=12):
+    """Gauss-Legendre nodes and weights on the panels [a_k, b_k], one row
+    of `order` each.  This is the package's only multi-panel rule: H's
+    window (whose panels are ragged across a batch) calls it directly, and
+    the delta volume route, the operator grids and the Mellin grids through
+    `panel_nodes`.
+    """
+    x, w = gauss_legendre(order)
+    a = np.asarray(a, dtype=float)[:, None]
+    b = np.asarray(b, dtype=float)[:, None]
+    half = 0.5 * (b - a)
+    return 0.5 * (a + b) + half * x[None, :], half * w[None, :]
+
+
 def panel_nodes(breaks, order=12):
     """Gauss-Legendre nodes and weights for the panels defined by `breaks`.
 
     Returns (nodes, weights) flattened over panels in breakpoint order, so
-    `reshape(-1, order)` recovers one row per panel.  This is the package's
-    only multi-panel rule: H's window, the delta volume route, the
-    operator grids and the Mellin grids all call it.
+    `reshape(-1, order)` recovers one row per panel.
     """
     breaks = np.asarray(breaks, dtype=float)
-    x, w = gauss_legendre(order)
-    a = breaks[:-1][:, None]
-    b = breaks[1:][:, None]
-    half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * x[None, :]
-    weights = half * w[None, :]
+    nodes, weights = interval_nodes(breaks[:-1], breaks[1:], order)
     return nodes.ravel(), weights.ravel()
 
 

@@ -10,6 +10,11 @@ These follow the hyperbolic representations
 computed through the oscillatory engine or decaying-integrand quadrature,
 never through the `scipy.special` evaluators in `special` that they are
 meant to check.
+
+`j0_oracle`, `y0_oracle` and `k0_oracle_cos` take a scalar or an array of
+u: an array is one batched H call, whose elements are each bit for bit
+their scalar values, and a scalar gives a Python float.  `k0_oracle_exp`
+and `kn_oracle` take one u at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +33,13 @@ __all__ = [
 ]
 
 
+def _positive(u):
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= 0):
+        raise ValueError("oracle requires u > 0")
+    return u
+
+
 def _cosh_phase_integral(u):
     # int_-inf^inf exp(i u cosh t) dt, u > 0
     return hyperbolic_oscillatory(0.5 * u, 0.5 * u)
@@ -39,21 +51,15 @@ def _sinh_phase_integral(u):
 
 
 def j0_oracle(u):
-    if u <= 0:
-        raise ValueError("oracle requires u > 0")
-    return (1.0 / np.pi) * _cosh_phase_integral(u).imag
+    return (1.0 / np.pi) * _cosh_phase_integral(_positive(u)).imag
 
 
 def y0_oracle(u):
-    if u <= 0:
-        raise ValueError("oracle requires u > 0")
-    return -(1.0 / np.pi) * _cosh_phase_integral(u).real
+    return -(1.0 / np.pi) * _cosh_phase_integral(_positive(u)).real
 
 
 def k0_oracle_cos(u):
-    if u <= 0:
-        raise ValueError("oracle requires u > 0")
-    return 0.5 * _sinh_phase_integral(u).real
+    return 0.5 * _sinh_phase_integral(_positive(u)).real
 
 
 def k0_oracle_exp(u):

@@ -15,13 +15,24 @@ int_v0^inf exp(k v + b'/v) dv/v with Re k <= 0; on the complex ray
 v = v0 - conj(k) t / |k| the factor exp(k v) decays like e^{-|k| t} and no
 longer oscillates, so one fixed Gauss-Laguerre rule integrates it (steepest
 descent after Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44, 2006).
-Panel sums run in fixed order; results are bit-stable regardless of worker
-count.
 
-The settings are module constants, not parameters: the window uses
-Gauss-Legendre order 12 on at most PANEL_BUDGET panels, the tails start
-at a phase rate of at least 40, and the gap between the 16- and 8-node
-Laguerre rules must stay below 1e-6.
+Batches: `hyperbolic_oscillatory` and `_undamped_error_bound` broadcast
+p, q and delta against each other and return an array of the broadcast
+shape; scalar input returns a Python complex / float.  Scalars and
+batches take the same code path.  The window breakpoints of the whole
+batch come from one march over the panel index; the panels, ragged
+across elements, are evaluated in blocks of _BLOCK_PANELS (6k nodes), so
+memory stays flat however large the batch; the two tails and both
+Laguerre rules are one array expression.  Each element's panel sums are
+reduced in a fixed order over its own panels only, so its value is bit
+for bit the same whatever else is in the batch, and results do not
+depend on worker count.
+
+The settings are module constants, not parameters, read at call time:
+the window uses Gauss-Legendre order _GL_ORDER on at most PANEL_BUDGET
+panels, the tails start at a phase rate of at least 40, and the gap
+between the 16- and 8-node Laguerre rules must stay below _TAIL_BUDGET.
+Any element of a batch over a budget raises QuadratureError.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import math
 
 import numpy as np
 
-from .numerics import panel_nodes, stable_sum
+from .numerics import interval_nodes
 
 __all__ = [
     "PANEL_BUDGET",
@@ -47,6 +58,11 @@ _U_FLOOR = 40.0
 # Largest tail truncation estimate H accepts.
 _TAIL_BUDGET = 1e-6
 _EPS = np.finfo(float).eps
+# Window panels evaluated at a time (6k nodes at order 12).
+_BLOCK_PANELS = 512
+# 4pq above which a panel's quadratic phase change can pass pi under the
+# frequency step rule (see _window_panels).
+_E_SADDLE = (2.0 * math.pi / 0.4**2) ** 2 - (math.pi / 0.4) ** 2
 
 
 class QuadratureError(RuntimeError):
@@ -54,134 +70,168 @@ class QuadratureError(RuntimeError):
 
 
 # Gauss-Laguerre rules on [0, inf) for the tails: the 16-node rule gives
-# the value, its gap to the 8-node rule the error estimate.
+# the value, its gap to the 8-node rule the error estimate.  Both rules'
+# nodes are evaluated in one array, the 16 first.
 _LAGUERRE = (np.polynomial.laguerre.laggauss(16), np.polynomial.laguerre.laggauss(8))
-
-
-def _ray_tail(k, b, d, v0):
-    """int_v0^inf exp(k v + (i b - d)/v) dv/v for Re k <= 0, k != 0.
-
-    Integrated on the ray v = v0 + c t, c = -conj(k)/|k|, which stays in
-    Re v >= v0 and on which exp(k v) = exp(k v0) e^{-|k| t} decays without
-    oscillating.  Returns (value, |16-node - 8-node|).
-    """
-    r = abs(k)
-    c = -k.conjugate() / r
-    scale = np.exp(k * v0) * c / r
-    g = 1j * b - d
-    sums = []
-    for s, w in _LAGUERRE:
-        v = v0 + (c / r) * s
-        sums.append(scale * np.dot(w, np.exp(g / v) / v))
-    val, coarse = sums
-    return val, abs(val - coarse)
+_LAGUERRE_NODES = np.concatenate([_LAGUERRE[0][0], _LAGUERRE[1][0]])
+_LAGUERRE_SPLIT = len(_LAGUERRE[0][0])
 
 
 def _tails(p, q, delta, x_left, x_right):
-    """Both ends of H outside [x_left, x_right], with v = e^x on the right
-    and v = e^-x on the left; the damping rides on k (left) or on the 1/v
-    term (right).  Returns (value, error estimate)."""
-    t_right, e_right = _ray_tail(1j * p, q, delta, math.exp(x_right))
-    t_left, e_left = _ray_tail(1j * q - delta, p, 0.0, math.exp(-x_left))
-    return t_right + t_left, e_right + e_left
+    """Both ends of H outside [x_left, x_right], for arrays of one shape.
+
+    Each end is int_v0^inf exp(k v + (i b - d)/v) dv/v with Re k <= 0:
+    v = e^x on the right (k = i p, b = q, d = delta) and v = e^-x on the
+    left (k = i q - delta, b = p, d = 0).  It is integrated on the ray
+    v = v0 + c t, c = -conj(k)/|k|, which stays in Re v >= v0 and on which
+    exp(k v) = exp(k v0) e^{-|k| t} decays without oscillating.  Returns
+    (value, error estimate): the 16-node rule's sum over both ends, and
+    the sum of its gaps to the 8-node rule.
+    """
+    k = np.stack([1j * p, 1j * q - delta])
+    b = np.stack([q, p])
+    d = np.stack([delta, np.zeros_like(delta)])
+    v0 = np.exp(np.stack([x_right, -x_left]))
+    r = np.abs(k)
+    c = -np.conj(k) / r
+    scale = np.exp(k * v0) * c / r
+    v = v0[..., None] + (c / r)[..., None] * _LAGUERRE_NODES
+    f = np.exp((1j * b - d)[..., None] / v) / v
+    val = scale * (f[..., :_LAGUERRE_SPLIT] * _LAGUERRE[0][1]).sum(axis=-1)
+    coarse = scale * (f[..., _LAGUERRE_SPLIT:] * _LAGUERRE[1][1]).sum(axis=-1)
+    return val.sum(axis=0), np.abs(val - coarse).sum(axis=0)
 
 
-def _phase(p, q, x):
-    return p * np.exp(x) + q * np.exp(-x)
+def _window_panels(p, q, delta, x_left, x_right):
+    """Window panels of every element, tracking local frequency, phase
+    curvature and the damping profile.
 
-
-def _dphase(p, q, x):
-    return p * np.exp(x) - q * np.exp(-x)
-
-
-def _build_breaks(p, q, delta, x_from, x_to, budget):
-    """Breakpoints marching from x_from to x_to (either direction), tracking
-    local frequency, phase curvature and the damping profile."""
-    if x_to == x_from:
-        return [x_from]
-    sgn = 1.0 if x_to > x_from else -1.0
+    Marches all elements at once from x_left to x_right, one panel per
+    step.  Returns (a, b, owner): the panel ends, element after element
+    and left to right within each, and the element each panel belongs to.
+    """
     # phase'' = phase and phase^2 = phase'^2 + E, so the quadratic phase
     # change of a panel, |phase| step^2 / 2, can pass pi under the frequency
-    # rule below only near a strong saddle, where E > E_saddle
+    # rule below only near a strong saddle, where E > _E_SADDLE
     E = 4.0 * p * q
-    saddle = E > (2.0 * math.pi / 0.4**2) ** 2 - (math.pi / 0.4) ** 2
-    xs = [x_from]
-    x = x_from
-    for _ in range(budget):
-        freq = abs(_dphase(p, q, x))
-        step = min(0.4, math.pi / max(1.0, freq))
-        if saddle:
-            curv = math.sqrt(freq * freq + E)
-            if 0.5 * curv * step * step > math.pi:
-                step = math.sqrt(2.0 * math.pi / curv)
-        damp = delta * math.exp(-x) if delta > 0 else 0.0
-        if damp > 1.0:
-            step = min(step, 1.0 / damp)
-        x = x + sgn * step
-        if (x_to - x) * sgn <= 0:
-            xs.append(x_to)
-            return xs
-        xs.append(x)
-    raise QuadratureError("panel budget exhausted in oscillatory window")
+    saddle = E > _E_SADDLE
+    # the curvature and damping rules are skipped when no element needs them
+    any_saddle, any_damped = np.any(saddle), np.any(delta > 0.0)
+    x = x_left
+    cols = [x]
+    for _ in range(PANEL_BUDGET):
+        freq = np.abs(p * np.exp(x) - q * np.exp(-x))  # |phase'|
+        step = np.minimum(0.4, math.pi / np.maximum(1.0, freq))
+        if any_saddle:
+            curv = np.sqrt(freq * freq + E * saddle)
+            step = np.where(saddle & (0.5 * curv * step * step > math.pi),
+                            np.sqrt(2.0 * math.pi / curv), step)
+        if any_damped:
+            step = np.minimum(step, 1.0 / np.maximum(delta * np.exp(-x), 1.0))
+        x = np.minimum(x + step, x_right)
+        cols.append(x)
+        if not (x < x_right).any():
+            break
+    else:
+        raise QuadratureError("panel budget exhausted in oscillatory window")
+    breaks = np.stack(cols, axis=-1)
+    live = breaks[:, :-1] < x_right[:, None]
+    owner = np.nonzero(live)[0]
+    return breaks[:, :-1][live], breaks[:, 1:][live], owner
 
 
 def _window(p, q, delta):
     """Ends (x_left, x_right) of H's panel window, for p > 0.  Past them the
     ray tails take over, where the phase rate has reached u_cut."""
-    E = 4.0 * p * q
-    x_c = 0.5 * math.log(abs(q) / p)
-    u_cut = max(_U_FLOOR, 3.6 * math.sqrt(abs(E)), 1.6 * delta * p)
+    E = np.abs(4.0 * p * q)
+    x_c = 0.5 * np.log(np.abs(q) / p)
+    floor = np.maximum(_U_FLOOR, 3.6 * np.sqrt(E))
 
     # Right window end: first x >= x_c with phase' >= u_cut (phase ~ p e^x).
-    x_right = math.log((u_cut + math.sqrt(u_cut * u_cut + abs(E) + 4.0)) / (2.0 * p))
-    x_right = max(x_right, x_c + 0.5)
+    u_cut = np.maximum(floor, 1.6 * delta * p)
+    x_right = np.log((u_cut + np.sqrt(u_cut * u_cut + E + 4.0)) / (2.0 * p))
+    x_right = np.maximum(x_right, x_c + 0.5)
 
     # Left side, mirrored (y = -x): integrand exp(i(q e^y + p e^-y)) with
     # damping delta*e^y now on the growing exponential.
-    uq_cut = max(_U_FLOOR, 3.6 * math.sqrt(abs(E)), 2.0 * delta * p)
-    y_right = math.log((uq_cut + math.sqrt(uq_cut * uq_cut + abs(E) + 4.0)) / (2.0 * abs(q)))
-    y_right = max(y_right, -x_c + 0.5)
+    uq_cut = np.maximum(floor, 2.0 * delta * p)
+    y_right = np.log((uq_cut + np.sqrt(uq_cut * uq_cut + E + 4.0)) / (2.0 * np.abs(q)))
+    y_right = np.maximum(y_right, -x_c + 0.5)
     return -y_right, x_right
+
+
+def _as_batch(*args):
+    """Broadcast the arguments as flat float arrays; also the shape."""
+    arrs = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    return [a.ravel() for a in arrs], arrs[0].shape
+
+
+def _unbatch(values, shape):
+    """Values in the broadcast shape; a Python number for scalar input."""
+    values = values.reshape(shape)
+    return values.item() if values.ndim == 0 else values
+
+
+def _positive_p(p, q):
+    """(p, q) with both negated where p < 0, and where that happened: H is
+    then the conjugate, H(p, q) = conj H(-p, -q)."""
+    flip = p < 0.0
+    return np.where(flip, -p, p), np.where(flip, -q, q), flip
 
 
 def _undamped_error_bound(p, q):
     """Error bound for H(p, q, 0): the tails' two-rule gap plus a rounding
-    of a few ulp in each window node's phase, up to u_cut."""
-    if p < 0.0:  # H(p, q) = conj H(-p, -q)
-        p, q = -p, -q
-    x_left, x_right = _window(p, q, 0.0)
-    tails = _tails(p, q, 0.0, x_left, x_right)[1]
+    of a few ulp in each window node's phase, up to u_cut.  Broadcasts
+    like `hyperbolic_oscillatory`."""
+    (p, q), shape = _as_batch(p, q)
+    p, q, _ = _positive_p(p, q)
+    zero = np.zeros_like(p)
+    x_left, x_right = _window(p, q, zero)
+    tails = _tails(p, q, zero, x_left, x_right)[1]
     # integral of 1 + |phase| over the window, with |phase| <= p e^x + |q| e^-x
-    span = (x_right - x_left) + p * (math.exp(x_right) - math.exp(x_left))
-    span += abs(q) * (math.exp(-x_left) - math.exp(-x_right))
-    return tails + 8.0 * _EPS * span
+    span = (x_right - x_left) + p * (np.exp(x_right) - np.exp(x_left))
+    span += np.abs(q) * (np.exp(-x_left) - np.exp(-x_right))
+    return _unbatch(tails + 8.0 * _EPS * span, shape)
 
 
 def hyperbolic_oscillatory(p, q, delta=0.0):
-    """H(p, q, delta) as defined in the module docstring.  p*q != 0."""
-    p = float(p)
-    q = float(q)
-    delta = float(delta)
-    if not (math.isfinite(p) and math.isfinite(q) and math.isfinite(delta)):
+    """H(p, q, delta) as defined in the module docstring.  p*q != 0.
+
+    p, q and delta broadcast; the result has the broadcast shape, or is a
+    Python complex for scalar input.  An element's value does not depend
+    on the rest of its batch.
+    """
+    (p, q, delta), shape = _as_batch(p, q, delta)
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))
+            and np.all(np.isfinite(delta))):
         raise ValueError("hyperbolic_oscillatory requires finite p, q, delta")
-    if p == 0.0 or q == 0.0:
+    if np.any(p == 0.0) or np.any(q == 0.0):
         raise ValueError("hyperbolic_oscillatory requires p*q != 0")
-    if delta < 0.0:
+    if np.any(delta < 0.0):
         raise ValueError("delta must be nonnegative")
-    if p < 0.0:
-        return np.conj(hyperbolic_oscillatory(-p, -q, delta))
+    p, q, flip = _positive_p(p, q)
 
     x_left, x_right = _window(p, q, delta)
-    # Window integral with panels tracking frequency and damping.
-    breaks = _build_breaks(p, q, delta, x_left, x_right, PANEL_BUDGET)
-    nodes, weights = panel_nodes(breaks, _GL_ORDER)
-    vals = np.exp(1j * _phase(p, q, nodes))
-    if delta > 0:
-        vals = vals * np.exp(-delta * np.exp(-nodes))
-    window = stable_sum((vals * weights).reshape(-1, _GL_ORDER).sum(axis=1))
     tails, est = _tails(p, q, delta, x_left, x_right)
-    if est > _TAIL_BUDGET:
+    if np.any(est > _TAIL_BUDGET):
         raise QuadratureError(
-            f"hyperbolic_oscillatory tail estimate {est:.2e} above budget"
+            f"hyperbolic_oscillatory tail estimate {est.max():.2e} above budget"
         )
-    return complex(window + tails)
+    # Window integral with panels tracking frequency and damping, one
+    # block of panels at a time; each panel's nodes sum to one value.
+    a, b, owner = _window_panels(p, q, delta, x_left, x_right)
+    panel_sums = np.empty(len(a), dtype=complex)
+    for lo in range(0, len(a), _BLOCK_PANELS):
+        blk = slice(lo, lo + _BLOCK_PANELS)
+        nodes, weights = interval_nodes(a[blk], b[blk], _GL_ORDER)
+        e = owner[blk, None]
+        decay = np.exp(-nodes)
+        phase = p[e] * np.exp(nodes) + q[e] * decay
+        weights = weights * np.exp(-delta[e] * decay)
+        panel_sums.real[blk] = (weights * np.cos(phase)).sum(axis=1)
+        panel_sums.imag[blk] = (weights * np.sin(phase)).sum(axis=1)
+    # each element's panels, pairwise-summed in index order
+    starts = np.searchsorted(owner, np.arange(len(p)))
+    window = np.add.reduceat(panel_sums, starts)
+    h = window + tails
+    return _unbatch(np.where(flip, np.conj(h), h), shape)

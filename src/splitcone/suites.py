@@ -101,20 +101,22 @@ def _sample_cone_pair(rng):
 def suite_bessel(cfg: SuiteConfig):
     checks = []
     us = np.exp(np.linspace(math.log(0.1), math.log(20.0), 20))
+    j0s, y0s = oracles.j0_oracle(us), oracles.y0_oracle(us)
     for i, u in enumerate(us):
         checks.append(make_check(
             f"bessel.j0_oracle.{i:02d}", "S5.eq-JY", {"u": u},
-            special.bessel_j0(u), oracles.j0_oracle(u), 1e-8))
+            special.bessel_j0(u), j0s[i], 1e-8))
         checks.append(make_check(
             f"bessel.y0_oracle.{i:02d}", "S5.eq-JY", {"u": u},
-            special.bessel_y0(u), oracles.y0_oracle(u), 1e-8))
+            special.bessel_y0(u), y0s[i], 1e-8))
         checks.append(make_check(
             f"bessel.k0_oracle.{i:02d}", "S5.eq-K", {"u": u},
             special.bessel_k0(u), oracles.k0_oracle_exp(u), 1e-8))
+    k0s = oracles.k0_oracle_cos(np.array([0.5, 1.0, 3.0]))
     for i, u in enumerate((0.5, 1.0, 3.0)):
         checks.append(make_check(
             f"bessel.k_two_forms.{i}", "S5.eq-K", {"u": u},
-            oracles.k0_oracle_cos(u), oracles.k0_oracle_exp(u), 1e-9))
+            k0s[i], oracles.k0_oracle_exp(u), 1e-9))
     for i, n in enumerate((2, 3, 5)):
         checks.append(make_check(
             f"bessel.kn_oracle.{i}", "S5.eq-K", {"n": n, "u": 1.5},
@@ -190,8 +192,8 @@ def suite_bessel(cfg: SuiteConfig):
 
     # worst production-vs-oracle difference over 13-point windows
     xs = np.linspace(6.0, 12.0, 13)
-    dj = max(abs(special.bessel_j0(u) - oracles.j0_oracle(u)) for u in xs)
-    dy = max(abs(special.bessel_y0(u) - oracles.y0_oracle(u)) for u in xs)
+    dj = np.max(np.abs(special.bessel_j0(xs) - oracles.j0_oracle(xs)))
+    dy = np.max(np.abs(special.bessel_y0(xs) - oracles.y0_oracle(xs)))
     dk = max(abs(special.bessel_k0(u) / oracles.k0_oracle_exp(u) - 1.0)
              for u in np.linspace(10.0, 16.0, 13))
     checks.append(make_check(
@@ -322,28 +324,36 @@ def suite_kernels(cfg: SuiteConfig):
 
 def suite_fourier(cfg: SuiteConfig):
     rng = SplitMix64(cfg.seed)
+    points = [_sample_offcone_dual(rng) for _ in range(50)]
+    # conjugation symmetry and real spacelike branches on a subsample
+    rng2 = SplitMix64(cfg.seed + 1)
+    subsample = [_sample_offcone_dual(rng2) for _ in range(6)]
+
+    # every transform of the suite is one batch, in check order
+    batch = [(R, xi, sR, se) for R, xi, _ in points
+             for sR in (-1, 1) for se in (-1, 1)]
+    for R, xi, q in subsample:
+        sR = 1 if q > 0 else -1  # K-branch (purely real) for this q
+        batch += [(R, xi, -1, +1), (R, xi, -1, -1), (R, xi, sR, +1)]
+    Rs, xis, sRs, ses = zip(*batch)
+    values = iter(kernels.ft_regularized(
+        np.array(Rs), np.array([xi.as_array() for xi in xis]),
+        np.array(sRs), np.array(ses)).value)
+
     checks = []
-    for i in range(50):
-        R, xi, q = _sample_offcone_dual(rng)
+    for i, (R, xi, q) in enumerate(points):
         for sR in (-1, 1):
             for se in (-1, 1):
-                res = kernels.ft_regularized(R, xi, sR, se)
                 ref = kernels.ft_closed_form(R, q, sR, se)
                 tol = max(1e-4 * abs(ref), 1e-5)
                 checks.append(make_check(
                     f"ft.closed_form.{i:02d}.sR{sR:+d}.se{se:+d}",
-                    "S5.prop-ft", {"R": R, "q": q}, res.value, ref, tol))
-    # conjugation symmetry and real spacelike branches on a subsample
-    rng2 = SplitMix64(cfg.seed + 1)
-    for i in range(6):
-        R, xi, q = _sample_offcone_dual(rng2)
-        plus = kernels.ft_regularized(R, xi, -1, +1).value
-        minus = kernels.ft_regularized(R, xi, -1, -1).value
+                    "S5.prop-ft", {"R": R, "q": q}, next(values), ref, tol))
+    for i, (R, xi, q) in enumerate(subsample):
+        plus, minus, val = next(values), next(values), next(values)
         checks.append(make_check(
             f"ft.conjugation.{i}", "S5.prop-ft", {"R": R, "q": q},
             minus, np.conj(plus), 1e-9))
-        sR = 1 if q > 0 else -1  # K-branch (purely real) for this q
-        val = kernels.ft_regularized(R, xi, sR, +1).value
         checks.append(make_check(
             f"ft.spacelike_real.{i}", "S5.prop-ft", {"R": R, "q": q},
             val.imag, 0.0, 1e-6))
@@ -355,15 +365,19 @@ def suite_fourier(cfg: SuiteConfig):
 
 def suite_corollary(cfg: SuiteConfig):
     rng = SplitMix64(cfg.seed + 2)
-    checks = []
-    count = 0
-    while count < 20:
+    samples = []
+    while len(samples) < 20:
         p1, p2 = _sample_cone_pair(rng)
         inner = pair(cone_embed(p1), cone_embed(p2))
         if abs(inner) < 0.05:
             continue
-        R = rng.uniform(0.5, 2.0)
-        sym, anti = kernels.corollary_kernels(R, p1, p2)
+        samples.append((p1, p2, inner, rng.uniform(0.5, 2.0)))
+    p1s, p2s, _, Rs = zip(*samples)
+    syms, antis = kernels.corollary_kernels(np.array(Rs), p1s, p2s)
+
+    checks = []
+    for count, (_, _, inner, R) in enumerate(samples):
+        sym, anti = syms[count], antis[count]
         ref_sym = 0.5 * math.pi * kernels.psi0(-inner)
         checks.append(make_check(
             f"corollary.symmetric.{count:02d}", "S5.cor-kernels",
@@ -379,7 +393,6 @@ def suite_corollary(cfg: SuiteConfig):
                 f"corollary.antisym_j0.{count:02d}", "S5.cor-kernels",
                 {"inner": inner, "R": R}, anti, ref,
                 1e-4 * max(abs(ref), 1e-2)))
-        count += 1
     # pair identity <xi-xi', xi-xi'> = -2 <xi, xi'>
     rng3 = SplitMix64(cfg.seed + 3)
     worst = 0.0
@@ -398,52 +411,51 @@ def suite_corollary(cfg: SuiteConfig):
 
 def suite_lemma(cfg: SuiteConfig):
     rng = SplitMix64(cfg.seed + 4)
-    checks = []
-    count = 0
-    while count < 10:
+    identity = []
+    while len(identity) < 10:
         p1, p2 = _sample_cone_pair(rng)
         R = rng.uniform(0.5, 2.0)
         d = cone_embed(p1) - cone_embed(p2)
         r1, r2 = d.polar_radii
         if min(r1, r2) == 0 or abs(r1 - r2) / max(r1, r2) <= 0.2:
             continue
-        lv = kernels.lemma_kernel_integrals(R, p1, p2)
-        for j, (got, ref) in enumerate(zip(lv.integrals, lv.references)):
-            scale = max(abs(x) for x in lv.references) + 1e-12
-            checks.append(make_check(
-                f"lemma.identity{j+1}.{count:02d}", "S5.lemma-integrals",
-                {"R": R, "r1": lv.r1, "r2": lv.r2}, got, ref,
-                1e-3 * scale))
-        count += 1
+        identity.append((p1, p2, R))
     # reduction r2 = 0: the second identity becomes the Y0 representation
     p1 = ConePoint(1.0, 0.4, 1.1)
-    p2 = ConePoint(1.6, 2.2, 1.1)  # same theta2 but different r: r2_diff != 0
     p2b = ConePoint(1.0, 2.2, 1.1)  # same r and theta2: r2_diff = 0 exactly
-    dd = cone_embed(p1) - cone_embed(p2b)
-    r1d, r2d = dd.polar_radii
-    R = 1.2
-    from .quadrature import hyperbolic_oscillatory
-
-    h = hyperbolic_oscillatory(0.5 * R * r1d, 0.5 * R * r1d, 0.0)
-    checks.append(make_check(
-        "lemma.r2_zero_reduction", "S5.eq-JY", {"R": R, "r1": r1d, "r2": r2d},
-        -(1.0 / math.pi) * h.real, special.bessel_y0(R * r1d), 1e-9))
+    reduction = (p1, p2b, 1.2)
     # vanishing sine identity on the sinh-dominant side (inner < 0)
     rng5 = SplitMix64(cfg.seed + 5)
-    found = 0
-    while found < 3:
+    sine = []
+    while len(sine) < 3:
         p1, p2 = _sample_cone_pair(rng5)
         inner = pair(cone_embed(p1), cone_embed(p2))
         d = cone_embed(p1) - cone_embed(p2)
         r1, r2 = d.polar_radii
         if inner >= -0.1 or min(r1, r2) <= 0 or abs(r1 - r2) / max(r1, r2) <= 0.25:
             continue
-        R = 1.0 + 0.3 * found
-        lv = kernels.lemma_kernel_integrals(R, p1, p2)
+        sine.append((p1, p2, 1.0 + 0.3 * len(sine), inner))
+
+    p1s, p2s, Rs = zip(*identity, reduction, *(sample[:3] for sample in sine))
+    lv = kernels.lemma_kernel_integrals(np.array(Rs), p1s, p2s)
+    checks = []
+    for count, (_, _, R) in enumerate(identity):
+        refs = [ref[count] for ref in lv.references]
+        scale = max(abs(x) for x in refs) + 1e-12
+        params = {"R": R, "r1": float(lv.r1[count]), "r2": float(lv.r2[count])}
+        for j, ref in enumerate(refs):
+            checks.append(make_check(
+                f"lemma.identity{j+1}.{count:02d}", "S5.lemma-integrals",
+                params, lv.integrals[j][count], ref, 1e-3 * scale))
+    k = len(identity)
+    R, r1d, r2d = reduction[2], float(lv.r1[k]), float(lv.r2[k])
+    checks.append(make_check(
+        "lemma.r2_zero_reduction", "S5.eq-JY", {"R": R, "r1": r1d, "r2": r2d},
+        lv.integrals[1][k], special.bessel_y0(R * r1d), 1e-9))
+    for found, (_, _, R, inner) in enumerate(sine):
         checks.append(make_check(
             f"lemma.sine_vanishes.{found}", "S5.lemma-integrals",
-            {"inner": inner, "R": R}, lv.integrals[2], 0.0, 1e-6))
-        found += 1
+            {"inner": inner, "R": R}, lv.integrals[2][k + 1 + found], 0.0, 1e-6))
     return checks
 
 

@@ -233,6 +233,34 @@ def test_delta_volume_error_bounds_route_gap(name, offset):
     assert gap <= res.volume_error <= 100.0 * gap
 
 
+@pytest.mark.parametrize("offset", [-1.0, -1e-300, math.nan, math.inf])
+def test_delta_quadric_rejects_bad_offset(offset):
+    # a negative offset would put sqrt(r2^2 + offset) < 0 on the surface route
+    with pytest.raises(ValueError):
+        delta_quadric_apply(_gaussian_family()["plain"], offset)
+
+
+def test_batched_kernels_match_single_calls():
+    points = list(_criterion_01_points())[:24]
+    R, xi, sR, se = (np.array(v) for v in zip(*(
+        (R, xi.as_array(), sR, se) for R, xi, _, sR, se in points)))
+    batch = ft_regularized(R, xi, sR, se)
+    for k, (R_, xi_, _, sR_, se_) in enumerate(points):
+        one = ft_regularized(R_, xi_, sR_, se_)
+        assert batch.value[k] == one.value
+        assert batch.error_estimate[k] == one.error_estimate
+    p1s = [ConePoint(1.2, 0.3, 1.1), ConePoint(1.0, 0.3, 0.2)]
+    p2s = [ConePoint(0.7, 2.0, 0.4), ConePoint(1.0, 0.3, 1.1 + math.pi)]
+    Rs = [1.5, 2.0]
+    syms, antis = corollary_kernels(Rs, p1s, p2s)
+    lv = lemma_kernel_integrals(Rs, p1s, p2s)
+    for k in range(2):
+        assert (syms[k], antis[k]) == corollary_kernels(Rs[k], p1s[k], p2s[k])
+        one = lemma_kernel_integrals(Rs[k], p1s[k], p2s[k])
+        assert [v[k] for v in lv.integrals] == list(one.integrals)
+    assert syms.shape == antis.shape == lv.r1.shape == (2,)
+
+
 @pytest.mark.slow
 def test_bruteforce_oracle_matches_production_at_finite_eps():
     xi = DualVector(1.5, 0.0, 0.5, 0.0)

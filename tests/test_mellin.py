@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitcone.mellin import (
     RayTable,
@@ -22,6 +25,17 @@ def test_mellin_exponential():
         r = mellin(lambda s: np.exp(-a * s), rho)
         ref = a ** -(1 - 1j * rho) * gamma_complex(1 - 1j * rho)
         assert abs(r.value - ref) < 1e-7 * abs(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=st.floats(-6.0, 6.0))
+def test_mellin_error_estimate_bounds_error(rho):
+    # int_0^inf e^-s s^-i rho ds = Gamma(1 - i rho) and
+    # int_0^inf e^-s^2 s^-i rho ds = Gamma((1 - i rho)/2) / 2
+    for f, ref in ((lambda s: np.exp(-s), mpmath.gamma(1 - 1j * rho)),
+                   (lambda s: np.exp(-s * s), 0.5 * mpmath.gamma(0.5 - 0.5j * rho))):
+        r = mellin(f, rho)
+        assert abs(r.value - complex(ref)) <= r.error_estimate
 
 
 def test_mellin_rational():

@@ -1,0 +1,43 @@
+"""The benchmark's span tracer (perfbench/tracer.py) still fits the package.
+
+The tracer is loaded from its file and installed as the benchmark's traced
+run installs it; nothing under perfbench/ is imported as a package or
+edited.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from splitcone import cli, report
+from splitcone.suites import SuiteConfig
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _fourier_report():
+    rep = cli.run(SuiteConfig(suite="fourier", seed=7))
+    return report.emit_report(rep, "json", include_wall_time=False)
+
+
+def test_traced_fourier_run_matches_untraced():
+    plain = _fourier_report()
+    # install() raises if a name in its REBOUND list, such as
+    # kernels.hyperbolic_oscillatory or oracles.hyperbolic_oscillatory,
+    # is no longer there to wrap
+    tracer = _load_tracer().Tracer().install()
+    try:
+        traced = _fourier_report()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["quadrature.h_per_ft"][0] == 1.0
+    # the suite's transforms are one batch: one H call
+    assert metrics["quadrature.hyperbolic_oscillatory.calls"][0] == 1
+    assert traced == plain

@@ -78,17 +78,46 @@ def test_h_damped_against_mpmath():
 
 def test_undamped_error_bound_bounds_closed_form_error():
     # H(p, q, 0) is pi (i J0(u) - Y0(u)) for p, q > 0 and 2 K0(u) for
-    # p > 0 > q, u = 2 sqrt(|p q|); H(-p, -q) = conj H(p, q)
+    # p > 0 > q, u = 2 sqrt(|p q|); H(-p, -q) = conj H(p, q).  The
+    # 20 x 20 grid in all four sign branches is one batch.
     grid = np.geomspace(0.05, 40.0, 20)
-    for p in grid:
-        for aq in grid:
-            u = 2.0 * math.sqrt(p * aq)
-            cosh_ref = math.pi * (1j * sp.j0(u) - sp.y0(u))
-            for sp_, sq, ref in ((1, 1, cosh_ref), (1, -1, 2 * sp.k0(u)),
-                                 (-1, 1, 2 * sp.k0(u)),
-                                 (-1, -1, np.conj(cosh_ref))):
-                got = hyperbolic_oscillatory(sp_ * p, sq * aq)
-                assert abs(got - ref) <= _undamped_error_bound(sp_ * p, sq * aq)
+    p, aq = np.meshgrid(grid, grid, indexing="ij")
+    u = 2.0 * np.sqrt(p * aq)
+    cosh_ref = math.pi * (1j * sp.j0(u) - sp.y0(u))
+    sign_p = np.array([1, 1, -1, -1])[:, None, None]
+    sign_q = np.array([1, -1, 1, -1])[:, None, None]
+    ref = np.stack([cosh_ref, 2 * sp.k0(u), 2 * sp.k0(u), np.conj(cosh_ref)])
+    got = hyperbolic_oscillatory(sign_p * p, sign_q * aq)
+    assert np.all(np.abs(got - ref) <= _undamped_error_bound(sign_p * p, sign_q * aq))
+
+
+def test_h_batch_matches_scalar_calls_bit_for_bit():
+    # p of both signs, damped and undamped, up to u = 2 sqrt|pq| = 1000
+    p = np.array([0.8, -0.8, 1.3, -2.0, 500.0, -500.0, 0.05, 1.0, -1.0])
+    q = np.array([0.5, -0.5, -2.1, 0.25, 500.0, 500.0, -40.0, 0.1, -0.1])
+    d = np.array([0.1, 0.1, 0.02625, 0.0, 0.0, 0.0, 0.002, 2.0, 2.0])
+    batch = hyperbolic_oscillatory(p, q, d)
+    single = np.array([hyperbolic_oscillatory(*args) for args in zip(p, q, d)])
+    assert batch.tobytes() == single.tobytes()
+    # a value does not depend on its companions or its place in the batch
+    order = np.array([5, 0, 8, 3, 1, 7, 2, 6, 4])
+    again = hyperbolic_oscillatory(p[order], q[order], d[order])
+    assert again.tobytes() == batch[order].tobytes()
+    bound = _undamped_error_bound(p, q)
+    single = np.array([_undamped_error_bound(*args) for args in zip(p, q)])
+    assert bound.tobytes() == single.tobytes()
+
+
+def test_h_broadcasts():
+    out = hyperbolic_oscillatory(np.full((3, 1), 1.3), np.array([-2.1, 0.4]), 0.0)
+    assert out.shape == (3, 2)
+    assert out[2, 1] == hyperbolic_oscillatory(1.3, 0.4)
+    assert _undamped_error_bound(np.ones((2, 3)), -1.0).shape == (2, 3)
+    assert hyperbolic_oscillatory(np.ones(0), 1.0).shape == (0,)
+    # scalar input gives Python numbers
+    assert type(hyperbolic_oscillatory(1.3, -2.1)) is complex
+    assert type(hyperbolic_oscillatory(-1.3, 2.1, 0.5)) is complex
+    assert type(_undamped_error_bound(1.3, -2.1)) is float
 
 
 def test_h_conjugation_and_domain():
@@ -101,6 +130,9 @@ def test_h_conjugation_and_domain():
         hyperbolic_oscillatory(1.0, 0.0)
     with pytest.raises(ValueError):
         hyperbolic_oscillatory(1.0, 1.0, -0.5)
+    # one bad element rejects the whole batch
+    with pytest.raises(ValueError):
+        hyperbolic_oscillatory([1.0, 2.0], [1.0, 0.0])
 
 
 def test_h_small_damping_regime(monkeypatch):
@@ -115,6 +147,12 @@ def test_panel_budget_error(monkeypatch):
     monkeypatch.setattr(quadrature, "PANEL_BUDGET", 3)
     with pytest.raises(QuadratureError):
         hyperbolic_oscillatory(1.0, -40.0, 0.002)
+    # u = 2 needs about 30 panels and u = 1000 about 1,700: the budget
+    # holds for the first alone but not in a batch with the second
+    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 100)
+    hyperbolic_oscillatory(1.0, -1.0)
+    with pytest.raises(QuadratureError):
+        hyperbolic_oscillatory([1.0, 500.0], [-1.0, 500.0])
 
 
 def test_tail_budget_error(monkeypatch):

@@ -568,11 +568,6 @@ class AmbientBasis:
         xk = pts[..., k - 1]
         return ej * ek * xj * d[k - 1] - xk * d[j - 1]
 
-    def p_shifted(self, j, pts):
-        """P_j(-1) = P_j - 4 d_j."""
-        F, d = self.partials(pts)
-        return self.p_j(j, pts) - 4.0 * d[j - 1]
-
 
 def box22_fd(fn, pts):
     """4th-order central-difference ultrahyperbolic operator of a callable

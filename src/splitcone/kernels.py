@@ -19,7 +19,7 @@ phase oscillatory integral:
     a = (r1+r2)/2,  b = (r1-r2)/2,  eta = -sign(b) sign_eps.
 
 I(eps) is continuous at eps = 0 (H integrates the conditionally
-convergent ends on complex rays where they decay), so the limit is the
+convergent ends on a contour where they decay), so the limit is the
 single undamped H call I(0).  An epsilon ladder is left only in the
 delta functionals' volume route, where a rung is a set of exact
 Lorentzian weights on one sampling of psi.  No Bessel identity enters this
@@ -98,9 +98,6 @@ class FtResult:
     value: complex
     error_estimate: float
 
-    def __complex__(self):
-        return complex(self.value)
-
 
 def _polar_radii(xi):
     """(r1, r2) of a ConePoint, a DualVector or stacked (..., 4) arrays."""
@@ -137,7 +134,7 @@ def ft_regularized(R, xi, sign_R2, sign_eps):
     R, the signs and xi (a DualVector, a ConePoint or stacked (..., 4)
     coordinates) broadcast: a batch of transforms is one H call, and each
     value is bit for bit what it would be alone.  Returns an FtResult
-    carrying H's error bound (the tails' two-rule gap plus rounding), as
+    carrying H's error bound (the gap to its half rule plus rounding), as
     arrays for a batch; non-convergence anywhere in the batch raises
     QuadratureError instead of returning a silent value.
     """

@@ -86,29 +86,19 @@ def gauss_legendre(n: int):
     return _GL_CACHE[n]
 
 
-def interval_nodes(a, b, order=12):
-    """Gauss-Legendre nodes and weights on the panels [a_k, b_k], one row
-    of `order` each.  This is the package's only multi-panel rule: H's
-    window (whose panels are ragged across a batch) calls it directly, and
-    the delta volume route, the operator grids and the Mellin grids through
-    `panel_nodes`.
-    """
-    x, w = gauss_legendre(order)
-    a = np.asarray(a, dtype=float)[:, None]
-    b = np.asarray(b, dtype=float)[:, None]
-    half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * x[None, :], half * w[None, :]
-
-
 def panel_nodes(breaks, order=12):
     """Gauss-Legendre nodes and weights for the panels defined by `breaks`.
 
-    Returns (nodes, weights) flattened over panels in breakpoint order, so
+    This is the package's only multi-panel rule: the delta volume route,
+    the operator grids and the Mellin grids all call it.  Returns (nodes,
+    weights) flattened over panels in breakpoint order, so
     `reshape(-1, order)` recovers one row per panel.
     """
+    x, w = gauss_legendre(order)
     breaks = np.asarray(breaks, dtype=float)
-    nodes, weights = interval_nodes(breaks[:-1], breaks[1:], order)
-    return nodes.ravel(), weights.ravel()
+    a, b = breaks[:-1, None], breaks[1:, None]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * x).ravel(), (half * w).ravel()
 
 
 def integrate_panels(f, breaks, order=12):

@@ -64,13 +64,11 @@ class DecayCertificate:
     """Radial decay class of a cone function, used to certify truncation.
 
     kinds: "exponential" (<= C exp(-rate r)), "sqrt_exponential"
-    (<= C exp(-rate sqrt(r))), "gaussian" (<= C exp(-rate r^2)),
-    "compact_support" (zero beyond radius), "power_law" (<= C r^-rate).
+    (<= C exp(-rate sqrt(r))), "gaussian" (<= C exp(-rate r^2)).
     """
 
     kind: str
     rate: float = 1.0
-    radius: float = 0.0
 
     def truncation_radius(self, tol):
         logt = math.log(1.0 / tol)
@@ -80,12 +78,6 @@ class DecayCertificate:
             return (logt / self.rate) ** 2
         if self.kind == "gaussian":
             return math.sqrt(logt / self.rate)
-        if self.kind == "compact_support":
-            return self.radius
-        if self.kind == "power_law":
-            if self.rate <= 3.0:
-                raise ValueError("power-law decay needs rate > 3 to truncate")
-            return tol ** (-1.0 / (self.rate - 3.0))
         raise ValueError(f"unknown decay kind {self.kind!r}")
 
 

@@ -1,4 +1,4 @@
-"""Bessel functions J0, Y0, K0, K1, K_n, the renormalized family Kt_n, and
+"""Bessel functions J0, Y0, K0, K_n, the renormalized family Kt_n, and
 the complex Gamma function.
 
 The evaluators are thin wrappers over `scipy.special`: they check the
@@ -20,14 +20,11 @@ __all__ = [
     "bessel_j0",
     "bessel_y0",
     "bessel_k0",
-    "bessel_k1",
     "bessel_kn",
     "ktilde",
     "ktilde_deriv_2r",
     "gamma_complex",
 ]
-
-EULER_GAMMA = 0.5772156649015328606
 
 
 def _as_positive_array(u, name, allow_zero=False):
@@ -58,10 +55,6 @@ def bessel_y0(u):
 def bessel_k0(u):
     """Modified Bessel function of the second kind, order zero, u > 0."""
     return _like_input(sp.k0(_as_positive_array(u, "bessel_k0")))
-
-
-def bessel_k1(u):
-    return _like_input(sp.k1(_as_positive_array(u, "bessel_k1")))
 
 
 def bessel_kn(n, u):

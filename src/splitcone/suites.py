@@ -563,10 +563,6 @@ def suite_operators(cfg: SuiteConfig):
         2e-4 * abs(fastp)))
 
     # kernel support: f concentrated in <xi, xi'> > 0 gives zero output
-    pos_disc = operators.TestFunctionFxiEps(
-        base_xi=base, parity_eps=0, width=0.5, center=fexp.center,
-        radial="exponential", decay=fexp.decay)
-
     class OneBump:
         decay = fexp.decay
 
@@ -1013,7 +1009,6 @@ def suite_ktypes(cfg: SuiteConfig):
         nX = norm(X)
         if abs(nX) < 0.05:
             continue
-        once = w0_act(phi, X)
         twice = w0_act(lambda Y: w0_act(phi, Y), X)
         worst = max(worst, abs(twice - phi(X)) / max(abs(phi(X)), 1e-10))
     checks.append(make_check(

@@ -198,7 +198,7 @@ def test_criterion_10_infrastructure(tmp_path, monkeypatch):
     forced_fail = main(["corollary", "--tol", "1e-30", "--format", "json",
                         "--out", scratch]) == 1
     usage = main(["corollary", "--rho", "x"]) == 2
-    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 3)
+    monkeypatch.setattr(quadrature, "_ERROR_BUDGET", -1.0)
     numeric = main(["fourier", "--format", "json", "--out", scratch]) == 3
     ok = rc1 == 0 and rc2 == 0 and identical and forced_fail and usage and numeric
     _report("criterion 10 (byte-identical reports, exit-code contract)", ok,

@@ -240,15 +240,6 @@ def test_box22_finite_difference():
     assert np.abs(fd - cf).max() < 1e-6 * np.abs(cf).max()
 
 
-def test_p_shifted_relation():
-    key = KBasisElement(0, 1, 2)
-    amb = AmbientBasis(key, "r2")
-    _, _, _, pts = cone_points(5, seed=77)
-    ps = amb.p_shifted(1, pts)
-    _, d = amb.partials(pts)
-    assert np.abs(ps - (amb.p_j(1, pts) - 4 * d[0])).max() == 0.0
-
-
 def test_certificates():
     assert kfinite_certificate((0, 2, 3))
     assert kfinite_certificate((1, 1, 1))

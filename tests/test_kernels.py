@@ -144,6 +144,21 @@ def test_ft_regularized_high_frequency(q, sR, se):
     assert err <= res.error_estimate
 
 
+def test_ft_regularized_grid_up_to_1e4_within_estimate():
+    # R sqrt|q| from 1 to 1e4, both signs of q, sign_R2 and sign_eps (the
+    # four closed-form branches), as one batch
+    cases = [(R, sq * (root / R) ** 2, sR, se)
+             for root in np.geomspace(1.0, 1e4, 13) for R in (0.5, 2.0)
+             for sq in (-1, 1) for sR in (-1, 1) for se in (-1, 1)]
+    R, q, sR, se = (np.array(c) for c in zip(*cases))
+    sig = 1.3 * np.sqrt(np.abs(q))
+    zero = np.zeros_like(q)
+    xi = np.stack([0.5 * (sig + q / sig), zero, zero, 0.5 * (sig - q / sig)], -1)
+    res = ft_regularized(R, xi, sR, se)
+    ref = np.array([ft_closed_form(*c) for c in cases])
+    assert np.all(np.abs(res.value - ref) <= res.error_estimate)
+
+
 @pytest.mark.parametrize("call", [
     lambda: hyperbolic_oscillatory(math.nan, 1.0),
     lambda: hyperbolic_oscillatory(math.inf, 1.0),

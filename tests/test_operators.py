@@ -28,9 +28,6 @@ BASE = ConePoint(1.0, 0.7, 0.3)
 def test_decay_certificates():
     assert DecayCertificate("exponential", 2.0).truncation_radius(1e-8) == pytest.approx(
         math.log(1e8) / 2.0)
-    assert DecayCertificate("compact_support", radius=3.0).truncation_radius(1e-8) == 3.0
-    with pytest.raises(ValueError):
-        DecayCertificate("power_law", 2.0).truncation_radius(1e-6)
     with pytest.raises(ValueError):
         DecayCertificate("nope").truncation_radius(1e-6)
 

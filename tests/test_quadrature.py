@@ -136,27 +136,73 @@ def test_h_conjugation_and_domain():
 
 
 def test_h_small_damping_regime(monkeypatch):
-    # ft-like regime: strong oscillation with weak damping on the 1/w side
+    # ft-like regime: strong oscillation with weak damping on the 1/w side;
+    # the reference is the same rule at twice the nodes
     got = hyperbolic_oscillatory(1.3, -2.1, 2.1 * 0.0125)
-    monkeypatch.setattr(quadrature, "_GL_ORDER", 16)
+    monkeypatch.setattr(quadrature, "_N", 2 * quadrature._N)
     ref = hyperbolic_oscillatory(1.3, -2.1, 2.1 * 0.0125)
-    assert abs(got - ref) < 1e-10
+    assert abs(got - ref) < 1e-14
 
 
-def test_panel_budget_error(monkeypatch):
-    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 3)
-    with pytest.raises(QuadratureError):
-        hyperbolic_oscillatory(1.0, -40.0, 0.002)
-    # u = 2 needs about 30 panels and u = 1000 about 1,700: the budget
-    # holds for the first alone but not in a batch with the second
-    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 100)
+def test_error_budget_error(monkeypatch):
+    # the estimate is about 1e-15 at u = 2 and 1.4e-13 at u = 1000: a
+    # budget between them holds for the first alone but not in a batch
+    # with the second
+    monkeypatch.setattr(quadrature, "_ERROR_BUDGET", 1e-14)
     hyperbolic_oscillatory(1.0, -1.0)
     with pytest.raises(QuadratureError):
         hyperbolic_oscillatory([1.0, 500.0], [-1.0, 500.0])
 
 
 def test_tail_budget_error(monkeypatch):
-    # any tail estimate, even an exact 0, is above a negative budget
-    monkeypatch.setattr(quadrature, "_TAIL_BUDGET", -1.0)
+    # any estimate, even an exact 0, is above a negative budget
+    monkeypatch.setattr(quadrature, "_ERROR_BUDGET", -1.0)
     with pytest.raises(QuadratureError):
         hyperbolic_oscillatory(1.0, -1.0)
+
+
+@pytest.mark.parametrize("p, q", [
+    (5e-10, 5e-10), (5e-10, -5e-10), (-5e-10, 5e-10), (-5e-10, -5e-10),
+    (1e-200, 1e-200), (1e200, -1e200),
+])
+def test_h_below_and_outside_supported_range(p, q):
+    # |g| = 2 sqrt|pq| = 1e-9 is below the supported range; |g| = 0 or inf
+    # (p q under- or overflows) has no rule at all
+    with pytest.raises(QuadratureError):
+        hyperbolic_oscillatory(p, q)
+    # one such element fails its whole batch
+    with pytest.raises(QuadratureError):
+        hyperbolic_oscillatory([1.0, p], [1.0, q])
+
+
+def _closed_form(p, q):
+    """H(p, q, 0) by scipy: pi (i J0(u) - Y0(u)) for p q > 0, 2 K0(u) for
+    p q < 0, u = 2 sqrt|p q|, conjugated for p < 0."""
+    u = 2.0 * np.sqrt(np.abs(p * q))
+    cosh = math.pi * (1j * sp.j0(u) - sp.y0(u))
+    ref = np.where(p * q > 0, cosh, 2.0 * sp.k0(u))
+    return np.where(p < 0, np.conj(ref), ref)
+
+
+def test_h_high_frequency_against_scipy():
+    # u = 1000 to 1e5 in all four branches; (500, 500) and (1000, -1000)
+    # are among them
+    u = np.array([1000.0, 2000.0, 1e4, 1e5])
+    sign_p = np.array([1, 1, -1, -1])[:, None]
+    sign_q = np.array([1, -1, 1, -1])[:, None]
+    p, q = sign_p * u / 2, sign_q * u / 2
+    got = hyperbolic_oscillatory(p, q)
+    assert np.all(np.abs(got - _closed_form(p, q)) <= _undamped_error_bound(p, q))
+
+
+def test_h_strongly_damped_against_hankel():
+    # H = pi i H0^(1)(g) with g = 2 sqrt(p (q + i delta)); here |H| ~ 7e-15
+    # while J0(g) and Y0(g) are ~ 5e13, so mpmath needs about 45 digits
+    # for their sum (at 30 it is off by 1.6e-8 relative)
+    p, q, d = 100.0, -0.01, 5.0
+    with mpmath.workdps(50):
+        g = 2 * mpmath.sqrt(mpmath.mpf(p) * (mpmath.mpf(q) + 1j * mpmath.mpf(d)))
+        ref = complex(mpmath.pi * 1j * mpmath.hankel1(0, g))
+    got = hyperbolic_oscillatory(p, q, d)
+    est = quadrature._contour_rule(np.array([p]), np.array([q]), np.array([d]))[1]
+    assert abs(got - ref) <= min(est[0], 1e-13 * abs(ref))

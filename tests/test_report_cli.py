@@ -117,8 +117,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["corollary", "--tol", "-1"]) == 2
     assert main(["corollary", "--rho", "abc"]) == 2
     assert main(["fourier", "--panel-budget", "3"]) == 2
-    # numerical non-convergence via a starved panel budget
-    monkeypatch.setattr(quadrature, "PANEL_BUDGET", 3)
+    # numerical non-convergence via a negative error budget
+    monkeypatch.setattr(quadrature, "_ERROR_BUDGET", -1.0)
     assert main(["fourier", "--format", "json", "--out", str(out)]) == 3
 
 

@@ -24,9 +24,8 @@ def test_k_family_against_mpmath():
         with mpmath.workdps(30):
             return np.array([float(mpmath.besselk(n, x)) for x in xs])
 
-    for n, f in ((0, special.bessel_k0), (1, special.bessel_k1)):
-        assert np.max(np.abs(f(xs) - ref(n)) / ref(n)) < 5e-15
-    for n in range(2, 9):
+    assert np.max(np.abs(special.bessel_k0(xs) - ref(0)) / ref(0)) < 5e-15
+    for n in range(1, 9):
         k = ref(n)
         assert np.max(np.abs(special.bessel_kn(n, xs) - k) / k) < 5e-15
 
@@ -67,7 +66,7 @@ def test_j0_at_zero_and_first_zero():
 def test_y0_log_divergence():
     # Y0(u) ~ (2/pi)(log(u/2) + gamma) as u -> 0+
     for u in (1e-4, 1e-6):
-        ref = (2 / math.pi) * (math.log(u / 2) + special.EULER_GAMMA)
+        ref = (2 / math.pi) * (math.log(u / 2) + np.euler_gamma)
         assert abs(special.bessel_y0(u) - ref) < 1e-7
 
 

@@ -231,10 +231,6 @@ class RayTable:
         self.fc_vals = ray_values(self.f, "fc", self.s)
         self.pl_vals = {R: ray_values(self.f, "pl", self.s, R=R) for R in R_list}
 
-    def _mellin_grid(self, vals, rho):
-        integ = vals * np.exp((1.0 - 1j * rho) * self.x)
-        return complex(np.dot(integ, self.w))
-
     def _fit_powers(self, vals, side, powers):
         """Least-squares fit of vals ~ sum c_k s^powers[k] at a window edge."""
         if side == "lower":
@@ -246,43 +242,30 @@ class RayTable:
         coef, *_ = np.linalg.lstsq(A, vals[idx], rcond=None)
         return coef
 
+    def _mellin_with_tails(self, vals, rho, lower_powers):
+        """Grid Mellin sum plus closed-form tails of the powers fitted at
+        each window edge: lower_powers below s_lo, s^(-3/2), s^(-2) and
+        s^(-5/2) above s_hi.  The power "log" is the term log s, whose tail
+        is int_0^e s^(mu-1) log s ds = e^mu (log e / mu - 1/mu^2)."""
+        mu = 1.0 - 1j * rho
+        total = complex(np.dot(vals * np.exp(mu * self.x), self.w))
+        for side, edge, powers in (("lower", self.s_lo, lower_powers),
+                                   ("upper", self.s_hi, [-1.5, -2.0, -2.5])):
+            total += sum(
+                c * edge**mu * (math.log(edge) / mu - 1.0 / (mu * mu))
+                if p == "log" else mellin_power_tail(c, p, rho, edge, side)
+                for c, p in zip(self._fit_powers(vals, side, powers), powers)
+            )
+        return total
+
     def mellin_pl(self, rho, R):
         # ray values open on a constant (plus sqrt/linear corrections) and
         # close like s^(-3/2) with an s^(-2) correction
-        vals = self.pl_vals[R]
-        main = self._mellin_grid(vals, rho)
-        lo = self._fit_powers(vals, "lower", [0.0, 0.5, 1.0])
-        tail_lo = sum(
-            mellin_power_tail(c, p, rho, self.s_lo, "lower")
-            for c, p in zip(lo, [0.0, 0.5, 1.0])
-        )
-        hi = self._fit_powers(vals, "upper", [-1.5, -2.0, -2.5])
-        tail_hi = sum(
-            mellin_power_tail(c, pw, rho, self.s_hi, "upper")
-            for c, pw in zip(hi, [-1.5, -2.0, -2.5])
-        )
-        return main + tail_lo + tail_hi
+        return self._mellin_with_tails(self.pl_vals[R], rho, [0.0, 0.5, 1.0])
 
     def mellin_fc(self, rho):
-        vals = self.fc_vals
-        main = self._mellin_grid(vals, rho)
-        # s -> 0: A + B log s (+ C sqrt s); the log term integrates in
-        # closed form: int_0^e s^(mu-1) log s ds = e^mu (log e / mu - 1/mu^2).
-        A = np.stack(
-            [np.ones(8), np.log(self.s[:8]), np.sqrt(self.s[:8])], axis=1
-        )
-        cA, *_ = np.linalg.lstsq(A, vals[:8], rcond=None)
-        mu = 1.0 - 1j * rho
-        e0 = self.s_lo
-        tail_lo = cA[0] * e0**mu / mu
-        tail_lo += cA[1] * e0**mu * (math.log(e0) / mu - 1.0 / (mu * mu))
-        tail_lo += mellin_power_tail(cA[2], 0.5, rho, e0, "lower")
-        hi = self._fit_powers(vals, "upper", [-1.5, -2.0, -2.5])
-        tail_hi = sum(
-            mellin_power_tail(c, pw, rho, self.s_hi, "upper")
-            for c, pw in zip(hi, [-1.5, -2.0, -2.5])
-        )
-        return main + tail_lo + tail_hi
+        # s -> 0: A + B log s (+ C sqrt s)
+        return self._mellin_with_tails(self.fc_vals, rho, [0.0, "log", 0.5])
 
 
 def verify_ratio(rho, R, parity_eps, mode="closed_form",
@@ -295,14 +278,23 @@ def verify_ratio(rho, R, parity_eps, mode="closed_form",
     externally calibrated constant may be supplied (otherwise 1 is used,
     i.e. raw comparison).
     """
+    if not (math.isfinite(rho) and math.isfinite(R)):
+        raise ValueError("rho and R must be finite")
     if rho == 0.0:
         raise ValueError("rho = 0 excluded")
+    if not R > 0:
+        raise ValueError("R must be positive")
     ref = reference_ratio(rho, R, parity_eps)
     if mode == "closed_form":
         ratio = _ratio_closed_form(rho, R, parity_eps)
         calib = 1.0 + 0.0j
     elif mode == "end_to_end":
         table = ray_table or RayTable(parity_eps, [R])
+        if table.parity_eps != parity_eps:
+            raise ValueError(
+                f"ray table has parity {table.parity_eps}, not {parity_eps}")
+        if R not in table.pl_vals:
+            raise ValueError(f"ray table has no values at R = {R}")
         num = table.mellin_pl(rho, R)
         den = table.mellin_fc(rho)
         ratio = num / den

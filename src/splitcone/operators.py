@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -96,8 +97,7 @@ class ConeFunction:
 
 
 def _torus_dist(a, b):
-    d = np.mod(a - b + np.pi, 2.0 * np.pi) - np.pi
-    return d
+    return np.mod(a - b + np.pi, 2.0 * np.pi) - np.pi
 
 
 def _bump(d2, w):
@@ -107,6 +107,19 @@ def _bump(d2, w):
     t = d2[inside] / (w * w)
     out[inside] = np.exp(-1.0 / (1.0 - t))
     return out
+
+
+def _pairing(base: ConePoint, th1, th2):
+    """g(th) = cos(th1-T1) - cos(th2-T2) relative to the base point."""
+    return np.cos(th1 - base.theta1) - np.cos(th2 - base.theta2)
+
+
+def _klein_orbit(c1, c2, parity_eps=0):
+    """((centre, coefficient of its bump in psi), ...) over the orbit c, -c,
+    c+pi, -c-pi; c1, c2 may be arrays."""
+    s = -1.0 if parity_eps else 1.0
+    return (((c1, c2), 1.0), ((-c1, -c2), s), ((c1 + np.pi, c2 + np.pi), s),
+            ((-c1 - np.pi, -c2 - np.pi), 1.0))
 
 
 @dataclass(frozen=True)
@@ -119,33 +132,28 @@ class TestFunctionFxiEps:
     center: tuple
     radial: str  # "sqrt_exponential" | "exponential"
     decay: DecayCertificate
-    c_plus: float = field(default=0.0, compare=False)
-    c_minus: float = field(default=0.0, compare=False)
-    g_min: float = field(default=0.0, compare=False)
+    c_plus: float = field(compare=False)
+    c_minus: float = field(compare=False)
+    g_min: float = field(compare=False)
 
     @property
     def centers_and_coeffs(self):
-        c1, c2 = self.center
-        s = -1.0 if self.parity_eps else 1.0
-        return (
-            ((c1, c2), 1.0),
-            ((-c1, -c2), s),
-            ((c1 + np.pi, c2 + np.pi), s),
-            ((-c1 - np.pi, -c2 - np.pi), 1.0),
-        )
+        return _klein_orbit(*self.center, self.parity_eps)
 
-    def angular_psi(self, th1, th2):
+    def _orbit_d2(self, th1, th2):
+        """[(squared torus distance to a bump centre, its coefficient)]."""
         th1 = np.asarray(th1, dtype=float)
         th2 = np.asarray(th2, dtype=float)
-        out = np.zeros(np.broadcast(th1, th2).shape)
-        for (c1, c2), coeff in self.centers_and_coeffs:
-            d2 = _torus_dist(th1, c1) ** 2 + _torus_dist(th2, c2) ** 2
-            out += coeff * _bump(d2, self.width)
-        return out
+        return [(_torus_dist(th1, c1) ** 2 + _torus_dist(th2, c2) ** 2, coeff)
+                for (c1, c2), coeff in self.centers_and_coeffs]
+
+    def angular_psi(self, th1, th2):
+        return sum(coeff * _bump(d2, self.width)
+                   for d2, coeff in self._orbit_d2(th1, th2))
 
     def pairing_factor(self, th1, th2):
         """g(th) relative to the base point."""
-        return np.cos(th1 - self.base_xi.theta1) - np.cos(th2 - self.base_xi.theta2)
+        return _pairing(self.base_xi, th1, th2)
 
     def radial_part(self, t):
         """|t|^(-1/2) m(|t|) against the pairing value t."""
@@ -167,56 +175,43 @@ class TestFunctionFxiEps:
 
     def angular_support_mask(self, th1, th2):
         """True where some bump of psi can be nonzero."""
-        th1 = np.asarray(th1, dtype=float)
-        th2 = np.asarray(th2, dtype=float)
-        mask = np.zeros(np.broadcast(th1, th2).shape, dtype=bool)
-        for (c1, c2), _ in self.centers_and_coeffs:
-            d2 = _torus_dist(th1, c1) ** 2 + _torus_dist(th2, c2) ** 2
-            mask |= d2 < self.width * self.width
-        return mask
+        return np.any([d2 < self.width * self.width
+                       for d2, _ in self._orbit_d2(th1, th2)], axis=0)
 
     def __call__(self, r, th1, th2):
         return self.values(r, th1, th2)
 
 
-def _disc_min_abs_g(base, c1, c2, w, n=24):
-    """min |g| over the bump disc at (c1, c2), sampled on a polar grid."""
-    rr = np.linspace(0.0, w, n)
-    aa = np.linspace(0.0, 2.0 * np.pi, 2 * n, endpoint=False)
-    R, A = np.meshgrid(rr, aa, indexing="ij")
-    t1 = c1 + R * np.cos(A)
-    t2 = c2 + R * np.sin(A)
-    g = np.cos(t1 - base.theta1) - np.cos(t2 - base.theta2)
-    return float(np.min(np.abs(g))), float(np.median(np.sign(g)))
+# Candidate offsets of the bump centre from (T1, T2 + pi), per angle.
+_CENTER_OFFSETS = np.linspace(-1.2, 1.2, 13)
+# Angles at which min |g| is sampled on each candidate disc's edge.
+_EDGE_ANGLES = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
 
 
 def _search_center(base: ConePoint, width):
     """Deterministic grid search for a bump center whose Klein orbit keeps
-    |g| bounded away from zero and the four discs disjoint."""
-    best = None
-    T1, T2 = base.theta1, base.theta2
-    for d1 in np.linspace(-1.2, 1.2, 13):
-        for d2 in np.linspace(-1.2, 1.2, 13):
-            c = (T1 + d1, T2 + math.pi + d2)
-            centers = [
-                np.array(c),
-                -np.array(c),
-                np.array(c) + math.pi,
-                -np.array(c) - math.pi,
-            ]
-            sep = np.inf
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    d = _torus_dist(centers[i], centers[j])
-                    sep = min(sep, float(np.hypot(*d)))
-            if sep < 2.0 * width + 0.15:
-                continue
-            g1, s1 = _disc_min_abs_g(base, *c, width)
-            g2, s2 = _disc_min_abs_g(base, -c[0], -c[1], width)
-            score = min(g1, g2)
-            if best is None or score > best[0]:
-                best = (score, c, (s1, s2))
-    return best
+    |g| bounded away from zero and the four discs disjoint.
+
+    Scores every candidate at once by min |g| on the edges of the discs at
+    c and -c (the discs at c + pi and -c - pi see -g).  The critical points
+    of g have |g| in {0, 2}, so where g does not vanish on a disc, |g| is
+    smallest on its edge.  Returns (score, centre), or None when no
+    candidate keeps its discs apart.
+    """
+    d1, d2 = np.meshgrid(_CENTER_OFFSETS, _CENTER_OFFSETS, indexing="ij")
+    c1 = base.theta1 + d1
+    c2 = base.theta2 + math.pi + d2
+    orbit = [c for c, _ in _klein_orbit(c1, c2)]
+    sep = np.min([np.hypot(_torus_dist(a1, b1), _torus_dist(a2, b2))
+                  for (a1, a2), (b1, b2) in combinations(orbit, 2)], axis=0)
+    ex, ey = width * np.cos(_EDGE_ANGLES), width * np.sin(_EDGE_ANGLES)
+    score = np.min([np.abs(_pairing(base, o1[..., None] + ex, o2[..., None] + ey))
+                    for o1, o2 in orbit[:2]], axis=(0, 3))
+    score[sep < 2.0 * width + 0.15] = -np.inf
+    k = np.unravel_index(np.argmax(score), score.shape)
+    if score[k] == -np.inf:
+        return None
+    return float(score[k]), (float(c1[k]), float(c2[k]))
 
 
 def make_f_xi_eps(base_xi: ConePoint, parity_eps, radial="sqrt_exponential"):
@@ -229,6 +224,8 @@ def make_f_xi_eps(base_xi: ConePoint, parity_eps, radial="sqrt_exponential"):
     """
     if parity_eps not in (0, 1):
         raise ValueError("parity_eps must be 0 or 1")
+    if radial not in ("sqrt_exponential", "exponential"):
+        raise ValueError(f"unknown radial profile {radial!r}")
     w = 0.8
     found = None
     for _ in range(4):
@@ -239,28 +236,24 @@ def make_f_xi_eps(base_xi: ConePoint, parity_eps, radial="sqrt_exponential"):
         w *= 0.7
     if found is None:
         raise ValueError("no admissible bump placement at this base point")
-    _, center, _ = found
-    decay = DecayCertificate(
-        "sqrt_exponential" if radial == "sqrt_exponential" else "exponential",
-        rate=math.sqrt(base_xi.r * found[0]) if radial == "sqrt_exponential"
-        else base_xi.r * found[0],
-    )
-    f = TestFunctionFxiEps(
+    g_min, center = found
+    rate = base_xi.r * g_min
+    cp, cm = _angular_constants(base_xi, center, w, parity_eps)
+    return TestFunctionFxiEps(
         base_xi=base_xi,
         parity_eps=parity_eps,
         width=w,
-        center=(float(center[0]), float(center[1])),
+        center=center,
         radial=radial,
-        decay=decay,
+        decay=DecayCertificate(
+            radial, math.sqrt(rate) if radial == "sqrt_exponential" else rate),
+        c_plus=cp,
+        c_minus=cm,
+        g_min=g_min,
     )
-    cp, cm = _angular_constants(f)
-    object.__setattr__(f, "c_plus", cp)
-    object.__setattr__(f, "c_minus", cm)
-    object.__setattr__(f, "g_min", found[0])
-    return f
 
 
-def _angular_constants(f: TestFunctionFxiEps):
+def _angular_constants(base, center, width, parity_eps):
     """C+- = int_{+-g>0} psi / g^2 over the angular torus.
 
     Each bump depends only on the distance to its centre, so it is
@@ -268,14 +261,13 @@ def _angular_constants(f: TestFunctionFxiEps):
     radii times 20 trapezoid angles.
     """
     x, wx = gauss_legendre(40)
-    r = 0.5 * f.width * (x + 1.0)
-    wr = (0.5 * f.width * wx) * r * _bump(r * r, f.width)
+    r = 0.5 * width * (x + 1.0)
+    wr = (0.5 * width * wx) * r * _bump(r * r, width)
     a = np.arange(20) * (2.0 * np.pi / 20)
     cp = 0.0
     cm = 0.0
-    for (c1, c2), coeff in f.centers_and_coeffs:
-        g = f.pairing_factor(c1 + np.outer(r, np.cos(a)),
-                             c2 + np.outer(r, np.sin(a)))
+    for (c1, c2), coeff in _klein_orbit(*center, parity_eps):
+        g = _pairing(base, c1 + np.outer(r, np.cos(a)), c2 + np.outer(r, np.sin(a)))
         val = coeff * (2.0 * np.pi / 20) * float(np.sum(wr[:, None] / (g * g)))
         if np.median(np.sign(g)) > 0:
             cp += val

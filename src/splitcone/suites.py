@@ -17,6 +17,7 @@ from .geometry import (
     ConePoint,
     DualVector,
     cone_embed,
+    cone_half_measure_weight,
     cone_measure_weight,
     homogeneous_power,
     matrix_realization,
@@ -25,8 +26,10 @@ from .geometry import (
     quaternion_gradient_identity_residual,
     w0_act,
 )
-from .numerics import SplitMix64, gauss_legendre
-from .report import CheckResult, make_check
+from .numerics import SplitMix64, gauss_legendre, richardson_limit
+from .operators import DecayCertificate
+from .quadrature import hyperbolic_oscillatory
+from .report import make_check
 
 SUITE_NAMES = (
     "bessel",
@@ -309,8 +312,6 @@ def suite_kernels(cfg: SuiteConfig):
     for sR, se in ((-1, 1), (1, 1)):
         got = kernels.ft_bruteforce_damped(1.0, xi, sR, se, eps=0.4)
         a, b = 1.0, 0.5
-        from .quadrature import hyperbolic_oscillatory
-
         eta = -1.0 * se
         ref = -0.25 * hyperbolic_oscillatory(a * eta, -b * eta * sR, abs(b) * 0.4)
         checks.append(make_check(
@@ -543,7 +544,6 @@ def suite_operators(cfg: SuiteConfig):
 
     # generic quadrature path vs the separable ray path (exp profile)
     fexp = operators.make_f_xi_eps(base, 0, radial="exponential")
-    wrapped = operators.ConeFunction(fexp.values, fexp.decay)
     for s in (0.5, 1.7):
         xi = ConePoint(s, 0.7, 0.3)
         gen = operators._apply_generic(
@@ -582,8 +582,6 @@ def suite_operators(cfg: SuiteConfig):
         "op_pl.half_space_support", "S6.eq-Phi0", {}, val, 0.0, 1e-12))
 
     # rotational equivariance of both kernels on a generic smooth function
-    from .operators import DecayCertificate
-
     gauss = operators.ConeFunction(
         lambda r, t1, t2: np.exp(-np.asarray(r) ** 2 * (1.0 + 0 * t1))
         * (1.0 + 0.5 * np.cos(t1) + 0.3 * np.sin(t2)),
@@ -1047,15 +1045,10 @@ def suite_ktypes(cfg: SuiteConfig):
             ratio, 1.0, 1e-6, kind="rel"))
         checks.append(make_check(
             f"geometry.half_density.r{r0}", "S4.hilbert-iso", {"r": r0},
-            2.0 * _half_weight(r0), cone_measure_weight(ConePoint(r0, 0, 0)),
+            2.0 * cone_half_measure_weight(ConePoint(r0, 0.0, 0.0)),
+            cone_measure_weight(ConePoint(r0, 0, 0)),
             1e-14))
     return checks
-
-
-def _half_weight(r0):
-    from .geometry import cone_half_measure_weight
-
-    return cone_half_measure_weight(ConePoint(r0, 0.0, 0.0))
 
 
 def _shell_oracle_ratio(r0, width=0.1):
@@ -1067,8 +1060,6 @@ def _shell_oracle_ratio(r0, width=0.1):
     (2 pi)^2 int g(r)^2 w(r) dr with w(r) = r.  Returns ~1 iff the density
     claim holds.
     """
-    from .numerics import gauss_legendre, richardson_limit
-
     xg, wg = gauss_legendre(60)
 
     def g(x):

@@ -139,3 +139,16 @@ def test_mode_validation():
         verify_ratio(1.0, 1.0, 0, "nope")
     with pytest.raises(ValueError):
         verify_ratio(0.0, 1.0, 0)
+    for rho, R in ((math.nan, 1.0), (math.inf, 1.0), (1.0, 0.0), (1.0, -1.0),
+                   (1.0, math.nan)):
+        for mode in ("closed_form", "end_to_end"):
+            with pytest.raises(ValueError):
+                verify_ratio(rho, R, 0, mode)
+
+
+def test_end_to_end_rejects_mismatched_table():
+    table = RayTable(0, [1.0])
+    with pytest.raises(ValueError, match="parity"):
+        verify_ratio(1.0, 1.0, 1, "end_to_end", ray_table=table)
+    with pytest.raises(ValueError, match="R = 2.0"):
+        verify_ratio(1.0, 2.0, 0, "end_to_end", ray_table=table)

@@ -50,6 +50,41 @@ def test_f_construction_and_parity():
         assert f.g_min > 0.25
     with pytest.raises(ValueError):
         make_f_xi_eps(BASE, 2)
+    with pytest.raises(ValueError):
+        make_f_xi_eps(BASE, 0, radial="gaussian")
+
+
+# (base point) -> (center, width, g_min, {parity: (c_plus, c_minus)}), as
+# found by scoring every candidate disc on a 24 x 48 polar grid
+_GEOMETRY = {
+    (1.0, 0.7, 0.3): (
+        (-0.30000000000000004, 4.041592653589793), 0.8, 0.37089899201768417,
+        {0: (0.44799726340087215, 0.4479972634008721),
+         1: (-0.03196327676038063, 0.031963276760380716)}),
+    (1.0, 0.1, 2.9): (
+        (0.8999999999999998, 6.441592653589794), 0.8, 0.757600532842541,
+        {0: (0.28454675136256763, 0.28454675136256735),
+         1: (-0.016357249935351148, 0.016357249935351065)}),
+    (2.0, 4.0, 1.0): (
+        (4.0, 5.341592653589793), 0.8, 0.37536079580903847,
+        {0: (0.5133902873183693, 0.5133902873183691),
+         1: (0.5133902873183693, -0.5133902873183691)}),
+    (0.5, 5.5, 5.9): (
+        (5.9, 10.241592653589793), 0.8, 0.37089899201768317,
+        {0: (0.47252791949880524, 0.4725279194988053),
+         1: (0.007432620662447681, -0.007432620662447542)}),
+}
+
+
+@pytest.mark.parametrize("base", sorted(_GEOMETRY))
+def test_f_geometry_pinned(base):
+    center, width, g_min, consts = _GEOMETRY[base]
+    for e in (0, 1):
+        f = make_f_xi_eps(ConePoint(*base), e)
+        assert f.center == center
+        assert f.width == width
+        assert f.g_min == g_min
+        assert (f.c_plus, f.c_minus) == consts[e]
 
 
 def test_angular_constants_against_tensor_reference():

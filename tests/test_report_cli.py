@@ -133,7 +133,7 @@ def test_cli_bad_parameters_are_usage_errors(flag, value, capsys):
 
 
 @pytest.mark.parametrize("suite", ["bessel", "fourier", "corollary", "lemma",
-                                   "mellin_ratio", "kernels"])
+                                   "mellin_ratio", "kernels", "ktypes"])
 def test_cheap_suites_pass_at_defaults(suite):
     failed = [c.check_id for c in build_suite(SuiteConfig(suite=suite))
               if not c.passed]

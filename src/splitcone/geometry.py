@@ -129,8 +129,19 @@ def dot(xi, X) -> float:
     return float(np.dot(np.asarray(xi, dtype=float), np.asarray(X, dtype=float)))
 
 
-def cone_embed(p: ConePoint) -> DualVector:
-    """Embed a bipolar chart point: r(cos t1, sin t1, cos t2, sin t2)."""
+def cone_embed(p):
+    """Embed a bipolar chart point: r(cos t1, sin t1, cos t2, sin t2).
+
+    A ConePoint gives a DualVector; stacked (..., 3) chart coordinates
+    (r, t1, t2) give stacked (..., 4) coordinates, row by row the same
+    values.
+    """
+    if not isinstance(p, ConePoint):
+        r, t1, t2 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+        if not np.all(r > 0):
+            raise ValueError("cone chart requires r > 0")
+        return np.stack([r * np.cos(t1), r * np.sin(t1),
+                         r * np.cos(t2), r * np.sin(t2)], axis=-1)
     return DualVector(
         p.r * np.cos(p.theta1),
         p.r * np.sin(p.theta1),

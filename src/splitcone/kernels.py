@@ -162,28 +162,29 @@ def ft_closed_form(R, q, sign_R2, sign_eps):
     sign_R2 = +1 (denominator N + R^2 +- i eps):
         q > 0: -(1/2) K0(R sqrt(q))
         q < 0: (pi/4) Y0(R sqrt(-q)) -+ i (pi/4) J0(R sqrt(-q))
+
+    R, q and both signs broadcast, each element bit for bit its scalar
+    value; scalar input gives a complex.  A bad value anywhere in the
+    batch raises ValueError.
     """
     _check_signs(sign_R2, sign_eps)
     _check_radius(R)
-    q = float(q)
-    if not math.isfinite(q):
+    q = np.asarray(q, dtype=float)
+    if not np.all(np.isfinite(q)):
         raise ValueError("q must be finite")
-    if q == 0.0:
+    if np.any(q == 0.0):
         raise ValueError("closed form is singular on the cone q = 0")
-    root = R * math.sqrt(abs(q))
-    if sign_R2 == -1:
-        if q > 0:
-            return complex(
-                0.25 * math.pi * special.bessel_y0(root),
-                sign_eps * 0.25 * math.pi * special.bessel_j0(root),
-            )
-        return complex(-0.5 * special.bessel_k0(root), 0.0)
-    if q > 0:
-        return complex(-0.5 * special.bessel_k0(root), 0.0)
-    return complex(
-        0.25 * math.pi * special.bessel_y0(root),
-        -sign_eps * 0.25 * math.pi * special.bessel_j0(root),
-    )
+    R, q, sign_R2, sign_eps = np.broadcast_arrays(
+        np.asarray(R, dtype=float), q, sign_R2, sign_eps)
+    root = R * np.sqrt(np.abs(q))
+    # sign_R2 q < 0: the oscillatory Y0/J0 branch; otherwise the real K0 one
+    osc = sign_R2 * q < 0
+    out = np.zeros(root.shape, dtype=complex)
+    out.real[~osc] = -0.5 * special.bessel_k0(root[~osc])
+    out.real[osc] = 0.25 * math.pi * special.bessel_y0(root[osc])
+    out.imag[osc] = (-sign_R2[osc] * sign_eps[osc] * 0.25 * math.pi
+                     * special.bessel_j0(root[osc]))
+    return out if out.ndim else complex(out)
 
 
 def corollary_kernels(R, xi, xi2):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -27,7 +28,7 @@ class SplitMix64:
         self._state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GOLDEN) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -36,6 +37,18 @@ class SplitMix64:
     def uniform(self, lo=0.0, hi=1.0):
         u = (self.next_u64() >> 11) * 2.0 ** -53
         return lo + (hi - lo) * u
+
+    def uniforms(self, n):
+        """The next `n` draws of `uniform()`, in stream order, as an array:
+        the same states and bit mixing in wrapping uint64 arithmetic."""
+        steps = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
+        if n:
+            self._state = int(z[-1])
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(float) * 2.0 ** -53
 
     def choice_sign(self) -> int:
         return 1 if self.next_u64() & 1 else -1

@@ -487,6 +487,10 @@ def ray_values(f: TestFunctionFxiEps, op, s_grid, R=None):
     return out
 
 
+# radii per f call in `l2_norm_sq`
+_L2_BLOCK = 32
+
+
 def l2_norm_sq(f, n_r=160, n_th=48):
     """Numerical L^2 norm squared against the r/2 dr dth1 dth2 density,
     over the radii where f's decay certificate exceeds 1e-10."""
@@ -497,10 +501,14 @@ def l2_norm_sq(f, n_r=160, n_th=48):
     r = v * v
     th = np.arange(n_th) * (2.0 * np.pi / n_th)
     T1, T2 = np.meshgrid(th, th, indexing="ij")
-    acc = np.zeros(len(r))
-    for i, rv in enumerate(r):
-        vals = np.abs(f(rv, T1, T2)) ** 2
-        acc[i] = vals.sum() * (2.0 * np.pi / n_th) ** 2
+    # f on (radius, T1, T2) blocks of _L2_BLOCK radii: f's angular factors
+    # are evaluated once a block, not once a radius, and a block's arrays
+    # stay small
+    acc = np.empty(len(r))
+    for i in range(0, len(r), _L2_BLOCK):
+        vals = np.abs(f(r[i:i + _L2_BLOCK, None, None], T1, T2)) ** 2
+        acc[i:i + _L2_BLOCK] = vals.reshape(len(vals), -1).sum(axis=1)
+    acc *= (2.0 * np.pi / n_th) ** 2
     meas = 0.5 * r * 2.0 * v  # (r/2) dr = (r/2) 2v dv
     return float(np.dot(acc * meas, wv))
 

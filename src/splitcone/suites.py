@@ -90,12 +90,20 @@ def _sample_offcone_dual(rng):
     return R, xi, q
 
 
+# ranges of the chart draws (r, theta1, theta2) of a random cone point
+_CHART_RANGES = ((0.3, 2.0), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
+
+
 def _sample_cone_pair(rng):
-    p1 = ConePoint(rng.uniform(0.3, 2.0), rng.uniform(0, 2 * math.pi),
-                   rng.uniform(0, 2 * math.pi))
-    p2 = ConePoint(rng.uniform(0.3, 2.0), rng.uniform(0, 2 * math.pi),
-                   rng.uniform(0, 2 * math.pi))
-    return p1, p2
+    return tuple(ConePoint(*(rng.uniform(lo, hi) for lo, hi in _CHART_RANGES))
+                 for _ in range(2))
+
+
+def _cone_pair_block(rng, n):
+    """Chart coordinates (n, 2, 3) of the next n `_sample_cone_pair` draws,
+    drawn in one block."""
+    lo, hi = np.array(_CHART_RANGES).T
+    return lo + (hi - lo) * rng.uniforms(6 * n).reshape(n, 2, 3)
 
 
 # --------------------------------------------------------------- bessel
@@ -340,12 +348,17 @@ def suite_fourier(cfg: SuiteConfig):
     values = iter(kernels.ft_regularized(
         np.array(Rs), np.array([xi.as_array() for xi in xis]),
         np.array(sRs), np.array(ses)).value)
+    # the 200 closed-form references are one more batch, in check order
+    Rp, qp = np.array([(R, q) for R, _, q in points]).T[:, :, None, None]
+    signs = np.array([-1, 1])
+    refs = iter(kernels.ft_closed_form(
+        Rp, qp, signs[:, None], signs).ravel().tolist())
 
     checks = []
     for i, (R, xi, q) in enumerate(points):
         for sR in (-1, 1):
             for se in (-1, 1):
-                ref = kernels.ft_closed_form(R, q, sR, se)
+                ref = next(refs)
                 tol = max(1e-4 * abs(ref), 1e-5)
                 checks.append(make_check(
                     f"ft.closed_form.{i:02d}.sR{sR:+d}.se{se:+d}",
@@ -373,16 +386,16 @@ def suite_corollary(cfg: SuiteConfig):
         if abs(inner) < 0.05:
             continue
         samples.append((p1, p2, inner, rng.uniform(0.5, 2.0)))
-    p1s, p2s, _, Rs = zip(*samples)
+    p1s, p2s, inners, Rs = zip(*samples)
     syms, antis = kernels.corollary_kernels(np.array(Rs), p1s, p2s)
+    ref_syms = 0.5 * math.pi * kernels.psi0(-np.array(inners))
 
     checks = []
     for count, (_, _, inner, R) in enumerate(samples):
         sym, anti = syms[count], antis[count]
-        ref_sym = 0.5 * math.pi * kernels.psi0(-inner)
         checks.append(make_check(
             f"corollary.symmetric.{count:02d}", "S5.cor-kernels",
-            {"inner": inner}, sym, ref_sym, 1e-4, kind="rel"))
+            {"inner": inner}, sym, ref_syms[count], 1e-4, kind="rel"))
         if inner > 0:
             checks.append(make_check(
                 f"corollary.antisym_vanishes.{count:02d}", "S5.cor-kernels",
@@ -395,12 +408,9 @@ def suite_corollary(cfg: SuiteConfig):
                 {"inner": inner, "R": R}, anti, ref,
                 1e-4 * max(abs(ref), 1e-2)))
     # pair identity <xi-xi', xi-xi'> = -2 <xi, xi'>
-    rng3 = SplitMix64(cfg.seed + 3)
-    worst = 0.0
-    for _ in range(200):
-        p1, p2 = _sample_cone_pair(rng3)
-        d = cone_embed(p1) - cone_embed(p2)
-        worst = max(worst, abs(pair(d, d) + 2 * pair(cone_embed(p1), cone_embed(p2))))
+    e = cone_embed(_cone_pair_block(SplitMix64(cfg.seed + 3), 200))
+    d = e[:, 0] - e[:, 1]
+    worst = float(np.max(np.abs(pair(d, d) + 2 * pair(e[:, 0], e[:, 1]))))
     checks.append(make_check(
         "corollary.pair_identity", "S5.cor-kernels", {"n": 200}, worst, 0.0,
         1e-12))
@@ -1122,10 +1132,13 @@ def build_suite(cfg: SuiteConfig):
 
 def _scale_tolerance(check, scale):
     """`check` with its tolerance times `scale`; an exact check (tolerance
-    0) tightened below scale 1 gets -1.0, so that it fails too."""
+    0) tightened below scale 1 gets -1.0, so that it fails too.  A check
+    whose tolerance does not change (scale 1) is returned as it is."""
     tol = check.tolerance
     if tol > 0:
         tol *= scale
     elif scale < 1:
         tol = -1.0
+    if tol == check.tolerance:
+        return check
     return replace(check, tolerance=tol)

@@ -19,6 +19,7 @@ from splitcone.geometry import (
     w0_act,
 )
 from splitcone.numerics import SplitMix64
+from splitcone.suites import _cone_pair_block, _sample_cone_pair
 
 
 def test_norm_basics():
@@ -70,6 +71,21 @@ def test_cone_embed():
         xi = cone_embed(p)
         assert abs(pair(xi, xi)) < 1e-14 * p.r * p.r
         assert abs(np.linalg.norm(xi.as_array()) - math.sqrt(2) * p.r) < 1e-12
+
+
+def test_cone_embed_stacked_charts_and_block_draws():
+    # a block of cone-pair draws is the scalar stream, and stacked charts
+    # embed row by row as the ConePoints do
+    rng, block = SplitMix64(13), SplitMix64(13)
+    stacked = cone_embed(_cone_pair_block(block, 20))
+    assert stacked.shape == (20, 2, 4)
+    for k in range(20):
+        for j, p in enumerate(_sample_cone_pair(rng)):
+            assert np.array_equal(stacked[k, j], cone_embed(p).as_array())
+    assert rng.uniform() == block.uniforms(1)[0]
+    assert block.uniforms(0).shape == (0,)
+    with pytest.raises(ValueError):
+        cone_embed(np.array([[1.0, 0.2, 0.3], [0.0, 0.2, 0.3]]))
 
 
 def test_cone_point_rejects_bad_radius():

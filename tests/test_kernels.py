@@ -75,6 +75,37 @@ def test_ft_closed_form_table():
         ft_closed_form(1.0, 1.0, 2, 1)
 
 
+def test_ft_closed_form_batch_is_bitwise_scalar():
+    rng = SplitMix64(5)
+    R = np.array([rng.uniform(0.2, 3.0) for _ in range(12)])
+    q = np.array([rng.uniform(0.05, 30.0) * rng.choice_sign() for _ in range(12)])
+    signs = np.array([-1, 1])
+    # every point on all four sign branches
+    batch = ft_closed_form(R[:, None, None], q[:, None, None], signs[:, None], signs)
+    assert batch.shape == (12, 2, 2) and batch.dtype == complex
+    for i in range(12):
+        for j, sR in enumerate((-1, 1)):
+            for k, se in enumerate((-1, 1)):
+                one = ft_closed_form(float(R[i]), float(q[i]), sR, se)
+                assert type(one) is complex
+                assert np.complex128(one).tobytes() == batch[i, j, k].tobytes()
+
+
+@pytest.mark.parametrize("R, q, sR, se", [
+    ([1.0, 2.0], [1.0, 0.0], -1, 1),
+    ([1.0, 2.0], [1.0, math.nan], -1, 1),
+    ([1.0, 2.0], [-1.0, math.inf], 1, -1),
+    (1.0, [1.0, -2.0], [-1, 0], 1),
+    (1.0, [1.0, -2.0], -1, [1, 0]),
+    ([1.0, 0.0], [1.0, 2.0], -1, 1),
+    ([1.0, -1.0], 2.0, 1, 1),
+], ids=["q-zero", "q-nan", "q-inf", "sign-R2-zero", "sign-eps-zero",
+        "R-zero", "R-negative"])
+def test_ft_closed_form_rejects_a_bad_batch_element(R, q, sR, se):
+    with pytest.raises(ValueError):
+        ft_closed_form(np.array(R), np.array(q), np.array(sR), np.array(se))
+
+
 def test_ft_regularized_matches_closed_form():
     rng = SplitMix64(21)
     for _ in range(6):

@@ -113,6 +113,19 @@ def test_f_values_and_l2():
     n2 = l2_norm_sq(f, n_r=220, n_th=64)
     assert n1 > 0
     assert abs(n1 - n2) < 1e-3 * n2
+    # the radius blocks (two full, one partial) give the per-radius
+    # loop's value bit for bit
+    n_r, n_th = 70, 16
+    sqrt_rmax = math.sqrt(f.decay.truncation_radius(1e-10))
+    xg, wg = gauss_legendre(n_r)
+    v = 0.5 * sqrt_rmax * (xg + 1.0)
+    th = np.arange(n_th) * (2.0 * np.pi / n_th)
+    T1, T2 = np.meshgrid(th, th, indexing="ij")
+    r = v * v
+    acc = np.array([(np.abs(f(rv, T1, T2)) ** 2).sum() for rv in r])
+    acc *= (2.0 * np.pi / n_th) ** 2
+    loop = float(np.dot(acc * (0.5 * r * 2.0 * v), 0.5 * sqrt_rmax * wg))
+    assert l2_norm_sq(f, n_r=n_r, n_th=n_th) == loop
 
 
 def test_ray_chain_fidelity():

@@ -1,15 +1,19 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from splitcone import quadrature, suites
+from splitcone import cli, quadrature, suites
 from splitcone.cli import main
 from splitcone.report import (
+    CheckResult,
     VerificationReport,
     emit_report,
     make_check,
+    report_payload,
     to_csv,
     to_json,
     to_text,
@@ -100,6 +104,66 @@ def test_tolerance_scale_keeps_ids_and_scales_every_tolerance(monkeypatch):
     exact = make_check("x", "S", {}, 1.0, 1.0, 0.0)
     assert suites._scale_tolerance(exact, 1.0).passed
     assert not suites._scale_tolerance(exact, 1e-3).passed
+
+
+def test_scale_tolerance_at_scale_one_returns_the_check():
+    check = make_check("x", "S", {}, 1.0, 1.5, 1.0)
+    assert suites._scale_tolerance(check, 1.0) is check
+    exact = make_check("x", "S", {}, 1.0, 1.0, 0.0)
+    assert suites._scale_tolerance(exact, 1.0) is exact
+    tightened = suites._scale_tolerance(exact, 0.5)
+    assert tightened.tolerance == -1.0
+    assert not tightened.passed
+
+
+def _json_dumps(rep, include_wall_time):
+    return json.dumps(report_payload(rep, include_wall_time), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "suite", ["bessel", "fourier", "corollary", "lemma", "mellin_ratio"])
+def test_json_writer_matches_json_dumps_on_suites(suite):
+    rep = cli.run(SuiteConfig(suite=suite, seed=2024))
+    for include_wall_time in (True, False):
+        assert to_json(rep, include_wall_time) == _json_dumps(rep, include_wall_time)
+
+
+def _edge_report():
+    nan, inf = math.nan, math.inf
+    checks = [
+        make_check("e.nan", "S5", {"x": nan}, nan, 1.0, 1e-3),
+        make_check("e.inf", "S5", {"m": -inf, "p": inf}, inf, -inf, inf),
+        make_check("e.real", "S5", {}, 2.5 + 0.0j, 1.0 - 0.0j, 0.0),
+        make_check("e.complex", "S6", {
+            "s": 'a "quoted"\tcaf\u00e9', "n": 3, "f": np.float64(0.1),
+            "g": np.float64(nan), "flag": True, "none": None,
+            "window": [6.0, 12.0], "nested": {"a": [], "b": {}, "c": (1, -inf)},
+        }, 1.0 + 2.0j, complex(nan, -inf), 1e-9, kind="rel"),
+        make_check("e.int_keys", "S6", {1: 0.5, 2: "two"}, -0.0, 0.0, 1),
+        # not through make_check: real non-finite values stay floats
+        CheckResult("e.raw", "S4", {}, nan, -inf, nan),
+    ]
+    echo = {"seed": 1, "rho_list": [0.3, inf], "tol": nan}
+    return VerificationReport("edge", echo, checks, wall_ms=12.5)
+
+
+@pytest.mark.parametrize("rep", [
+    _edge_report(),
+    VerificationReport("empty", {}, [], wall_ms=3.0),
+    VerificationReport("empty_echo", {}, _edge_report().checks[:1]),
+], ids=["edge-values", "zero-checks", "one-check"])
+def test_json_writer_matches_json_dumps_on_edge_reports(rep):
+    for include_wall_time in (True, False):
+        assert to_json(rep, include_wall_time) == _json_dumps(rep, include_wall_time)
+
+
+def test_json_writer_rejects_what_json_dumps_rejects():
+    for bad in ({"n": np.int64(3)}, {"b": np.bool_(True)}, {(1, 2): 0.5}):
+        rep = VerificationReport("bad", bad, [])
+        with pytest.raises(TypeError):
+            _json_dumps(rep, True)
+        with pytest.raises(TypeError):
+            to_json(rep)
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch):

@@ -26,6 +26,14 @@ Rewrite rules (coefficients are exact Gaussian integers):
   Ladders 2(xi1 +- i xi2) + (1/2)(P1 +- i P2) shift a by +-1:
   raising |a| costs 2(|b|-n) and bumps n; lowering |a| keeps/lowers n.
 
+Ladder orbits.  From a lattice label (n <= min(|a|, |b|)) the four
+ladders reach exactly O(D) = {(|a'|+|b'|-j, a', b') : 0 <= j <= D,
+|a'|, |b'| <= j}, D = |a| + |b| - n.  Its layer j has (2j+1)^2 labels,
+the dimension of the K-type (j, j) of the minimal representation of
+O(3,3) (Kobayashi and Orsted, Adv. Math. 180 (2003); Kobayashi and Mano,
+Mem. AMS 213 (2011)), so |O(D)| = C(2D+3, 3).  `orbit_closure` walks
+the ladder table, `orbit_labels` builds O(D) in closed form.
+
 Every rule is checkable against the ambient oracle: P_j = e_j xi_j box
 - 2 deg d_j evaluated in closed form on the ambient extension
 Kt_n(2 r_2) M1 M2 (r_1-extension for P3, P4), restricted to cone points.
@@ -50,6 +58,7 @@ __all__ = [
     "apply_X",
     "kfinite_certificate",
     "orbit_closure",
+    "orbit_labels",
     "AmbientBasis",
     "box22_fd",
 ]
@@ -141,7 +150,9 @@ class KBasisElement:
     def evaluate(self, r, th1, th2):
         """Function value at cone chart points (vectorized)."""
         r = np.asarray(r, dtype=float)
-        kt = special.ktilde(self.n, 2.0 * r)
+        return self._times_kt(r, special.ktilde(self.n, 2.0 * r), th1, th2)
+
+    def _times_kt(self, r, kt, th1, th2):
         return (
             r ** (self.l + self.k)
             * kt
@@ -196,14 +207,17 @@ class KVector:
         return "KVector(" + " + ".join(bits) + ")"
 
     def evaluate(self, r, th1, th2):
+        """Sum of the terms' values, bit for bit the sum of
+        KBasisElement.evaluate, with one Kt call for all orders."""
         r = np.asarray(r, dtype=float)
         acc = np.zeros(np.broadcast(r, th1, th2).shape, dtype=complex)
+        if not self.terms:
+            return acc
+        ns = sorted({key.n for key in self.terms})
+        kts = dict(zip(ns, special.ktilde(ns, 2.0 * r)))
         for key, c in self.terms.items():
-            acc = acc + complex(c) * key.evaluate(r, th1, th2)
+            acc = acc + complex(c) * key._times_kt(r, kts[key.n], th1, th2)
         return acc
-
-
-ZERO = KVector()
 
 
 def _shift_plane(key, plane, d):
@@ -219,26 +233,13 @@ def _plane_index(key, plane):
 def apply_plane_mult(v: KVector, plane, direction, use_krel=True):
     """Multiplication by (xi1 + i dir xi2) (plane 1) or the plane-2 analog.
 
-    With use_krel=False the downshift branch returns the intermediate form
-    carrying a symbolic r^2: a dict {(key, rpow): coeff} for regression
-    against the unreduced recurrence steps.
+    The downshift branch carries a symbolic r^2: with use_krel=False the
+    result is that intermediate form, a dict {(key, rpow): coeff} for
+    regression against the unreduced recurrence steps; otherwise it is
+    reduced by reduce_symbolic_r2.
     """
     if plane not in (1, 2) or direction not in (1, -1):
         raise ValueError("plane in {1,2}, direction +-1")
-    if use_krel:
-        out = {}
-        for key, c in v.terms.items():
-            idx = _plane_index(key, plane)
-            tgt = _shift_plane(key, plane, direction)
-            if idx * direction >= 0:
-                out[tgt] = out.get(tgt, GaussianInt()) + c
-            else:
-                n = key.n
-                k1 = KBasisElement(n - 1, tgt.a, tgt.b)
-                k2 = KBasisElement(n - 2, tgt.a, tgt.b)
-                out[k1] = out.get(k1, GaussianInt()) + GaussianInt(n - 1, 0) * c
-                out[k2] = out.get(k2, GaussianInt()) + c
-        return KVector(out)
     out = {}
     for key, c in v.terms.items():
         idx = _plane_index(key, plane)
@@ -246,7 +247,7 @@ def apply_plane_mult(v: KVector, plane, direction, use_krel=True):
         rpow = 0 if idx * direction >= 0 else 1
         slot = (tgt, rpow)
         out[slot] = out.get(slot, GaussianInt()) + c
-    return out
+    return reduce_symbolic_r2(out) if use_krel else out
 
 
 def reduce_symbolic_r2(raw):
@@ -283,31 +284,21 @@ def apply_mult_xi(j, v: KVector):
 
 
 def _p_one_basis(key: KBasisElement, plane):
-    """P1 (plane 1) or P3 (plane 2) on a single basis element."""
+    """P1 (plane 1) or P3 (plane 2) on a single basis element, as
+    (target, integer coefficient) pairs with distinct targets."""
     n = key.n
-    if plane == 1:
-        idx, other = key.a, key.k
-    else:
-        idx, other = key.b, key.l
-    l, k = abs(idx), other
-    out = {}
-
-    def add(nn, d, coeff):
-        tgt = _shift_plane(KBasisElement(nn, key.a, key.b), plane, d)
-        out[tgt] = out.get(tgt, GaussianInt()) + _as_gauss(coeff)
-
+    idx, k = (key.a, key.k) if plane == 1 else (key.b, key.l)
+    l = abs(idx)
     if idx == 0:
-        for d in (1, -1):
-            add(n + 1, d, 2 * (k - n))
-            add(n, d, -2)
-        return KVector(out)
-    up = 1 if idx > 0 else -1  # direction that raises |a|
-    add(n + 1, up, 2 * (k - n))
-    add(n, up, -2)
-    add(n, -up, 2 * (n - l) * (l + k - n))
-    add(n - 1, -up, 2 * (2 * l + k - 2 * n + 1))
-    add(n - 2, -up, -2)
-    return KVector(out)
+        rows = [(n + 1, d, 2 * (k - n)) for d in (1, -1)]
+        rows += [(n, d, -2) for d in (1, -1)]
+    else:
+        up = 1 if idx > 0 else -1  # direction that raises |a|
+        rows = [(n + 1, up, 2 * (k - n)), (n, up, -2),
+                (n, -up, 2 * (n - l) * (l + k - n)),
+                (n - 1, -up, 2 * (2 * l + k - 2 * n + 1)), (n - 2, -up, -2)]
+    return [(_shift_plane(KBasisElement(nn, key.a, key.b), plane, d), coeff)
+            for nn, d, coeff in rows]
 
 
 def apply_P(j, v: KVector):
@@ -317,69 +308,60 @@ def apply_P(j, v: KVector):
     if j not in (1, 2, 3, 4):
         raise ValueError("j must be 1..4")
     plane = 1 if j <= 2 else 2
-    out = ZERO
+    out = {}
     for key, c in v.terms.items():
-        part = _p_one_basis(key, plane)
-        if j % 2 == 0:
-            idx = _plane_index(key, plane)
-            part = KVector({
-                t: GaussianInt(0, idx - _plane_index(t, plane)) * tc
-                for t, tc in part.terms.items()
-            })
-        out = out + part.scaled(c)
-    return out
+        idx = _plane_index(key, plane)
+        for t, tc in _p_one_basis(key, plane):
+            if j % 2:
+                coeff = GaussianInt(tc, 0)
+            else:
+                coeff = GaussianInt(0, (idx - _plane_index(t, plane)) * tc)
+            out[t] = out.get(t, GaussianInt()) + coeff * c
+    return KVector(out)
+
+
+def _ladder_terms(n, a, b, plane, sign):
+    """The direct ladder table on the label (n, a, b), l = |idx|:
+        idx*sign >= 0:  2(other-n) [n+1, idx+sign]
+        idx*sign < 0 :  2((n-l)(l+other-n) [n, idx+sign]
+                        + (2l+other-n) [n-1, idx+sign]),
+    as (target label, integer coefficient) pairs, zeros dropped."""
+    idx, other = (a, abs(b)) if plane == 1 else (b, abs(a))
+    ta, tb = (a + sign, b) if plane == 1 else (a, b + sign)
+    if idx * sign >= 0:
+        terms = (((n + 1, ta, tb), 2 * (other - n)),)
+    else:
+        l = abs(idx)
+        terms = (((n, ta, tb), 2 * (n - l) * (l + other - n)),
+                 ((n - 1, ta, tb), 2 * (2 * l + other - n)))
+    return [t for t in terms if t[1]]
 
 
 def apply_raise_lower(sign_op, v: KVector, plane=1, composite=False):
     """Ladder 2(xi + i sign xi') + (1/2)(P + i sign P') in the given plane.
 
     composite=True evaluates the defining combination from the mult and P
-    rewrites (they must agree with the direct table; a test asserts this).
-    Direct table on a basis element, d = sign_op:
-        idx*d >= 0:  2(other-n) [n+1, idx+d]
-        idx*d < 0 :  2((n-l)(l+other-n) [n, idx+d]
-                     + (2l+other-n) [n-1, idx+d]),  l = |idx|.
+    rewrites (they must agree with the direct table, _ladder_terms; a test
+    asserts this).
     """
     if sign_op not in (1, -1) or plane not in (1, 2):
         raise ValueError("sign_op +-1, plane in {1,2}")
-    if composite:
-        mult = apply_plane_mult(v, plane, sign_op).scaled(2)
-        if plane == 1:
-            pcomb = apply_P(1, v) + apply_P(2, v).scaled(
-                GaussianInt(0, sign_op)
-            )
-        else:
-            pcomb = apply_P(3, v) + apply_P(4, v).scaled(
-                GaussianInt(0, sign_op)
-            )
-        half = {}
-        for key, c in pcomb.terms.items():
-            if c.re % 2 or c.im % 2:
-                raise ArithmeticError("ladder combination is not even")
-            half[key] = GaussianInt(c.re // 2, c.im // 2)
-        return mult + KVector(half)
-    out = {}
-    for key, c in v.terms.items():
-        idx = _plane_index(key, plane)
-        other = key.k if plane == 1 else key.l
-        n = key.n
-        tgt = _shift_plane(key, plane, sign_op)
-        if idx * sign_op >= 0:
-            kk = KBasisElement(n + 1, tgt.a, tgt.b)
-            out[kk] = out.get(kk, GaussianInt()) + GaussianInt(
-                2 * (other - n), 0
-            ) * c
-        else:
-            l = abs(idx)
-            k0 = KBasisElement(n, tgt.a, tgt.b)
-            k1 = KBasisElement(n - 1, tgt.a, tgt.b)
-            out[k0] = out.get(k0, GaussianInt()) + GaussianInt(
-                2 * (n - l) * (l + other - n), 0
-            ) * c
-            out[k1] = out.get(k1, GaussianInt()) + GaussianInt(
-                2 * (2 * l + other - n), 0
-            ) * c
-    return KVector(out)
+    if not composite:
+        out = {}
+        for key, c in v.terms.items():
+            for label, coeff in _ladder_terms(key.n, key.a, key.b, plane, sign_op):
+                kk = KBasisElement(*label)
+                out[kk] = out.get(kk, GaussianInt()) + GaussianInt(coeff, 0) * c
+        return KVector(out)
+    mult = apply_plane_mult(v, plane, sign_op).scaled(2)
+    j = 2 * plane - 1
+    pcomb = apply_P(j, v) + apply_P(j + 1, v).scaled(GaussianInt(0, sign_op))
+    half = {}
+    for key, c in pcomb.terms.items():
+        if c.re % 2 or c.im % 2:
+            raise ArithmeticError("ladder combination is not even")
+        half[key] = GaussianInt(c.re // 2, c.im // 2)
+    return mult + KVector(half)
 
 
 def apply_X(j, k, v: KVector):
@@ -406,28 +388,42 @@ _ORBIT_BUDGET = 4000
 
 
 def orbit_closure(start: KBasisElement):
-    """Reachable basis labels under the four ladder operators.
+    """Reachable basis labels under the four ladder operators, found by a
+    breadth-first walk of the ladder table on (n, a, b) tuples.
 
     Returns (labels, dimension).  Raises if the orbit exceeds _ORBIT_BUDGET
     labels (which certifies non-closure for lattice violations in
     practice)."""
+    start = (start.n, start.a, start.b)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for key in frontier:
-            v = KVector({key: ONE_G})
+        for label in frontier:
             for plane in (1, 2):
                 for sgn in (1, -1):
-                    w = apply_raise_lower(sgn, v, plane)
-                    for kk in w.terms:
-                        if kk not in seen:
-                            seen.add(kk)
-                            nxt.append(kk)
+                    for tgt, _ in _ladder_terms(*label, plane, sgn):
+                        if tgt not in seen:
+                            seen.add(tgt)
+                            nxt.append(tgt)
             if len(seen) > _ORBIT_BUDGET:
                 raise RuntimeError("orbit exceeded the element budget")
         frontier = nxt
-    return frozenset(seen), len(seen)
+    return frozenset(KBasisElement(*t) for t in seen), len(seen)
+
+
+def orbit_labels(elem: KBasisElement):
+    """The orbit O(D) of a lattice label in closed form (module
+    docstring), as the frozenset orbit_closure returns."""
+    if not elem.in_l2_lattice():
+        raise ValueError("the orbit is finite only for n <= min(|a|, |b|)")
+    d = elem.l + elem.k - elem.n
+    return frozenset(
+        KBasisElement(abs(a) + abs(b) - j, a, b)
+        for j in range(d + 1)
+        for a in range(-j, j + 1)
+        for b in range(-j, j + 1)
+    )
 
 
 def kfinite_certificate(elem):
@@ -524,8 +520,11 @@ class AmbientBasis:
 
     def box22(self, pts):
         """(d11 + d22 - d33 - d44) F in closed form."""
+        return self._box22(self._pieces(pts))
+
+    def _box22(self, pieces):
         e = self.elem
-        x1, x2, x3, x4, r1, r2, rad, kt, ktp, ktpp, z1, z2, m1, m2 = self._pieces(pts)
+        x1, x2, x3, x4, r1, r2, rad, kt, ktp, ktpp, z1, z2, m1, m2 = pieces
         if self.extend_along == "r2":
             lap2 = (4.0 * ktpp + (2.0 + 4.0 * e.k) * ktp / r2) * m1 * m2
             return -lap2
@@ -544,9 +543,9 @@ class AmbientBasis:
         e = self.elem
         pts = np.asarray(pts, dtype=float)
         eps = 1.0 if j in (1, 2) else -1.0
-        box = self.box22(pts)
         xj = pts[..., j - 1]
         p = self._pieces(pts)
+        box = self._box22(p)
         rad, kt, ktp, ktpp = p[6], p[7], p[8], p[9]
         grads = self._product_partials(p, kt, 2.0 * ktp)
         g = grads[j - 1]

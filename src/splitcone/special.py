@@ -28,13 +28,13 @@ __all__ = [
 
 
 def _as_positive_array(u, name, allow_zero=False):
+    """u as a float array, checked once per public call (NaN fails)."""
     x = np.asarray(u, dtype=float)
     if allow_zero:
-        if not np.all(x >= 0):
+        if not (x >= 0).all():
             raise ValueError(f"{name} requires a nonnegative argument")
-    else:
-        if not np.all(x > 0):
-            raise ValueError(f"{name} requires a positive argument")
+    elif not (x > 0).all():
+        raise ValueError(f"{name} requires a positive argument")
     return x
 
 
@@ -57,11 +57,20 @@ def bessel_k0(u):
     return _like_input(sp.k0(_as_positive_array(u, "bessel_k0")))
 
 
+def _kn(n, x):
+    """K_n on an already checked argument; K_{-n} = K_n."""
+    return sp.kn(np.abs(np.asarray(n, dtype=int)), x)
+
+
+def _ktilde(n, x, kn):
+    """Kt_n(x) from K_n(x), integer n."""
+    return (2.0**n) * x ** (-float(n)) * kn
+
+
 def bessel_kn(n, u):
     """K_n for integer n of either sign (K_{-n} = K_n); an integer array of
     orders broadcasts against u."""
-    x = _as_positive_array(u, "bessel_kn")
-    return _like_input(sp.kn(np.abs(np.asarray(n, dtype=int)), x))
+    return _like_input(_kn(n, _as_positive_array(u, "bessel_kn")))
 
 
 def ktilde(n, r):
@@ -70,16 +79,23 @@ def ktilde(n, r):
     Negative orders use K_{-n} = K_n with the same renormalization, which is
     the unique convention under which the three-term recurrence
     r^2 Kt_{n+1}(2r) = n Kt_n(2r) + Kt_{n-1}(2r) holds across n = 0.
+
+    A sequence of orders gives one row per order, each bit for bit the
+    single-order value, from one K_n call.
     """
-    r = _as_positive_array(r, "ktilde")
+    x = _as_positive_array(r, "ktilde")
+    if np.ndim(n):
+        kns = _kn(np.reshape(n, (-1,) + (1,) * x.ndim), x)
+        return np.stack([_ktilde(int(m), x, kn) for m, kn in zip(n, kns)])
     n = int(n)
-    return (2.0**n) * r ** (-float(n)) * bessel_kn(n, r)
+    return _ktilde(n, x, _kn(n, x))
 
 
 def ktilde_deriv_2r(n, r):
     """Closed form of d/dr Kt_n(2r), namely -2r Kt_{n+1}(2r)."""
     r = _as_positive_array(r, "ktilde_deriv_2r")
-    return -2.0 * r * ktilde(n + 1, 2.0 * r)
+    n, x = int(n + 1), 2.0 * r
+    return -2.0 * r * _ktilde(n, x, _kn(n, x))
 
 
 def gamma_complex(z):

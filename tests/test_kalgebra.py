@@ -4,6 +4,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitcone.kalgebra import (
     AmbientBasis,
@@ -20,11 +22,13 @@ from splitcone.kalgebra import (
     box22_fd,
     kfinite_certificate,
     orbit_closure,
+    orbit_labels,
     reduce_symbolic_r2,
 )
 from splitcone.numerics import SplitMix64
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "orbit_dims.json"
+P_J_GOLDEN = pathlib.Path(__file__).parent / "golden" / "p_j_values.json"
 
 
 def cone_points(m, seed=42):
@@ -255,6 +259,58 @@ def test_orbit_dims_match_golden():
         assert got == dim, (label, got, dim)
 
 
+def test_orbit_dims_are_binomials():
+    # |O(D)| = sum_j (2j+1)^2 = C(2D+3, 3), D = l + k - n
+    golden = json.loads(GOLDEN.read_text())
+    for label, dim in golden.items():
+        n, l, k = (int(v) for v in label.split(","))
+        assert dim == math.comb(2 * (l + k - n) + 3, 3), label
+
+
+def test_orbit_walk_equals_closed_form():
+    starts = [KBasisElement(n, a, b)
+              for a in range(-4, 5) for b in range(-4, 5)
+              for n in range(-2, min(abs(a), abs(b)) + 1)]
+    assert len(starts) == 363
+    for elem in starts:
+        labels, dim = orbit_closure(elem)
+        assert labels == orbit_labels(elem), elem
+        assert dim == len(labels)
+        assert all(isinstance(key, KBasisElement) for key in labels)
+
+
+def test_orbit_outside_lattice_exceeds_budget():
+    with pytest.raises(RuntimeError):
+        orbit_closure(KBasisElement(2, 1, 1))
+    with pytest.raises(ValueError):
+        orbit_labels(KBasisElement(2, 1, 1))
+
+
 def test_orbit_minimal_vector_fixed():
     labels, dim = orbit_closure(KBasisElement(0, 0, 0))
     assert dim == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-4, 4), st.integers(-4, 4)),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    min_size=1, max_size=8))
+def test_kvector_evaluate_is_the_sum_of_its_terms_bitwise(raw):
+    v = KVector({KBasisElement(*key): GaussianInt(*c) for key, c in raw.items()})
+    r, t1, t2, _ = cone_points(7, seed=3)
+    acc = np.zeros(r.shape, dtype=complex)
+    for key, c in v.terms.items():
+        acc = acc + complex(c) * key.evaluate(r, t1, t2)
+    assert v.evaluate(r, t1, t2).tolist() == acc.tolist()
+
+
+def test_ambient_p_j_pinned_values():
+    # the closed-form P_j values at fixed points, pinned bit for bit
+    golden = json.loads(P_J_GOLDEN.read_text())
+    pts = np.array(golden["points"])
+    for label, want in golden["values"].items():
+        key, ext, j = label.split("/")
+        amb = AmbientBasis(KBasisElement(*(int(v) for v in key.split(","))), ext)
+        got = amb.p_j(int(j), pts)
+        assert [[z.real, z.imag] for z in got.tolist()] == want, label

@@ -43,6 +43,16 @@ def test_kn_array_of_orders_broadcasts():
         assert row.tolist() == special.bessel_kn(n, xs).tolist()
 
 
+def test_ktilde_rows_match_single_orders():
+    xs = np.array([0.3, 1.1, 4.0, 9.5])
+    rows = special.ktilde([-3, 0, 2, 2], xs)
+    assert rows.shape == (4, 4)
+    for row, n in zip(rows, (-3, 0, 2, 2)):
+        assert row.tolist() == special.ktilde(n, xs).tolist()
+    assert special.ktilde([1, -1], 0.7).tolist() == [
+        special.ktilde(1, 0.7), special.ktilde(-1, 0.7)]
+
+
 def test_domain_rejections():
     with pytest.raises(ValueError):
         special.bessel_j0(-1.0)
@@ -56,6 +66,13 @@ def test_domain_rejections():
         special.bessel_j0(math.nan)
     with pytest.raises(ValueError):
         special.bessel_kn(2, np.array([1.0, math.nan]))
+    for bad in (math.nan, 0.0, -1.0):
+        arr = np.array([0.5, bad, 2.0])
+        for fn in (special.ktilde, special.ktilde_deriv_2r):
+            with pytest.raises(ValueError):
+                fn(1, arr)
+        with pytest.raises(ValueError):
+            special.ktilde([0, 1], arr)
 
 
 def test_j0_at_zero_and_first_zero():
@@ -132,3 +149,41 @@ def test_gamma_identities_and_poles():
         special.gamma_complex(0.0)
     with pytest.raises(ValueError):
         special.gamma_complex(-3.0)
+
+
+def test_bessel_suite_array_forms_equal_scalar_loops():
+    # the suite's array passes against the per-point loops they replace
+    from splitcone.suites import SuiteConfig, suite_bessel
+
+    got = {c.check_id: c.computed.real for c in suite_bessel(SuiteConfig(suite="bessel"))}
+    worst = 0.0
+    for n in range(-5, 6):
+        for r in np.linspace(0.1, 5.0, 21):
+            lhs = r * r * special.ktilde(n + 1, 2 * r)
+            rhs = n * special.ktilde(n, 2 * r) + special.ktilde(n - 1, 2 * r)
+            worst = max(worst, abs(lhs - rhs) / abs(special.ktilde(n, 2 * r)))
+    assert got["bessel.ktilde_recurrence"] == worst
+    worst = 0.0
+    for n in (-2, 0, 1, 3):
+        for r in (0.3, 1.0, 2.0):
+            h = 1e-5 * max(1.0, r)
+            fd = (special.ktilde(n, 2 * (r + h)) - special.ktilde(n, 2 * (r - h))) / (2 * h)
+            cf = special.ktilde_deriv_2r(n, r)
+            worst = max(worst, abs(fd - cf) / max(abs(cf), 1e-300))
+    assert got["bessel.ktilde_derivative"] == worst
+    worst = 0.0
+    for n in (-1, 0, 2):
+        for r in (0.8, 1.6, 3.0):
+            h = 1e-4 * max(1.0, r)
+
+            def op(f, x):
+                return -2.0 * (f(x + h) - f(x - h)) / (2 * h) / x
+
+            def g1(x):
+                return op(lambda y: special.ktilde(n, y), x)
+
+            worst = max(worst, abs(g1(r) - special.ktilde(n + 1, r))
+                        / abs(special.ktilde(n + 1, r)))
+            worst = max(worst, abs(op(g1, r) - special.ktilde(n + 2, r))
+                        / abs(special.ktilde(n + 2, r)))
+    assert got["bessel.ktilde_iterated_derivative"] == worst

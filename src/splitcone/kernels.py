@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hankel1e, hankel2e, kve
 
 from . import special
 from .geometry import ConePoint, DualVector, cone_embed, pair
@@ -403,72 +404,37 @@ def delta_hyperboloid_apply(psi, R):
     return delta_quadric_apply(psi, R * R)
 
 
+# Where the reduction oracle's path turns down; the value does not depend on it
+_ORACLE_TURN = 20.0
+
+
 def ft_bruteforce_damped(R, xi, sign_R2, sign_eps, eps=0.4):
-    """Low-accuracy spot-check oracle for the regularized transform at one
-    finite eps; the default `kernels` suite runs it in its
-    `ft.reduction_oracle` checks.
-
-    Both angular planes of the defining 4-d integral are reduced exactly in
-    polar coordinates, leaving
-
-        (1/4) iint J0(r1 sqrt(u)) J0(r2 sqrt(v)) (u - v + c)^-2 du dv,
-
-    c = sign_R2 R^2 + i sign_eps eps, computed by direct panel quadrature:
-    the inner u-integral clusters panels at the pole shadow, the outer
-    integral (in s = sqrt(v)) is truncated at s = 120 with half-period
-    averaging of the slowest beat phase.  Compare against the damped
-    production value at the same eps; expect ~1e-3 relative.
-    """
+    """Independent value at finite eps of the reduced transform (1/4) iint
+    J0(r1 sqrt u) J0(r2 sqrt v) (u - v + c)^-2 du dv, c = sign_R2 R^2 + i sign_eps
+    eps.  The u-integral is r1 K1(r1 a)/a, a = sqrt(c - v) on the principal branch
+    (Gradshteyn & Ryzhik 6.565.4, nu = 0, mu = 1); r1 > r2 by I(r1, r2, c) =
+    I(r2, r1, -c).  In s = sqrt(v) the rest runs on s = x - i sig tanh x, sig =
+    sign(Im c), x in [0, S] (8 order-16 panels per unit), then on geometric panels
+    down s(S) - i sig t, t in [0, 50/(r1 - r2)], where both Hankel halves of J0
+    decay; scaled K1 and Hankel functions, exponents summed, cannot overflow.
+    Supported range, else ValueError: r1, r2 in [0.05, 3], |r1 - r2| >= 1e-4 (r1 +
+    r2), R in [0.1, 3], eps in [0.01, 3]; there it is within 5e-13 of damped H."""
     _check_signs(sign_R2, sign_eps)
     r1, r2 = _polar_radii(xi)
-    if r1 <= 0 or r2 <= 0 or r1 == r2:
-        raise ValueError("oracle wants r1, r2 > 0 and r1 != r2")
+    if not (0.05 <= r1 <= 3 and 0.05 <= r2 <= 3 and 0.1 <= R <= 3
+            and 0.01 <= eps <= 3 and abs(r1 - r2) >= 1e-4 * (r1 + r2)):
+        raise ValueError("ft_bruteforce_damped: outside the supported range")
     c = sign_R2 * R * R + 1j * sign_eps * eps
-
-    def inner(v):
-        """int_0^inf J0(r1 sqrt(u)) (u - v + c)^-2 du."""
-        u0 = max(v - sign_R2 * R * R, 0.0)
-        pts = [0.0]
-        if u0 > 0:
-            down = u0
-            widths = []
-            wdt = max(eps / 3.0, 1e-3)
-            while down > 0:
-                widths.append(min(wdt, down))
-                down -= wdt
-                wdt *= 1.7
-            for wd in reversed(widths):
-                pts.append(pts[-1] + wd)
-            pts[-1] = u0
-        u = pts[-1]
-        wdt = max(eps / 3.0, 1e-3)
-        u_cap = max(u0 * 6.0 + 50.0, (120.0 / r1) ** 2, 400.0)
-        while u < u_cap:
-            osc_cap = 4.0 * math.sqrt(max(u, 1.0)) / r1
-            step = min(wdt, osc_cap)
-            u += step
-            pts.append(u)
-            wdt *= 1.6
-        nodes, wq = panel_nodes(pts, 10)
-        f = special.bessel_j0(r1 * np.sqrt(nodes)) * (nodes - v + c) ** -2.0
-        return np.dot(f, wq)
-
-    s_max = 120.0
-    beat = 2.0 * math.pi / abs(r1 - r2)
-    s_end = s_max + 0.5 * beat
-    # outer panels in s = sqrt(v), aligned so s_max and s_end are boundaries
-    n_pan = int(math.ceil(s_max / min(0.5, 2.0 / (r1 + r2 + 1.0))))
-    s_breaks = np.linspace(0.0, s_max, n_pan + 1)
-    n_pan2 = max(4, int(math.ceil(0.5 * beat / (s_breaks[1] - s_breaks[0]))))
-    s_breaks2 = np.linspace(s_max, s_end, n_pan2 + 1)
-
-    def outer_sum(breaks):
-        nodes, wq = panel_nodes(breaks, 10)
-        vals = np.array([inner(s * s) for s in nodes])
-        f = special.bessel_j0(r2 * nodes) * 2.0 * nodes * vals
-        return np.dot(f, wq)
-
-    main = outer_sum(s_breaks)
-    extra = outer_sum(s_breaks2)
-    # average of the truncations at s_max and s_max + beat/2
-    return 0.25 * (main + 0.5 * extra)
+    if r1 < r2:
+        r1, r2, c = r2, r1, -c
+    sig, S = math.copysign(1.0, c.imag), _ORACLE_TURN
+    x, wx = panel_nodes(np.linspace(0.0, S, int(8 * S) + 1), 16)
+    t0, t1 = 0.25 / max(1.0, r1 + r2), 50.0 / (r1 - r2)
+    ray = np.geomspace(t0, t1, int(4 * math.log(t1 / t0)) + 2)
+    t, wt = panel_nodes(np.r_[0.0, ray], 16)
+    z = np.r_[x - 1j * sig * np.tanh(x), S - 1j * sig * (math.tanh(S) + t)]
+    w = np.r_[wx * (1.0 - 1j * sig / np.cosh(x) ** 2), -1j * sig * wt]
+    a = np.sqrt(c - z * z)
+    return 0.25 * np.dot(z * r1 * kve(1, r1 * a) / a * (
+        hankel1e(0, r2 * z) * np.exp(1j * r2 * z - r1 * a)
+        + hankel2e(0, r2 * z) * np.exp(-1j * r2 * z - r1 * a)), w)

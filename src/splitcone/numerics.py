@@ -2,8 +2,8 @@
 Richardson extrapolation, and panel-based Gauss-Legendre quadrature.
 
 Every routine here is deterministic for fixed inputs; summations run in a
-fixed order (pairwise over the panel index), so results do not depend on
-worker count anywhere in the package.
+fixed order, so results do not depend on worker count anywhere in the
+package.
 """
 
 from __future__ import annotations
@@ -103,42 +103,12 @@ def panel_nodes(breaks, order=12):
     """Gauss-Legendre nodes and weights for the panels defined by `breaks`.
 
     This is the package's only multi-panel rule: the delta volume route,
-    the operator grids and the Mellin grids all call it.  Returns (nodes,
-    weights) flattened over panels in breakpoint order, so
-    `reshape(-1, order)` recovers one row per panel.
+    the operator grids, the Mellin grids and the reduction oracle all call
+    it.  Returns (nodes, weights) flattened over panels in breakpoint
+    order, so `reshape(-1, order)` recovers one row per panel.
     """
     x, w = gauss_legendre(order)
     breaks = np.asarray(breaks, dtype=float)
     a, b = breaks[:-1, None], breaks[1:, None]
     half = 0.5 * (b - a)
     return (0.5 * (a + b) + half * x).ravel(), (half * w).ravel()
-
-
-def integrate_panels(f, breaks, order=12):
-    """Integrate a vectorized callable over fixed panels, pairwise-summed."""
-    nodes, weights = panel_nodes(breaks, order)
-    vals = f(nodes) * weights
-    per_panel = vals.reshape(len(breaks) - 1, order).sum(axis=1)
-    return stable_sum(per_panel)
-
-
-def integrate_decaying(f, a, scale):
-    """Integrate f over [a, inf) for integrands decaying on the given scale.
-
-    Doubles the integration window in octaves of width `scale` (order-16
-    panels) until the last octave contributes less than 1e-16, for at most
-    60 octaves.  The integrand must decay at least exponentially-ish on
-    `scale`; raises RuntimeError otherwise.
-    """
-    total = 0.0 + 0.0j
-    lo = float(a)
-    width = float(scale)
-    for _ in range(60):
-        breaks = np.linspace(lo, lo + width, 5)
-        part = integrate_panels(f, breaks, 16)
-        total += part
-        if abs(part) < 1e-16:
-            return total
-        lo += width
-        width *= 1.5
-    raise RuntimeError("integrate_decaying: tail did not fall below 1e-16")

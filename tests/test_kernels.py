@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from splitcone import kernels
 from splitcone.geometry import ConePoint, DualVector, cone_embed, pair
 from splitcone.kernels import (
     corollary_kernels,
@@ -307,13 +308,80 @@ def test_batched_kernels_match_single_calls():
     assert syms.shape == antis.shape == lv.r1.shape == (2,)
 
 
-@pytest.mark.slow
+def _damped_reference(R, xi, sR, se, eps):
+    """-1/4 H(a eta, -b eta sR R^2, |b| eps), the production reduction at eps."""
+    r1, r2 = xi.polar_radii
+    a, b = 0.5 * (r1 + r2), 0.5 * (r1 - r2)
+    eta = -math.copysign(1.0, b) * se
+    return -0.25 * hyperbolic_oscillatory(a * eta, -b * eta * sR * R * R, abs(b) * eps)
+
+
+_SIGN_PAIRS = [(-1, 1), (1, 1), (1, -1), (-1, -1)]
+
+
 def test_bruteforce_oracle_matches_production_at_finite_eps():
-    xi = DualVector(1.5, 0.0, 0.5, 0.0)
-    eps = 0.4
-    for sR, se in ((-1, 1), (1, -1)):
-        got = ft_bruteforce_damped(1.0, xi, sR, se, eps=eps)
-        a, b = 1.0, 0.5
-        eta = -1.0 * se
-        ref = -0.25 * hyperbolic_oscillatory(a * eta, -b * eta * sR, b * eps)
-        assert abs(got - ref) < 3e-2 * abs(ref)
+    # the suite's point, both orderings of r1 and r2, all four sign pairs
+    for xi in (DualVector(1.5, 0.0, 0.5, 0.0), DualVector(0.5, 0.0, 1.5, 0.0)):
+        for sR, se in _SIGN_PAIRS:
+            got = ft_bruteforce_damped(1.0, xi, sR, se, eps=0.4)
+            ref = _damped_reference(1.0, xi, sR, se, 0.4)
+            assert abs(got - ref) < 1e-12 * abs(ref), (xi, sR, se)
+
+
+def test_bruteforce_oracle_over_supported_range():
+    # the corners of the box, then draws inside it; a third of the draws
+    # have nearly equal radii, with gaps |r1 - r2| / r1 from 2.5e-4 to 0.1
+    cases = [(R, eps, r1, r2) for R in (0.1, 3.0) for eps in (0.01, 3.0)
+             for r1, r2 in ((0.05, 3.0), (3.0, 0.05), (3.0, 2.9993))]
+    rng = SplitMix64(11)
+    for k in range(24):
+        R, eps, r1 = rng.uniform(0.1, 3.0), rng.uniform(0.01, 3.0), rng.uniform(0.05, 3.0)
+        r2 = r1 * (1.0 - 10.0 ** rng.uniform(-3.6, -1.0)) if k % 3 == 0 else rng.uniform(0.05, 3.0)
+        r2 = max(r2, 0.05)
+        if abs(r1 - r2) >= 1e-4 * (r1 + r2):
+            cases.append((R, eps, r1, r2))
+    for k, (R, eps, r1, r2) in enumerate(cases):
+        xi = DualVector(r1, 0.0, 0.0, r2)
+        sR, se = _SIGN_PAIRS[k % 4]
+        got = ft_bruteforce_damped(R, xi, sR, se, eps=eps)
+        ref = _damped_reference(R, xi, sR, se, eps)
+        assert abs(got - ref) < 1e-12 * abs(ref), (R, eps, r1, r2, sR, se)
+
+
+@pytest.mark.parametrize("turn", [10.0, 40.0])
+def test_bruteforce_oracle_does_not_depend_on_the_turn(monkeypatch, turn):
+    points = [(1.0, DualVector(1.5, 0.0, 0.5, 0.0), 0.4),
+              (0.1, DualVector(0.3, 0.4, 2.0, -1.0), 0.01),
+              (2.0, DualVector(1.0, 0.0, 1.001, 0.0), 0.1)]
+    values = [[ft_bruteforce_damped(R, xi, sR, se, eps) for sR, se in _SIGN_PAIRS]
+              for R, xi, eps in points]
+    monkeypatch.setattr(kernels, "_ORACLE_TURN", turn)
+    for (R, xi, eps), row in zip(points, values):
+        for (sR, se), v in zip(_SIGN_PAIRS, row):
+            assert abs(ft_bruteforce_damped(R, xi, sR, se, eps) - v) < 1e-13 * abs(v)
+
+
+@pytest.mark.parametrize("R, xi, eps", [
+    (0.0, (1.5, 0.0, 0.5, 0.0), 0.4),
+    (-1.0, (1.5, 0.0, 0.5, 0.0), 0.4),
+    (math.nan, (1.5, 0.0, 0.5, 0.0), 0.4),
+    (math.inf, (1.5, 0.0, 0.5, 0.0), 0.4),
+    (1.0, (1.5, 0.0, 0.5, 0.0), 0.0),
+    (1.0, (1.5, 0.0, 0.5, 0.0), -0.4),
+    (1.0, (1.5, 0.0, 0.5, 0.0), math.nan),
+    (1.0, (1.5, 0.0, 0.5, 0.0), math.inf),
+    (0.09, (1.5, 0.0, 0.5, 0.0), 0.4),
+    (3.1, (1.5, 0.0, 0.5, 0.0), 0.4),
+    (1.0, (1.5, 0.0, 0.5, 0.0), 0.009),
+    (1.0, (1.5, 0.0, 0.5, 0.0), 3.1),
+    (1.0, (1.5, 0.0, 0.04, 0.0), 0.4),
+    (1.0, (3.1, 0.0, 0.5, 0.0), 0.4),
+    (1.0, (1.5, 0.0, 1.5, 0.0), 0.4),
+    (1.0, (1.5, 0.0, 1.4999, 0.0), 0.4),
+    (1.0, (math.nan, 0.0, 0.5, 0.0), 0.4),
+], ids=["R-zero", "R-negative", "R-nan", "R-inf", "eps-zero", "eps-negative",
+        "eps-nan", "eps-inf", "R-small", "R-large", "eps-small", "eps-large",
+        "r2-small", "r1-large", "r1-equals-r2", "r1-near-r2", "xi-nan"])
+def test_bruteforce_oracle_rejects_outside_supported_range(R, xi, eps):
+    with pytest.raises(ValueError, match="outside the supported range"):
+        ft_bruteforce_damped(R, DualVector(*xi), 1, 1, eps=eps)

@@ -91,12 +91,43 @@ def test_integral_oracles():
     for u in np.exp(np.linspace(math.log(0.1), math.log(20), 12)):
         assert abs(special.bessel_j0(u) - oracles.j0_oracle(u)) < 1e-8
         assert abs(special.bessel_y0(u) - oracles.y0_oracle(u)) < 1e-8
-        assert abs(special.bessel_k0(u) - oracles.k0_oracle_exp(u)) < 1e-8
+        assert abs(special.bessel_k0(u) - oracles.kn_oracle(0, u)) < 1e-8
     # both integral forms of the K representation agree
     for u in (0.5, 1.0, 3.0):
-        assert abs(oracles.k0_oracle_cos(u) - oracles.k0_oracle_exp(u)) < 1e-10
+        assert abs(oracles.k0_oracle_cos(u) - oracles.kn_oracle(0, u)) < 1e-10
     for n in (1, 2, 4):
         assert abs(special.bessel_kn(n, 2.2) - oracles.kn_oracle(n, 2.2)) < 1e-9
+
+
+def test_kn_oracle_against_mpmath():
+    us = np.geomspace(0.05, 200.0, 30)
+    for n in range(6):
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselk(n, u)) for u in us])
+        assert np.max(np.abs(oracles.kn_oracle(n, us) - ref) / ref) < 1e-13
+
+
+def test_kn_oracle_batch_equals_scalar_calls():
+    us = np.geomspace(0.05, 200.0, 37).reshape(37, 1)
+    for n in (0, 3, -5):
+        batch = oracles.kn_oracle(n, us)
+        assert batch.shape == (37, 1)
+        one = [oracles.kn_oracle(n, float(u)) for u in us.ravel()]
+        assert all(type(v) is float for v in one)
+        assert batch.ravel().tolist() == one
+
+
+@pytest.mark.parametrize("oracle", [
+    oracles.j0_oracle, oracles.y0_oracle, oracles.k0_oracle_cos,
+    lambda u: oracles.kn_oracle(0, u), lambda u: oracles.kn_oracle(3, u),
+], ids=["j0", "y0", "k0_cos", "k0", "k3"])
+@pytest.mark.parametrize("u", [0.0, -1.0, math.nan, math.inf, -math.inf],
+                         ids=["zero", "negative", "nan", "inf", "-inf"])
+def test_oracles_reject_bad_u(oracle, u):
+    with pytest.raises(ValueError, match="oracle requires finite u > 0"):
+        oracle(u)
+    with pytest.raises(ValueError, match="oracle requires finite u > 0"):
+        oracle(np.array([1.0, u]))
 
 
 def test_ktilde_recurrence_and_derivative():

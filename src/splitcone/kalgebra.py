@@ -492,31 +492,24 @@ class AmbientBasis:
         p = self._pieces(pts)
         return p[7] * p[12] * p[13]  # kt * m1 * m2
 
-    def _product_partials(self, pieces, G, Gp):
-        """Partials of G(rad) m1 m2 given the radial factor and its
-        derivative with respect to rad."""
+    def _product_partial(self, j, pieces, G, Gp):
+        """d_j of G(rad) m1 m2, given the radial factor and its derivative
+        with respect to rad."""
         e = self.elem
         x1, x2, x3, x4, r1, r2, rad, _kt, _ktp, _ktpp, z1, z2, m1, m2 = pieces
-        m1d = e.l * z1 ** (e.l - 1) if e.l > 0 else np.zeros_like(z1)
+        if j <= 2:
+            m1d = e.l * z1 ** (e.l - 1) if e.l > 0 else np.zeros_like(z1)
+            if self.extend_along == "r2":
+                return G * m1d * m2 if j == 1 else 1j * e.s1 * G * m1d * m2
+            if j == 1:
+                return Gp * (x1 / r1) * m1 * m2 + G * m1d * m2
+            return Gp * (x2 / r1) * m1 * m2 + G * 1j * e.s1 * m1d * m2
         m2d = e.k * z2 ** (e.k - 1) if e.k > 0 else np.zeros_like(z2)
-        if self.extend_along == "r2":
-            d1 = G * m1d * m2
-            d2 = 1j * e.s1 * G * m1d * m2
-            d3 = Gp * (x3 / r2) * m1 * m2 + G * m1 * m2d
-            d4 = Gp * (x4 / r2) * m1 * m2 + G * m1 * 1j * e.s2 * m2d
-        else:
-            d1 = Gp * (x1 / r1) * m1 * m2 + G * m1d * m2
-            d2 = Gp * (x2 / r1) * m1 * m2 + G * 1j * e.s1 * m1d * m2
-            d3 = G * m1 * m2d
-            d4 = G * m1 * 1j * e.s2 * m2d
-        return d1, d2, d3, d4
-
-    def partials(self, pts):
-        """(F, dF/dx1..dx4) at the points."""
-        p = self._pieces(pts)
-        kt, ktp = p[7], p[8]
-        F = kt * p[12] * p[13]
-        return F, self._product_partials(p, kt, 2.0 * ktp)
+        if self.extend_along == "r1":
+            return G * m1 * m2d if j == 3 else G * m1 * 1j * e.s2 * m2d
+        if j == 3:
+            return Gp * (x3 / r2) * m1 * m2 + G * m1 * m2d
+        return Gp * (x4 / r2) * m1 * m2 + G * m1 * 1j * e.s2 * m2d
 
     def box22(self, pts):
         """(d11 + d22 - d33 - d44) F in closed form."""
@@ -547,12 +540,11 @@ class AmbientBasis:
         p = self._pieces(pts)
         box = self._box22(p)
         rad, kt, ktp, ktpp = p[6], p[7], p[8], p[9]
-        grads = self._product_partials(p, kt, 2.0 * ktp)
-        g = grads[j - 1]
+        g = self._product_partial(j, p, kt, 2.0 * ktp)
         # H = G2(rad) m1 m2 with G2 = 2 rad Kt'(2 rad);
         # G2' = 2 Kt'(2 rad) + 4 rad Kt''(2 rad)
-        dH = self._product_partials(p, 2.0 * rad * ktp, 2.0 * ktp + 4.0 * rad * ktpp)
-        deg_g = (e.l + e.k) * g + dH[j - 1]
+        dH = self._product_partial(j, p, 2.0 * rad * ktp, 2.0 * ktp + 4.0 * rad * ktpp)
+        deg_g = (e.l + e.k) * g + dH
         return eps * xj * box - 2.0 * deg_g
 
     def x_jk(self, j, k, pts):
@@ -560,12 +552,13 @@ class AmbientBasis:
         if not (1 <= j < k <= 4):
             raise ValueError("need 1 <= j < k <= 4")
         pts = np.asarray(pts, dtype=float)
-        F, d = self.partials(pts)
+        p = self._pieces(pts)
+        dj, dk = (self._product_partial(i, p, p[7], 2.0 * p[8]) for i in (j, k))
         ej = 1.0 if j in (1, 2) else -1.0
         ek = 1.0 if k in (1, 2) else -1.0
         xj = pts[..., j - 1]
         xk = pts[..., k - 1]
-        return ej * ek * xj * d[k - 1] - xk * d[j - 1]
+        return ej * ek * xj * dk - xk * dj
 
 
 def box22_fd(fn, pts):

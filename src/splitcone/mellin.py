@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import ConePoint
 from .numerics import panel_nodes
-from .operators import make_f_xi_eps, ray_values
+from .operators import make_f_xi_eps, ray_rows, ray_values
 from .special import gamma_complex
 
 __all__ = [
@@ -208,64 +208,76 @@ def _ratio_closed_form(rho, R, parity_eps, thetas=(0.0, 0.5, 1.5)):
 
 
 class RayTable:
-    """Cached ray evaluations of both operators on a log-s Gauss grid.
+    """Ray evaluations of both operators on a log-s Gauss grid, with the
+    power laws fitted at the grid's edges.
 
     The operators act on the test function at the base point (1, 0.7, 0.3).
     The grid doubles as the Mellin quadrature rule (10 Gauss-Legendre
     panels of order 8 in log s on [s_lo, s_hi]); known asymptotic exponents
     supply analytic tail models: the Phi0+ chain opens like s^(1/2) and
     closes like s^(-3/2); the Psi0 chain has an s -> 0 form A + B log s and
-    closes like s^(-3/2), s^(-2).
+    closes like s^(-3/2), s^(-2).  The radial rows behind the values do not
+    depend on the parity, so tables of both parities may share the rows of
+    `shared_rows`; each value row's edge power laws are fitted once.
     """
 
     s_lo = 1e-3
     s_hi = 400.0
+    radial = "sqrt_exponential"
+    x, w = panel_nodes(np.linspace(math.log(s_lo), math.log(s_hi), 11), 8)
+    s = np.exp(x)
 
-    def __init__(self, parity_eps, R_list):
+    @classmethod
+    def shared_rows(cls, R_list):
+        """ray_rows of "fc" and of "pl" at each R, on the table's s grid."""
+        return {"fc": ray_rows(cls.radial, "fc", cls.s),
+                "pl": {R: ray_rows(cls.radial, "pl", cls.s, R) for R in R_list}}
+
+    def __init__(self, parity_eps, R_list, rows=None):
         self.parity_eps = parity_eps
-        self.f = make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), parity_eps)
-        self.x, self.w = panel_nodes(
-            np.linspace(math.log(self.s_lo), math.log(self.s_hi), 11), 8
-        )
-        self.s = np.exp(self.x)
-        self.fc_vals = ray_values(self.f, "fc", self.s)
-        self.pl_vals = {R: ray_values(self.f, "pl", self.s, R=R) for R in R_list}
+        self.f = make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), parity_eps, self.radial)
+        rows = rows if rows is not None else self.shared_rows(R_list)
+        self.fc_vals = ray_values(self.f, "fc", self.s, rows=rows["fc"])
+        self.pl_vals = {R: ray_values(self.f, "pl", self.s, R, rows["pl"][R])
+                        for R in R_list}
+        # s -> 0: FC like A + B log s (+ C sqrt s), Pl like A (+ sqrt, linear)
+        self.fc_fits = self._edge_fits(self.fc_vals, [0.0, "log", 0.5])
+        self.pl_fits = {R: self._edge_fits(v, [0.0, 0.5, 1.0])
+                        for R, v in self.pl_vals.items()}
 
-    def _fit_powers(self, vals, side, powers):
-        """Least-squares fit of vals ~ sum c_k s^powers[k] at a window edge."""
-        if side == "lower":
-            idx = np.arange(8)
-        else:
-            idx = np.arange(len(self.s) - 12, len(self.s))
-        s = self.s[idx]
-        A = np.stack([s**p if p != "log" else np.log(s) for p in powers], axis=1)
-        coef, *_ = np.linalg.lstsq(A, vals[idx], rcond=None)
-        return coef
+    def _edge_fits(self, vals, lower_powers):
+        """[(side, edge, powers, c)] of the least-squares fits vals ~ sum c_k
+        s^powers[k]: lower_powers on the first 8 nodes, s^(-3/2), s^(-2) and
+        s^(-5/2) on the last 12."""
+        fits = []
+        for side, edge, powers, idx in (
+                ("lower", self.s_lo, lower_powers, np.arange(8)),
+                ("upper", self.s_hi, [-1.5, -2.0, -2.5], np.arange(-12, 0))):
+            s = self.s[idx]
+            A = np.stack([s**p if p != "log" else np.log(s) for p in powers], axis=1)
+            coef = np.linalg.lstsq(A, vals[idx], rcond=None)[0]
+            fits.append((side, edge, powers, coef))
+        return fits
 
-    def _mellin_with_tails(self, vals, rho, lower_powers):
-        """Grid Mellin sum plus closed-form tails of the powers fitted at
-        each window edge: lower_powers below s_lo, s^(-3/2), s^(-2) and
-        s^(-5/2) above s_hi.  The power "log" is the term log s, whose tail
-        is int_0^e s^(mu-1) log s ds = e^mu (log e / mu - 1/mu^2)."""
+    def _mellin_with_tails(self, vals, rho, fits):
+        """Grid Mellin sum plus the closed-form tails of the fitted powers.
+        The power "log" is the term log s, whose tail is
+        int_0^e s^(mu-1) log s ds = e^mu (log e / mu - 1/mu^2)."""
         mu = 1.0 - 1j * rho
         total = complex(np.dot(vals * np.exp(mu * self.x), self.w))
-        for side, edge, powers in (("lower", self.s_lo, lower_powers),
-                                   ("upper", self.s_hi, [-1.5, -2.0, -2.5])):
+        for side, edge, powers, coef in fits:
             total += sum(
                 c * edge**mu * (math.log(edge) / mu - 1.0 / (mu * mu))
                 if p == "log" else mellin_power_tail(c, p, rho, edge, side)
-                for c, p in zip(self._fit_powers(vals, side, powers), powers)
+                for c, p in zip(coef, powers)
             )
         return total
 
     def mellin_pl(self, rho, R):
-        # ray values open on a constant (plus sqrt/linear corrections) and
-        # close like s^(-3/2) with an s^(-2) correction
-        return self._mellin_with_tails(self.pl_vals[R], rho, [0.0, 0.5, 1.0])
+        return self._mellin_with_tails(self.pl_vals[R], rho, self.pl_fits[R])
 
     def mellin_fc(self, rho):
-        # s -> 0: A + B log s (+ C sqrt s)
-        return self._mellin_with_tails(self.fc_vals, rho, [0.0, "log", 0.5])
+        return self._mellin_with_tails(self.fc_vals, rho, self.fc_fits)
 
 
 def verify_ratio(rho, R, parity_eps, mode="closed_form",

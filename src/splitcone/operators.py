@@ -51,6 +51,7 @@ __all__ = [
     "op_FCstar",
     "op_FC",
     "op_PlHatPrime",
+    "ray_rows",
     "ray_values",
     "chain_pl_theta_integrand",
     "chain_fc_theta_integrand",
@@ -276,28 +277,27 @@ def _angular_constants(base, center, width, parity_eps):
     return cp, cm
 
 
-# ----- radial transforms for ray evaluations (separable fast path) -----
+# ----- separable fast path: on the ray, C+- times parity-free radial rows -----
 
 
-def _u_weight(f: TestFunctionFxiEps, u):
+def _u_weight(radial, u):
     """Weight of the substituted radial integral: t = u^2 gives
     2 u^2 exp(-u) (sqrt profile) or 2 u^2 exp(-u^2) (exponential)."""
-    if f.radial == "sqrt_exponential":
+    if radial == "sqrt_exponential":
         return 2.0 * u * u * np.exp(-u)
     return 2.0 * u * u * np.exp(-u * u)
 
 
-def _u_grid(f: TestFunctionFxiEps, osc_coeff, tol):
+def _u_grid(radial, step, tol=1e-12):
     """Panel nodes for int_0^inf weight(u) kernel(c u) du.
 
     Panels are graded geometrically toward u = 0 (the Bessel kernels are
-    log-singular there) and capped by the kernel oscillation length.
+    log-singular there) and of length step (at most the oscillation length).
     """
-    if f.radial == "sqrt_exponential":
+    if radial == "sqrt_exponential":
         u_max = math.log(1.0 / tol) + 12.0
     else:
         u_max = math.sqrt(math.log(1.0 / tol)) + 4.0
-    step = min(0.5, math.pi / max(1.0, abs(osc_coeff)))
     first = step
     small = []
     while first > 1e-7:
@@ -309,41 +309,44 @@ def _u_grid(f: TestFunctionFxiEps, osc_coeff, tol):
     return panel_nodes(breaks, 10)
 
 
-def _radial_transform(f, kind, coeff, tol=1e-12):
-    """2 int_0^inf u^2 m(u) fn(coeff u) du  for fn in {j0, y0, k0}."""
-    u, w = _u_grid(f, coeff if kind in ("j0", "y0") else 0.0, tol)
-    if kind == "j0":
-        ker = special.bessel_j0(coeff * u)
-    elif kind == "y0":
-        ker = special.bessel_y0(coeff * u)
-    elif kind == "k0":
-        ker = special.bessel_k0(coeff * u)
-    else:
-        raise ValueError(kind)
-    return float(np.dot(_u_weight(f, u) * ker, w))
+def _checked_s(op, s_grid, R):
+    """s_grid as an array, after checking op, s and (for "pl") R."""
+    s = np.asarray(s_grid, dtype=float)
+    if op not in ("fc", "pl"):
+        raise ValueError(op)
+    if not (np.all(np.isfinite(s) & (s > 0.0)) and (
+            op == "fc" or R is not None and math.isfinite(R) and R > 0)):
+        raise ValueError("ray evaluation needs finite s > 0 and R > 0")
+    return s
+
+
+def ray_rows(radial, op, s_grid, R=None):
+    """Radial rows 2 int_0^inf u^2 m(u) fn(c u) du of op's ray restriction:
+    fn = K0 and Y0 at c = 2 sqrt(2s) for "fc", J0 at c = R sqrt(2s) for "pl".
+    The u grid depends on c only through its panel length (0.5, or pi/c for
+    J0/Y0 past c = 2 pi); it is rebuilt where that changes, one at a time."""
+    root = np.sqrt(2.0 * _checked_s(op, s_grid, R))
+    kinds, cs = (("k0", "y0"), 2.0 * root) if op == "fc" else (("j0",), float(R) * root)
+    rows = []
+    for kind in kinds:
+        fn = getattr(special, "bessel_" + kind)
+        row = np.empty(len(cs))
+        step = None
+        for i, c in enumerate(cs.tolist()):
+            c_step = 0.5 if kind == "k0" else min(0.5, math.pi / max(1.0, c))
+            if c_step != step:
+                step = c_step
+                u, w = _u_grid(radial, step)
+                weight = _u_weight(radial, u)
+            row[i] = np.dot(weight * fn(c * u), w)
+        rows.append(row)
+    return rows
 
 
 def _on_ray(f: TestFunctionFxiEps, xi: ConePoint):
     same1 = abs(_torus_dist(xi.theta1, f.base_xi.theta1)) < 1e-12
     same2 = abs(_torus_dist(xi.theta2, f.base_xi.theta2)) < 1e-12
     return same1 and same2
-
-
-def _ray_fc(f: TestFunctionFxiEps, s):
-    r0 = f.base_xi.r
-    c = 2.0 * math.sqrt(2.0 * s)
-    kk = _radial_transform(f, "k0", c)
-    yy = _radial_transform(f, "y0", c)
-    return -(1.0 / (math.pi * r0 * r0)) * (
-        f.c_plus * (-(2.0 / math.pi)) * kk + f.c_minus * yy
-    )
-
-
-def _ray_pl(f: TestFunctionFxiEps, s, R):
-    r0 = f.base_xi.r
-    c = R * math.sqrt(2.0 * s)
-    jj = _radial_transform(f, "j0", c)
-    return (1j / (4.0 * math.pi * r0 * r0)) * f.c_minus * jj
 
 
 # ----- generic path -----
@@ -449,7 +452,7 @@ def op_FCstar(f, xi: ConePoint):
 def op_FC(f, xi: ConePoint):
     """(-1/pi) int Psi0(-<xi, xi'>) f(xi') dS/|xi'|."""
     if isinstance(f, TestFunctionFxiEps) and _on_ray(f, xi):
-        return _ray_fc(f, xi.r / f.base_xi.r)
+        return float(ray_values(f, "fc", [xi.r / f.base_xi.r])[0].real)
     return _apply_generic(f, xi, lambda p: psi0(-p), "lorentz", -1.0 / math.pi)
 
 
@@ -459,10 +462,10 @@ def op_PlHatPrime(f, R, xi: ConePoint):
     The kernel vanishes on <xi, xi'> > 0; that half of the angular torus is
     pruned analytically from the rotated grid.
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError("R must be finite and positive")
     if isinstance(f, TestFunctionFxiEps) and _on_ray(f, xi):
-        return _ray_pl(f, xi.r / f.base_xi.r, R)
+        return complex(ray_values(f, "pl", [xi.r / f.base_xi.r], R)[0])
     rr4 = 0.25 * R * R
     return _apply_generic(
         f,
@@ -474,17 +477,18 @@ def op_PlHatPrime(f, R, xi: ConePoint):
     )
 
 
-def ray_values(f: TestFunctionFxiEps, op, s_grid, R=None):
-    """Vectorized ray evaluations op(f)(s xi0) over a grid of s > 0."""
-    out = np.empty(len(s_grid), dtype=complex)
-    for i, s in enumerate(s_grid):
-        if op == "fc":
-            out[i] = _ray_fc(f, float(s))
-        elif op == "pl":
-            out[i] = _ray_pl(f, float(s), float(R))
-        else:
-            raise ValueError(op)
-    return out
+def ray_values(f: TestFunctionFxiEps, op, s_grid, R=None, rows=None):
+    """Ray evaluations op(f)(s xi0) over a grid of s > 0 (complex array);
+    rows, if given, are `ray_rows(f.radial, op, s_grid, R)`."""
+    _checked_s(op, s_grid, R)
+    if rows is None:
+        rows = ray_rows(f.radial, op, s_grid, R)
+    r0 = f.base_xi.r
+    if op == "fc":
+        kk, yy = rows
+        return (-(1.0 / (math.pi * r0 * r0)) * (
+            f.c_plus * (-(2.0 / math.pi)) * kk + f.c_minus * yy)).astype(complex)
+    return (1j / (4.0 * math.pi * r0 * r0)) * f.c_minus * rows[0]
 
 
 # radii per f call in `l2_norm_sq`

@@ -673,8 +673,9 @@ def suite_mellin_ratio(cfg: SuiteConfig):
                     {"rho": rho, "R": R, "eps": e}, v.computed_ratio,
                     v.reference, 1e-8, kind="rel"))
     # end-to-end grid with single-constant calibration at the first point
+    rows = mellin.RayTable.shared_rows(list(cfg.R_list))
     for e in parities:
-        table = mellin.RayTable(e, list(cfg.R_list))
+        table = mellin.RayTable(e, list(cfg.R_list), rows)
         rho0, R0 = cfg.rho_list[0], cfg.R_list[0]
         v0 = mellin.verify_ratio(rho0, R0, e, "end_to_end", ray_table=table)
         calib = v0.computed_ratio / v0.reference

@@ -129,6 +129,27 @@ def test_end_to_end_ratio():
     assert v.rel_error < 5e-3
 
 
+def test_shared_rows_give_the_standalone_table():
+    R_list = [0.5, 2.0]
+    rows = RayTable.shared_rows(R_list)
+    for e in (0, 1):
+        shared, alone = RayTable(e, R_list, rows), RayTable(e, R_list)
+        assert (shared.fc_vals == alone.fc_vals).all()
+        for R in R_list:
+            assert (shared.pl_vals[R] == alone.pl_vals[R]).all()
+        for rho in (0.3, 2.0):
+            assert shared.mellin_fc(rho) == alone.mellin_fc(rho)
+            assert shared.mellin_pl(rho, 2.0) == alone.mellin_pl(rho, 2.0)
+
+
+def test_ray_table_rejects_bad_R():
+    for R in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            RayTable(0, [1.0, R])
+        with pytest.raises(ValueError):
+            RayTable.shared_rows([R])
+
+
 def test_large_rho_modulus():
     for e in (0, 1):
         assert abs(abs(reference_ratio(8.0, 1.0, e)) - 1.0) < 1e-9

@@ -19,6 +19,7 @@ from splitcone.operators import (
     op_PlHatPrime,
     _bump,
     _torus_dist,
+    ray_rows,
     ray_values,
 )
 
@@ -150,6 +151,58 @@ def test_op_dispatch_on_ray_points():
     assert abs(v - f.c_plus * chain_pl(0.7, 1.5, 0)) < 1e-8 * abs(v)
     with pytest.raises(ValueError):
         op_PlHatPrime(f, -1.0, xi)
+
+
+def test_ray_inputs_rejected():
+    f = make_f_xi_eps(BASE, 0)
+    for bad_s in (math.inf, math.nan, 0.0, -1.0):
+        for op, R in (("fc", None), ("pl", 1.0)):
+            with pytest.raises(ValueError):
+                ray_values(f, op, [0.5, bad_s], R=R)
+    for bad_R in (math.inf, math.nan, 0.0, -1.0, None):
+        with pytest.raises(ValueError):
+            ray_values(f, "pl", [0.5], R=bad_R)
+    with pytest.raises(ValueError):
+        ray_values(f, "nope", [0.5])
+    on_ray = ConePoint(math.inf, BASE.theta1, BASE.theta2)
+    with pytest.raises(ValueError):
+        op_FC(f, on_ray)
+    with pytest.raises(ValueError):
+        op_PlHatPrime(f, 1.0, on_ray)
+    for bad_R in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            op_PlHatPrime(f, bad_R, ConePoint(0.5, BASE.theta1, BASE.theta2))
+
+
+def test_ray_values_are_the_scalar_values_bitwise():
+    # c = 2 sqrt(2s) and R sqrt(2s) cross 2 pi, where the u grid changes
+    s_grid = np.exp(np.linspace(math.log(0.01), math.log(40.0), 17))
+    for radial in ("sqrt_exponential", "exponential"):
+        fc_rows = ray_rows(radial, "fc", s_grid)
+        pl_rows = {R: ray_rows(radial, "pl", s_grid, R) for R in (1.0, 2.0)}
+        for e in (0, 1):
+            f = make_f_xi_eps(BASE, e, radial=radial)
+            fc = ray_values(f, "fc", s_grid)
+            assert (ray_values(f, "fc", s_grid, rows=fc_rows) == fc).all()
+            for s, v in zip(s_grid, fc):
+                scalar = op_FC(f, ConePoint(s, BASE.theta1, BASE.theta2))
+                assert type(scalar) is float and v == scalar
+            for R, rows in pl_rows.items():
+                pl = ray_values(f, "pl", s_grid, R)
+                assert (ray_values(f, "pl", s_grid, R, rows) == pl).all()
+                for s, v in zip(s_grid, pl):
+                    assert v == op_PlHatPrime(
+                        f, R, ConePoint(s, BASE.theta1, BASE.theta2))
+
+
+def test_ray_values_pinned():
+    f0 = make_f_xi_eps(BASE, 0)
+    f1 = make_f_xi_eps(BASE, 1, radial="exponential")
+    assert op_FC(f0, ConePoint(0.5, 0.7, 0.3)).hex() == "-0x1.917eebad51583p-7"
+    # c = 2 sqrt(12) and 2 sqrt(14), past 2 pi
+    assert op_FC(f1, ConePoint(6.0, 0.7, 0.3)).hex() == "-0x1.b5cacad30d012p-15"
+    v = op_PlHatPrime(f0, 2.0, ConePoint(7.0, 0.7, 0.3))
+    assert (v.real.hex(), v.imag.hex()) == ("-0x0.0p+0", "-0x1.492dce03bc15fp-13")
 
 
 def test_generic_path_agrees_with_ray_path():

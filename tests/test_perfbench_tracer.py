@@ -21,23 +21,36 @@ def _load_tracer():
     return module
 
 
-def _fourier_report():
-    rep = cli.run(SuiteConfig(suite="fourier", seed=7))
+def _report(suite):
+    rep = cli.run(SuiteConfig(suite=suite, seed=7))
     return report.emit_report(rep, "json", include_wall_time=False)
 
 
 def test_traced_fourier_run_matches_untraced():
-    plain = _fourier_report()
+    plain = _report("fourier")
     # install() raises if a name in its REBOUND list, such as
     # kernels.hyperbolic_oscillatory or oracles.hyperbolic_oscillatory,
     # is no longer there to wrap
     tracer = _load_tracer().Tracer().install()
     try:
-        traced = _fourier_report()
+        traced = _report("fourier")
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics["quadrature.h_per_ft"][0] == 1.0
     # the suite's transforms are one batch: one H call
     assert metrics["quadrature.hyperbolic_oscillatory.calls"][0] == 1
+    assert traced == plain
+
+
+def test_traced_mellin_ratio_run_matches_untraced():
+    plain = _report("mellin_ratio")
+    tracer = _load_tracer().Tracer().install()
+    try:
+        traced = _report("mellin_ratio")
+    finally:
+        tracer.uninstall()
+    # both parities' ray tables share one set of radial rows: about half
+    # the 1,037,364 special-function points of computing them per parity
+    assert tracer.layer_metrics()["special.points"][0] <= 520_000
     assert traced == plain

@@ -11,7 +11,7 @@ these factor:
     g = -2 sin(ph_p) sin(ph_m),      h = 2 cos(ph_p) cos(ph_m),
 
 so kernel singular lines and sign regions are coordinate lines of the
-rotated grid; the quadrature grades panels toward them and prunes
+rotated grid; the quadrature ends tanh-sinh panels on them and prunes
 half-space-restricted kernels cell by cell.
 
 Test functions.  f(xi') = psi(th') |<xi0,xi'>|^(-1/2) m(|<xi0,xi'>|) with
@@ -324,9 +324,13 @@ def ray_rows(radial, op, s_grid, R=None):
     """Radial rows 2 int_0^inf u^2 m(u) fn(c u) du of op's ray restriction:
     fn = K0 and Y0 at c = 2 sqrt(2s) for "fc", J0 at c = R sqrt(2s) for "pl".
     The u grid depends on c only through its panel length (0.5, or pi/c for
-    J0/Y0 past c = 2 pi); it is rebuilt where that changes, one at a time."""
+    J0/Y0 past c = 2 pi); it is rebuilt where that changes, one at a time.
+    Past c = 2 pi it has about 126 c nodes, so c is supported up to 3e3
+    (0.4 M nodes, about 60 ms: the "fc" row at s = 1e6)."""
     root = np.sqrt(2.0 * _checked_s(op, s_grid, R))
     kinds, cs = (("k0", "y0"), 2.0 * root) if op == "fc" else (("j0",), float(R) * root)
+    if np.any(cs > 3.0e3):
+        raise ValueError("ray rows are supported for c <= 3e3")
     rows = []
     for kind in kinds:
         fn = getattr(special, "bessel_" + kind)
@@ -352,38 +356,34 @@ def _on_ray(f: TestFunctionFxiEps, xi: ConePoint):
 # ----- generic path -----
 
 
-def _graded_breaks_1d(zeros, lo, hi, depth=1e-7, ratio=4.0, coarse=0.5):
-    """Breakpoints on [lo, hi] graded geometrically toward each zero line."""
-    pts = {lo, hi}
-    for z in zeros:
-        if not (lo <= z <= hi):
-            continue
-        w = coarse
-        side = []
-        while w > depth:
-            side.append(w)
-            w /= ratio
-        for s in side:
-            if lo < z - s < hi:
-                pts.add(z - s)
-            if lo < z + s < hi:
-                pts.add(z + s)
-        pts.add(z)
-    # uniform caps
-    base = np.arange(lo, hi + 1e-12, coarse)
-    pts.update(base.tolist())
-    return np.array(sorted(pts))
+def _tanh_sinh(h):
+    """Tanh-sinh rule x = (1 + tanh(pi/2 sinh t))/2 on [0, 1] at t = k h,
+    |t| <= 3.2: (each node's distance from its nearer end, whether that end
+    is 1, weight).  Nodes are placed at these distances from a panel end,
+    not at x, so the node next to the zero line at 0 is never 0 itself
+    (psi0 raises there; sin and cos vanish at no other float)."""
+    t = h * np.arange(-int(3.2 / h), int(3.2 / h) + 1)
+    near = 1.0 / (1.0 + np.exp(np.pi * np.sinh(np.abs(t))))
+    return near, t > 0, h * np.pi * np.cosh(t) * near * (1.0 - near)
 
 
-def _angular_grid_rotated(zero_lines, order=6, refine=1.0):
-    """Tensor grid in rotated coordinates over [0, 2pi)^2 with grading."""
-    breaks = _graded_breaks_1d(
-        zero_lines + [z + 2.0 * np.pi for z in zero_lines if z == 0.0],
-        0.0,
-        2.0 * np.pi,
-        coarse=0.5 / refine,
-    )
-    return panel_nodes(breaks, order)
+def _angular_rule(zero_lines, refine):
+    """Nodes and weights over [0, 2pi) for an integrand log-singular on the
+    zero lines: each interval between consecutive zero lines (0 and 2pi as
+    ends) is cut into equal panels of length at most 0.25/refine; its two
+    end panels get tanh-sinh at step 0.25/refine, the rest order-6 Gauss."""
+    h = 0.25 / refine
+    near, right, w_ts = _tanh_sinh(h)
+    ends = sorted({0.0, 2.0 * np.pi, *zero_lines})
+    nodes, weights = [], []
+    for a, b in zip(ends[:-1], ends[1:]):
+        br = np.linspace(a, b, math.ceil((b - a) / h) + 1)
+        first, last = br[1] - a, b - br[-2]
+        x, w = panel_nodes(br[1:-1], 6)
+        nodes += [np.where(right, br[1] - first * near, a + first * near), x,
+                  np.where(right, b - last * near, br[-2] + last * near)]
+        weights += [first * w_ts, w, last * w_ts]
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 # Absolute accuracy the generic path's radial truncation is certified for.
@@ -402,31 +402,22 @@ def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
     exposes `angular_support_mask`, angular nodes outside the support are
     pruned before any kernel work.
     """
-    T1b, T2b = xi.theta1, xi.theta2
-    zeros = [0.0, np.pi] if pairing == "lorentz" else [0.5 * np.pi, 1.5 * np.pi]
-    ph_p, w_p = _angular_grid_rotated(zeros, refine=refine)
-    ph_m, w_m = _angular_grid_rotated(zeros, refine=refine)
-
-    PP, PM = np.meshgrid(ph_p, ph_m, indexing="ij")
-    WW = np.outer(w_p, w_m)
-    if pairing == "lorentz":
-        gfac = -2.0 * np.sin(PP) * np.sin(PM)
-    else:
-        gfac = 2.0 * np.cos(PP) * np.cos(PM)
-    th1 = T1b + PP + PM
-    th2 = T2b + PP - PM
+    lorentz = pairing == "lorentz"
+    zeros = [0.0, np.pi] if lorentz else [0.5 * np.pi, 1.5 * np.pi]
+    ph, w = _angular_rule(zeros, refine)
+    trig = np.sin(ph) if lorentz else np.cos(ph)
+    gfac = (-2.0 if lorentz else 2.0) * np.outer(trig, trig)
+    PP, PM = np.meshgrid(ph, ph, indexing="ij")
+    th1, th2 = xi.theta1 + PP + PM, xi.theta2 + PP - PM
 
     keep = gfac < 0.0 if half_space == "negative" else np.ones_like(gfac, bool)
     mask_fn = getattr(f, "angular_support_mask", None)
     if mask_fn is not None:
         keep &= mask_fn(th1, th2)
-    gk = gfac[keep]
-    wk = WW[keep]
-    t1k = th1[keep][:, None]
-    t2k = th2[keep][:, None]
+    gk, wk = gfac[keep], np.outer(w, w)[keep]
+    t1k, t2k = th1[keep][:, None], th2[keep][:, None]
 
-    r_max = f.decay.truncation_radius(_GENERIC_TOL * 1e-2)
-    v_max = math.sqrt(r_max)
+    v_max = math.sqrt(f.decay.truncation_radius(_GENERIC_TOL * 1e-2))
     osc = 2.0 * math.sqrt(2.0 * xi.r * 2.0)
     n_pan = max(10, int(math.ceil(refine * v_max / min(0.5, math.pi / osc))))
     v, wv = panel_nodes(np.linspace(0.0, v_max, n_pan + 1), 8)
@@ -434,9 +425,8 @@ def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
     wmeas = wv * 2.0 * v**3  # r' dr' = v^2 * 2v dv
 
     partials = []
-    chunk = 2000
-    for i0 in range(0, gk.size, chunk):
-        sl = slice(i0, min(i0 + chunk, gk.size))
+    for i0 in range(0, gk.size, 2000):
+        sl = slice(i0, i0 + 2000)
         kv = kernel(xi.r * gk[sl][:, None] * rr)
         fv = f(rr, t1k[sl], t2k[sl])
         partials.append(np.einsum("av,v,a->", kv * fv, wmeas, wk[sl]))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from splitcone import kernels, suites
 from splitcone.geometry import ConePoint
 from splitcone.numerics import gauss_legendre
 from splitcone.operators import (
@@ -17,6 +18,7 @@ from splitcone.operators import (
     op_FC,
     op_FCstar,
     op_PlHatPrime,
+    _angular_rule,
     _bump,
     _torus_dist,
     ray_rows,
@@ -174,6 +176,19 @@ def test_ray_inputs_rejected():
             op_PlHatPrime(f, bad_R, ConePoint(0.5, BASE.theta1, BASE.theta2))
 
 
+def test_ray_rows_reject_c_above_the_supported_bound():
+    # c = 2 sqrt(2s) passes 3e3 between s = 1e6 and 1.2e6
+    assert all(np.isfinite(row).all()
+               for row in ray_rows("sqrt_exponential", "fc", [1e6]))
+    with pytest.raises(ValueError):
+        ray_rows("sqrt_exponential", "fc", [0.5, 1.2e6])
+    with pytest.raises(ValueError):
+        ray_rows("exponential", "pl", [0.5], R=5e3)
+    f = make_f_xi_eps(BASE, 0)
+    with pytest.raises(ValueError):
+        op_FC(f, ConePoint(1.2e6, BASE.theta1, BASE.theta2))
+
+
 def test_ray_values_are_the_scalar_values_bitwise():
     # c = 2 sqrt(2s) and R sqrt(2s) cross 2 pi, where the u grid changes
     s_grid = np.exp(np.linspace(math.log(0.01), math.log(40.0), 17))
@@ -210,7 +225,29 @@ def test_generic_path_agrees_with_ray_path():
     xi = ConePoint(0.5, BASE.theta1, BASE.theta2)
     generic = op_FC(ConeFunction(f.values, f.decay), xi)
     fast = op_FC(f, xi)
-    assert abs(generic - fast) < 2e-4 * abs(fast)
+    assert abs(generic - fast) < 5e-5 * abs(fast)
+
+
+def test_generic_vs_ray_catches_a_kernel_argument_off_by_1e4(monkeypatch):
+    f = make_f_xi_eps(BASE, 0, radial="exponential")
+    assert all(c.passed for c in suites._generic_vs_ray_checks(f))
+    psi0 = kernels.psi0
+    monkeypatch.setattr(kernels, "psi0", lambda t: psi0(t * (1.0 + 1e-4)))
+    failed = [c.check_id for c in suites._generic_vs_ray_checks(f)
+              if not c.passed]
+    assert "op_fc.generic_vs_ray.s1.7" in failed
+
+
+@pytest.mark.parametrize("zero_lines, fn", [
+    ([0.0, math.pi], np.sin), ([0.5 * math.pi, 1.5 * math.pi], np.cos)])
+@pytest.mark.parametrize("refine", [1.0, 1.6])
+def test_angular_rule(zero_lines, fn, refine):
+    x, w = _angular_rule(zero_lines, refine)
+    assert np.all(fn(x) != 0.0)
+    assert abs(w.sum() - 2.0 * math.pi) < 1e-13
+    # int_0^2pi log|sin x| dx = int_0^2pi log|cos x| dx = -2 pi log 2
+    got = np.dot(np.log(np.abs(fn(x))), w)
+    assert abs(got + 2.0 * math.pi * math.log(2.0)) < 1e-9
 
 
 def test_plhat_half_space_support():
@@ -258,6 +295,22 @@ def test_equivariance():
         v0 = op(gauss, x0)
         v1 = op(rot, x1)
         assert abs(v0 - v1) < 2e-6 * max(abs(v0), 1e-3)
+
+
+def test_generic_operators_on_a_gaussian_match_references():
+    # the test_equivariance Gaussian at xi = (0.9, 0.5, 1.2); the references
+    # come from the same angular rule at step h = 0.03 with a geometrically
+    # graded radial v-grid, and agree within 3e-9 with graded Gauss grids
+    # of order 12 and 16 (ratio 2)
+    gauss = ConeFunction(
+        lambda r, t1, t2: np.exp(-np.asarray(r) ** 2 * (1.0 + 0 * t1))
+        * (1.0 + 0.5 * np.cos(t1) + 0.3 * np.sin(t2)),
+        DecayCertificate("gaussian", rate=1.0),
+    )
+    xi = ConePoint(0.9, 0.5, 1.2)
+    fc, fcstar = 0.006787918750466, -0.408927872693560
+    assert abs(op_FC(gauss, xi) - fc) < 1e-6 * abs(fc)
+    assert abs(op_FCstar(gauss, xi) - fcstar) < 3e-8 * abs(fcstar)
 
 
 def test_chains_match_tabulated_integral_forms():

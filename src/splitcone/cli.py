@@ -82,9 +82,6 @@ def main(argv=None):
         eps_parity=args.eps_parity,
         seed=args.seed,
         workers=max(1, args.workers),
-        output_format=args.format,
-        out_path=args.out,
-        include_wall_time=not args.no_wall_time,
     )
     if args.rho is not None:
         kwargs["rho_list"] = args.rho
@@ -105,9 +102,9 @@ def main(argv=None):
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    payload = emit_report(rep, cfg.output_format, cfg.out_path,
-                          include_wall_time=cfg.include_wall_time)
-    if cfg.out_path is None:
+    payload = emit_report(rep, args.format, args.out,
+                          include_wall_time=not args.no_wall_time)
+    if args.out is None:
         sys.stdout.write(payload)
     return EXIT_OK if rep.all_passed else EXIT_VERIFICATION_FAILURE
 

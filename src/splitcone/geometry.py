@@ -1,8 +1,8 @@
 """Split-quaternion coordinates, the signature-(2,2) quadratic form, light
 cone geometry, and the bipolar parametrization of the dual cone.
 
-Conventions. A point X = (x1, x2, x3, x4) carries the form
-N(X) = x1^2 + x2^2 - x3^2 - x4^2, equal to the determinant of the 2x2
+Conventions. A point X = (x1, x2, x3, x4), a length-4 array, carries the
+form N(X) = x1^2 + x2^2 - x3^2 - x4^2, equal to the determinant of the 2x2
 matrix realization [[x1-i*x2, x3+i*x4], [x3-i*x4, x1+i*x2]].  Dual vectors
 pair through the same signature: <xi, xi'> = xi1*xi1' + xi2*xi2' -
 xi3*xi3' - xi4*xi4', while xi . X = sum_j xi_j x_j is the Fourier pairing.
@@ -23,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SplitQuaternion",
     "DualVector",
     "ConePoint",
     "norm",
     "pair",
-    "dot",
     "cone_embed",
     "cone_measure_weight",
     "cone_half_measure_weight",
@@ -38,22 +36,6 @@ __all__ = [
     "BASIS_MATRICES",
     "quaternion_gradient_identity_residual",
 ]
-
-
-@dataclass(frozen=True)
-class SplitQuaternion:
-    """A point of the split quaternions in real coordinates."""
-
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-
-    def as_array(self):
-        return np.array([self.x1, self.x2, self.x3, self.x4], dtype=float)
-
-    def scaled(self, a: float) -> "SplitQuaternion":
-        return SplitQuaternion(a * self.x1, a * self.x2, a * self.x3, a * self.x4)
 
 
 @dataclass(frozen=True)
@@ -100,8 +82,6 @@ class ConePoint:
 
 def norm(X) -> float:
     """N(X) = x1^2 + x2^2 - x3^2 - x4^2."""
-    if isinstance(X, SplitQuaternion):
-        X = X.as_array()
     x = np.asarray(X, dtype=float)
     return float(x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2)
 
@@ -118,15 +98,6 @@ def pair(xi, xi2):
     out = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
     return float(out) if out.ndim == 0 else out
-
-
-def dot(xi, X) -> float:
-    """Euclidean Fourier pairing xi . X = sum_j xi_j x_j."""
-    if isinstance(xi, DualVector):
-        xi = xi.as_array()
-    if isinstance(X, SplitQuaternion):
-        X = X.as_array()
-    return float(np.dot(np.asarray(xi, dtype=float), np.asarray(X, dtype=float)))
 
 
 def cone_embed(p):
@@ -172,10 +143,7 @@ def w0_act(phi, X):
     Rejects cone points, where the inversion is singular.  On functions
     homogeneous of degree 2l this multiplies by 2^(4l+2) N(X)^(-2l-1).
     """
-    if isinstance(X, SplitQuaternion):
-        Xa = X.as_array()
-    else:
-        Xa = np.asarray(X, dtype=float)
+    Xa = np.asarray(X, dtype=float)
     n = norm(Xa)
     if n == 0.0:
         raise ValueError("w0 action is singular on the cone N(X) = 0")
@@ -192,8 +160,6 @@ def homogeneous_power(X, l):
 
 def matrix_realization(X) -> np.ndarray:
     """2x2 complex matrix with determinant N(X)."""
-    if isinstance(X, SplitQuaternion):
-        X = X.as_array()
     x1, x2, x3, x4 = np.asarray(X, dtype=float)
     return np.array(
         [[x1 - 1j * x2, x3 + 1j * x4], [x3 - 1j * x4, x1 + 1j * x2]],

@@ -37,8 +37,8 @@ from scipy.special import hankel1e, hankel2e, kve
 
 from . import special
 from .geometry import ConePoint, DualVector, cone_embed, pair
-from .numerics import gauss_legendre, panel_nodes, stable_sum
-from .quadrature import _undamped_error_bound, hyperbolic_oscillatory
+from .numerics import gauss_legendre, panel_nodes
+from .quadrature import hyperbolic_oscillatory
 
 __all__ = [
     "psi0",
@@ -135,9 +135,10 @@ def ft_regularized(R, xi, sign_R2, sign_eps):
     R, the signs and xi (a DualVector, a ConePoint or stacked (..., 4)
     coordinates) broadcast: a batch of transforms is one H call, and each
     value is bit for bit what it would be alone.  Returns an FtResult
-    carrying H's error bound (the gap to its half rule plus rounding), as
-    arrays for a batch; non-convergence anywhere in the batch raises
-    QuadratureError instead of returning a silent value.
+    carrying the error estimate of the same H pass (the gap to its half
+    rule plus rounding), as arrays for a batch; non-convergence anywhere
+    in the batch raises QuadratureError instead of returning a silent
+    value.
     """
     _check_signs(sign_R2, sign_eps)
     _check_radius(R)
@@ -150,8 +151,8 @@ def ft_regularized(R, xi, sign_R2, sign_eps):
     b = 0.5 * (r1 - r2)
     eta = -np.copysign(1.0, b) * sign_eps
     p, q = a * eta, -b * eta * sign_R2 * R * R
-    h = hyperbolic_oscillatory(p, q, 0.0)
-    return FtResult(-0.25 * h, 0.25 * _undamped_error_bound(p, q))
+    h, est = hyperbolic_oscillatory(p, q, 0.0)
+    return FtResult(-0.25 * h, 0.25 * est)
 
 
 def ft_closed_form(R, q, sign_R2, sign_eps):
@@ -254,7 +255,7 @@ def lemma_kernel_integrals(R, xi, xi2):
     # (A, B) = (R r1, R r2) and (R r2, R r1)
     h_a, h_b = hyperbolic_oscillatory(
         0.5 * R * np.stack([r2 + r1, r1 + r2]),
-        0.5 * R * np.stack([r2 - r1, r1 - r2]), 0.0)
+        0.5 * R * np.stack([r2 - r1, r1 - r2]), 0.0)[0]
     vals = (
         -(1.0 / math.pi) * h_a.real,
         -(1.0 / math.pi) * h_b.real,
@@ -364,7 +365,7 @@ def delta_quadric_apply(psi, offset=0.0):
     r2 = 0.5 * radial_max * (xg + 1.0)
     wr = 0.5 * radial_max * wg
     vals = _angular_sum(psi, np.sqrt(r2 * r2 + offset), r2)
-    surface = 0.5 * w_ang * stable_sum(vals * r2 * wr)
+    surface = 0.5 * w_ang * np.add.reduce(vals * r2 * wr)
 
     # volume route: the mu-integral is a step smoothed on scale eps around
     # nu = offset; the marks eps_min 2^k contain every coarser rung's marks

@@ -1,9 +1,9 @@
-"""Shared numerical utilities: reproducible RNG, deterministic summation,
-Richardson extrapolation, and panel-based Gauss-Legendre quadrature.
+"""Shared numerical utilities: a reproducible RNG, Richardson
+extrapolation, and panel-based Gauss-Legendre quadrature.
 
-Every routine here is deterministic for fixed inputs; summations run in a
-fixed order, so results do not depend on worker count anywhere in the
-package.
+Every routine here is deterministic for fixed inputs.  The package sums
+with numpy reductions in a fixed order (`np.add.reduce`, `np.dot`), so
+results do not depend on worker count anywhere in it.
 """
 
 from __future__ import annotations
@@ -52,14 +52,6 @@ class SplitMix64:
 
     def choice_sign(self) -> int:
         return 1 if self.next_u64() & 1 else -1
-
-
-def stable_sum(values):
-    """Deterministic pairwise sum of a 1-d array in index order."""
-    arr = np.asarray(values)
-    if arr.size == 0:
-        return arr.dtype.type(0) if arr.dtype.kind in "fc" else 0.0
-    return np.add.reduce(arr)
 
 
 def richardson_limit(values, ratio=2.0, order=2):

@@ -41,7 +41,7 @@ import numpy as np
 from . import special
 from .geometry import ConePoint
 from .kernels import phi0_plus, psi0
-from .numerics import gauss_legendre, panel_nodes, stable_sum
+from .numerics import gauss_legendre, panel_nodes
 
 __all__ = [
     "DecayCertificate",
@@ -430,7 +430,7 @@ def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
         kv = kernel(xi.r * gk[sl][:, None] * rr)
         fv = f(rr, t1k[sl], t2k[sl])
         partials.append(np.einsum("av,v,a->", kv * fv, wmeas, wk[sl]))
-    total = stable_sum(np.array(partials)) if partials else 0.0j
+    total = np.add.reduce(np.array(partials)) if partials else 0.0j
     return prefactor * total
 
 

@@ -39,12 +39,12 @@ def _positive(u):
 
 def _cosh_phase_integral(u):
     # int_-inf^inf exp(i u cosh t) dt, u > 0
-    return hyperbolic_oscillatory(0.5 * u, 0.5 * u)
+    return hyperbolic_oscillatory(0.5 * u, 0.5 * u)[0]
 
 
 def _sinh_phase_integral(u):
     # int_-inf^inf exp(i u sinh t) dt, u > 0
-    return hyperbolic_oscillatory(0.5 * u, -0.5 * u)
+    return hyperbolic_oscillatory(0.5 * u, -0.5 * u)[0]
 
 
 def j0_oracle(u):

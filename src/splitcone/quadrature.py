@@ -37,12 +37,13 @@ overflowed) raise; in between the estimate decides (the edge falls from
 1e5], H is within 2.5e-14 of max(1, |H|) of scipy's J0/Y0/K0 at delta = 0,
 with a worst error/estimate of 0.42.
 
-Batches: `hyperbolic_oscillatory` and `_undamped_error_bound` broadcast
-p, q and delta and return an array of the broadcast shape; scalar input
-returns a Python complex / float, by the same code path.  Rows are
-evaluated _BLOCK elements at a time, so memory stays flat, and each row
-is summed in a fixed order on its own: an element's value is bit for bit
-the same in any batch, and results do not depend on worker count.
+Batches: `hyperbolic_oscillatory` broadcasts p, q and delta and returns
+the pair (H, error estimate) from one pass of the rule, each an array of
+the broadcast shape; scalar input returns a Python complex and a float,
+by the same code path.  Rows are evaluated _BLOCK elements at a time, so
+memory stays flat, and each row is summed in a fixed order on its own:
+an element's value and estimate are bit for bit the same in any batch,
+and results do not depend on worker count.
 
 The settings are module constants read at call time: the rule's _N, its
 decay cut-off _CUT, its _ERROR_BUDGET and the _BLOCK size.  One element
@@ -121,19 +122,14 @@ def _contour_rule(p, q, delta):
     return np.where(flip, np.conj(h), h), est
 
 
-def _undamped_error_bound(p, q):
-    """Error bound for H(p, q, 0): the estimate of the rule that gives it.
-    Broadcasts like `hyperbolic_oscillatory`."""
-    (p, q), shape = _as_batch(p, q)
-    return _unbatch(_contour_rule(p, q, np.zeros_like(p))[1], shape)
-
-
 def hyperbolic_oscillatory(p, q, delta=0.0):
-    """H(p, q, delta) as defined in the module docstring.  p*q != 0.
+    """(H(p, q, delta), error estimate), H as defined in the module
+    docstring.  p*q != 0.
 
-    p, q and delta broadcast; the result has the broadcast shape, or is a
-    Python complex for scalar input.  An element's value does not depend
-    on the rest of its batch.
+    p, q and delta broadcast; both parts have the broadcast shape, or are
+    a Python complex and a float for scalar input.  The estimate is the
+    one of the rule pass that gives the value, for any delta.  An
+    element's value and estimate do not depend on the rest of its batch.
     """
     (p, q, delta), shape = _as_batch(p, q, delta)
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))
@@ -149,4 +145,4 @@ def hyperbolic_oscillatory(p, q, delta=0.0):
         raise QuadratureError(
             f"hyperbolic_oscillatory error estimate {est.max():.2e} above budget"
         )
-    return _unbatch(h, shape)
+    return _unbatch(h, shape), _unbatch(est, shape)

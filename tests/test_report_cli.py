@@ -190,12 +190,22 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     ("--R", "-1"), ("--R", "0"), ("--R", "nan"), ("--R", "inf"),
     ("--R", "0.3"), ("--R", "5"), ("--R", "1,1e300"),
     ("--rho", "0"), ("--rho", "nan"), ("--rho", "inf"), ("--rho", "-inf"),
+    ("--rho", "0.1"), ("--rho", "-2.5"), ("--rho", "0.3,3"),
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
 ])
 def test_cli_bad_parameters_are_usage_errors(flag, value, capsys):
     assert main(["mellin_ratio", f"{flag}={value}"]) == 2
     err = capsys.readouterr().err
     assert "bad configuration" in err and err.count("\n") == 1
+
+
+def test_cli_rho_supported_range_passes():
+    # |rho| in [0.2, 2] holds the mellin_ratio calibration at every R in
+    # [0.4, 4], first in the list or not; outside it the calibration check
+    # can fail (rho = 0.1 at the default R), so such rho are refused with
+    # exit 2 (test above)
+    assert main(["mellin_ratio"]) == 0
+    assert main(["mellin_ratio", "--rho=-0.2,2", "--R", "0.4,4"]) == 0
 
 
 @pytest.mark.parametrize("suite", ["bessel", "fourier", "corollary", "lemma",

@@ -102,8 +102,12 @@ def main(argv=None):
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    payload = emit_report(rep, args.format, args.out,
-                          include_wall_time=not args.no_wall_time)
+    try:
+        payload = emit_report(rep, args.format, args.out,
+                              include_wall_time=not args.no_wall_time)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.out is None:
         sys.stdout.write(payload)
     return EXIT_OK if rep.all_passed else EXIT_VERIFICATION_FAILURE

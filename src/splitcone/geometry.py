@@ -6,6 +6,8 @@ form N(X) = x1^2 + x2^2 - x3^2 - x4^2, equal to the determinant of the 2x2
 matrix realization [[x1-i*x2, x3+i*x4], [x3-i*x4, x1+i*x2]].  Dual vectors
 pair through the same signature: <xi, xi'> = xi1*xi1' + xi2*xi2' -
 xi3*xi3' - xi4*xi4', while xi . X = sum_j xi_j x_j is the Fourier pairing.
+A point or a dual vector is a length-4 array, and many are one stacked
+(..., 4) array; the functions here take either, row by row.
 
 The dual cone C* = {<xi,xi> = 0} is charted by (r, theta1, theta2) ->
 r(cos t1, sin t1, cos t2, sin t2).  Two radial densities arise and are kept
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DualVector",
     "ConePoint",
     "norm",
     "pair",
@@ -39,35 +40,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DualVector:
-    """A point of the dual space, same coordinates, paired with signature (2,2)."""
-
-    xi1: float
-    xi2: float
-    xi3: float
-    xi4: float
-
-    def as_array(self):
-        return np.array([self.xi1, self.xi2, self.xi3, self.xi4], dtype=float)
-
-    def __sub__(self, other: "DualVector") -> "DualVector":
-        return DualVector(
-            self.xi1 - other.xi1,
-            self.xi2 - other.xi2,
-            self.xi3 - other.xi3,
-            self.xi4 - other.xi4,
-        )
-
-    @property
-    def polar_radii(self):
-        """(r1, r2): Euclidean radii of the (xi1,xi2) and (xi3,xi4) planes."""
-        return (
-            float(np.hypot(self.xi1, self.xi2)),
-            float(np.hypot(self.xi3, self.xi4)),
-        )
-
-
-@dataclass(frozen=True)
 class ConePoint:
     """Bipolar chart point (r, theta1, theta2) of the punctured dual cone."""
 
@@ -80,19 +52,14 @@ class ConePoint:
             raise ValueError("cone chart requires r > 0")
 
 
-def norm(X) -> float:
-    """N(X) = x1^2 + x2^2 - x3^2 - x4^2."""
-    x = np.asarray(X, dtype=float)
-    return float(x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2)
+def norm(X):
+    """N(X) = x1^2 + x2^2 - x3^2 - x4^2, that is pair(X, X)."""
+    return pair(X, X)
 
 
 def pair(xi, xi2):
     """Signature-(2,2) bilinear form on dual vectors; stacked (..., 4)
     arrays pair row by row, and a single pair gives a float."""
-    if isinstance(xi, DualVector):
-        xi = xi.as_array()
-    if isinstance(xi2, DualVector):
-        xi2 = xi2.as_array()
     a = np.asarray(xi, dtype=float)
     b = np.asarray(xi2, dtype=float)
     out = (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
@@ -103,22 +70,17 @@ def pair(xi, xi2):
 def cone_embed(p):
     """Embed a bipolar chart point: r(cos t1, sin t1, cos t2, sin t2).
 
-    A ConePoint gives a DualVector; stacked (..., 3) chart coordinates
+    A ConePoint gives a length-4 array; stacked (..., 3) chart coordinates
     (r, t1, t2) give stacked (..., 4) coordinates, row by row the same
     values.
     """
-    if not isinstance(p, ConePoint):
-        r, t1, t2 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
-        if not np.all(r > 0):
-            raise ValueError("cone chart requires r > 0")
-        return np.stack([r * np.cos(t1), r * np.sin(t1),
-                         r * np.cos(t2), r * np.sin(t2)], axis=-1)
-    return DualVector(
-        p.r * np.cos(p.theta1),
-        p.r * np.sin(p.theta1),
-        p.r * np.cos(p.theta2),
-        p.r * np.sin(p.theta2),
-    )
+    if isinstance(p, ConePoint):
+        p = (p.r, p.theta1, p.theta2)
+    r, t1, t2 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    if not np.all(r > 0):
+        raise ValueError("cone chart requires r > 0")
+    return np.stack([r * np.cos(t1), r * np.sin(t1),
+                     r * np.cos(t2), r * np.sin(t2)], axis=-1)
 
 
 def cone_measure_weight(p) -> float:
@@ -140,31 +102,33 @@ def cone_half_measure_weight(p) -> float:
 def w0_act(phi, X):
     """Inversion action on functions: phi(X) -> (4/N(X)) phi(4X/N(X)).
 
-    Rejects cone points, where the inversion is singular.  On functions
-    homogeneous of degree 2l this multiplies by 2^(4l+2) N(X)^(-2l-1).
+    X is one point or stacked (..., 4) points, which `phi` must then map
+    row by row.  Rejects cone points, where the inversion is singular.  On
+    functions homogeneous of degree 2l this multiplies by
+    2^(4l+2) N(X)^(-2l-1).
     """
     Xa = np.asarray(X, dtype=float)
     n = norm(Xa)
-    if n == 0.0:
+    if np.any(n == 0.0):
         raise ValueError("w0 action is singular on the cone N(X) = 0")
-    return (4.0 / n) * phi(4.0 * Xa / n)
+    return (4.0 / n) * phi(4.0 * Xa / np.expand_dims(n, -1))
 
 
 def homogeneous_power(X, l):
-    """N(X)^l for complex l via the principal branch, restricted to N(X) > 0."""
+    """N(X)^l for complex l via the principal branch, restricted to N(X) > 0;
+    stacked (..., 4) points give an array."""
     n = norm(X)
-    if not n > 0:
+    if not np.all(n > 0):
         raise ValueError("complex homogeneous powers are defined on N(X) > 0")
     return np.exp(complex(l) * np.log(n))
 
 
 def matrix_realization(X) -> np.ndarray:
-    """2x2 complex matrix with determinant N(X)."""
-    x1, x2, x3, x4 = np.asarray(X, dtype=float)
-    return np.array(
-        [[x1 - 1j * x2, x3 + 1j * x4], [x3 - 1j * x4, x1 + 1j * x2]],
-        dtype=complex,
-    )
+    """2x2 complex matrix with determinant N(X); stacked (..., 4) points
+    give stacked (..., 2, 2) matrices."""
+    x1, x2, x3, x4 = np.moveaxis(np.asarray(X, dtype=float), -1, 0)
+    return np.stack([np.stack([x1 - 1j * x2, x3 + 1j * x4], axis=-1),
+                     np.stack([x3 - 1j * x4, x1 + 1j * x2], axis=-1)], axis=-2)
 
 
 # Basis matrices of the 2x2 realization: X = x1 e0 + x3 te1 + x4 te2 + x2 e3.

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import hankel1e, hankel2e, kve
 
 from . import special
-from .geometry import ConePoint, DualVector, cone_embed, pair
+from .geometry import ConePoint, cone_embed, pair
 from .numerics import gauss_legendre, panel_nodes
 from .quadrature import hyperbolic_oscillatory
 
@@ -101,20 +101,11 @@ class FtResult:
 
 
 def _polar_radii(xi):
-    """(r1, r2) of a ConePoint, a DualVector or stacked (..., 4) arrays."""
+    """(r1, r2) of a ConePoint or stacked (..., 4) arrays."""
     if isinstance(xi, ConePoint):
         xi = cone_embed(xi)
-    if isinstance(xi, DualVector):
-        return xi.polar_radii
     arr = np.asarray(xi, dtype=float)
     return np.hypot(arr[..., 0], arr[..., 1]), np.hypot(arr[..., 2], arr[..., 3])
-
-
-def _embedded(points):
-    """(..., 4) cone embedding of one ConePoint or a sequence of them."""
-    if isinstance(points, ConePoint):
-        return cone_embed(points).as_array()
-    return np.array([cone_embed(p).as_array() for p in points]).reshape(-1, 4)
 
 
 def _check_signs(sign_R2, sign_eps):
@@ -132,7 +123,7 @@ def ft_regularized(R, xi, sign_R2, sign_eps):
     """lim_{eps->0+} (1/4pi^2) int e^{i xi.X} (N(X) + sign_R2 R^2
     + sign_eps i eps)^-2 dV, as the undamped reduced integral I(0).
 
-    R, the signs and xi (a DualVector, a ConePoint or stacked (..., 4)
+    R, the signs and xi (a ConePoint, or one or stacked (..., 4)
     coordinates) broadcast: a batch of transforms is one H call, and each
     value is bit for bit what it would be alone.  Returns an FtResult
     carrying the error estimate of the same H pass (the gap to its half
@@ -201,11 +192,11 @@ def corollary_kernels(R, xi, xi2):
     (pi i/2) Phi0+(-(R^2/4) <xi,xi'>) respectively.  Uses
     <xi-xi', xi-xi'> = -2 <xi,xi'>; lightlike-separated pairs are rejected.
 
-    xi and xi2 are ConePoints or equal-length sequences of them, with R a
-    scalar or one value per pair; the pairs' four transforms each are one
-    `ft_regularized` batch, and the results are arrays for sequences.
+    xi and xi2 are ConePoints or stacked (..., 3) chart coordinates, with
+    R a scalar or one value per pair; the pairs' four transforms each are
+    one `ft_regularized` batch, and the results are arrays for stacks.
     """
-    a, b = _embedded(xi), _embedded(xi2)
+    a, b = cone_embed(xi), cone_embed(xi2)
     if np.any(pair(a, b) == 0.0):
         raise ValueError("lightlike-separated cone points are excluded")
     R = np.asarray(R, dtype=float)
@@ -236,14 +227,14 @@ def lemma_kernel_integrals(R, xi, xi2):
         +(1/pi) int sin(R r1 sinh t + R r2 cosh t) dt  vs  Phi0+(+.)
         +(1/pi) int sin(R r1 cosh t + R r2 sinh t) dt  vs  Phi0+(-.)
 
-    xi and xi2 are ConePoints or equal-length sequences of them, with R a
-    scalar or one value per pair; both phases of every pair are one H
+    xi and xi2 are ConePoints or stacked (..., 3) chart coordinates, with
+    R a scalar or one value per pair; both phases of every pair are one H
     batch, and each field of the result is then an array over the pairs.
     """
     R = np.asarray(R, dtype=float)
     if not np.all(R > 0):
         raise ValueError("R must be positive")
-    a, b = _embedded(xi), _embedded(xi2)
+    a, b = cone_embed(xi), cone_embed(xi2)
     r1, r2 = _polar_radii(a - b)
     if np.any((r1 == 0.0) & (r2 == 0.0)):
         raise ValueError("coincident points: r1 = r2 = 0")

@@ -1,5 +1,5 @@
-"""Shared numerical utilities: a reproducible RNG, Richardson
-extrapolation, and panel-based Gauss-Legendre quadrature.
+"""Shared numerical utilities: a reproducible RNG read in array blocks,
+Richardson extrapolation, and panel-based Gauss-Legendre quadrature.
 
 Every routine here is deterministic for fixed inputs.  The package sums
 with numpy reductions in a fixed order (`np.add.reduce`, `np.dot`), so
@@ -17,41 +17,35 @@ _GOLDEN = 0x9E3779B97F4A7C15
 class SplitMix64:
     """Minimal cross-language reproducible 64-bit generator.
 
-    Standard SplitMix64 stepping; `uniform` maps the top 53 bits to [0, 1).
-    Chosen over platform RNGs so golden files can be regenerated from any
+    Standard SplitMix64 stepping, read in blocks: `words` returns the next
+    outputs and `uniforms` maps their top 53 bits to [lo, hi).  Chosen over
+    platform RNGs so golden files can be regenerated from any
     implementation language.
     """
-
-    name = "splitmix64"
 
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
-
-    def uniform(self, lo=0.0, hi=1.0):
-        u = (self.next_u64() >> 11) * 2.0 ** -53
-        return lo + (hi - lo) * u
-
-    def uniforms(self, n):
-        """The next `n` draws of `uniform()`, in stream order, as an array:
-        the same states and bit mixing in wrapping uint64 arithmetic."""
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)
-        if n:
-            self._state = int(z[-1])
+    def words(self, n):
+        """The next outputs, in stream order, as a uint64 array of shape
+        `n` (a count or a shape), in wrapping uint64 arithmetic."""
+        steps = np.arange(1, np.prod(n, dtype=int) + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps.reshape(n) * np.uint64(_GOLDEN)
+        self._state = (self._state + steps.size * _GOLDEN) & _MASK64
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return (z >> np.uint64(11)).astype(float) * 2.0 ** -53
+        return z ^ (z >> np.uint64(31))
 
-    def choice_sign(self) -> int:
-        return 1 if self.next_u64() & 1 else -1
+    def uniforms(self, n, lo=0.0, hi=1.0):
+        """The next draws lo + (hi - lo) u, u in [0, 1), of shape `n`; lo
+        and hi (scalars or sequences) broadcast against that shape."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        return lo + (hi - lo) * unit_floats(self.words(n))
+
+
+def unit_floats(words):
+    """[0, 1) values of SplitMix64 words: their top 53 bits times 2^-53."""
+    return (words >> np.uint64(11)).astype(float) * 2.0 ** -53
 
 
 def richardson_limit(values, ratio=2.0, order=2):

@@ -1,8 +1,8 @@
 """Named verification suites.
 
 Each builder returns a list of CheckResult and is deterministic for a
-fixed SuiteConfig (randomized points come from SplitMix64 on the seed, in
-a fixed draw order).
+fixed SuiteConfig (randomized points come from SplitMix64 streams on the
+seed, read in blocks in a fixed draw order).
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kalgebra, kernels, mellin, operators, oracles, special
 from .geometry import (
     ConePoint,
-    DualVector,
     cone_embed,
     cone_half_measure_weight,
     cone_measure_weight,
@@ -26,7 +26,7 @@ from .geometry import (
     quaternion_gradient_identity_residual,
     w0_act,
 )
-from .numerics import SplitMix64, gauss_legendre, richardson_limit
+from .numerics import SplitMix64, gauss_legendre, richardson_limit, unit_floats
 from .operators import DecayCertificate
 from .quadrature import hyperbolic_oscillatory
 from .report import make_check
@@ -54,7 +54,11 @@ class SuiteConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.eps_parity not in ("0", "1", "both"):
+            raise ValueError("eps parity must be '0', '1' or 'both'")
         for name, vals in (("rho", self.rho_list), ("R", self.R_list)):
+            if not vals:
+                raise ValueError(f"{name} list must not be empty")
             if not all(math.isfinite(v) for v in vals):
                 raise ValueError(f"{name} values must be finite")
         # the mellin_ratio end-to-end calibration at the first rho and R
@@ -75,37 +79,73 @@ class SuiteConfig:
         return (int(self.eps_parity),)
 
 
-def _sample_offcone_dual(rng):
-    """(R, DualVector) with |q| in [0.25, 16], random angles."""
-    R = rng.uniform(0.5, 2.0)
-    q = rng.uniform(0.25, 16.0) * rng.choice_sign()
-    sig = rng.uniform(1.0, 4.0)
-    if abs(q) > sig * sig:
-        sig = math.sqrt(abs(q)) * 1.3
-    r1 = 0.5 * (sig + q / sig)
-    r2 = 0.5 * (sig - q / sig)
-    a1 = rng.uniform(0.0, 2.0 * math.pi)
-    a2 = rng.uniform(0.0, 2.0 * math.pi)
-    xi = DualVector(
-        r1 * math.cos(a1), r1 * math.sin(a1), r2 * math.cos(a2), r2 * math.sin(a2)
-    )
+def _sample_offcone_dual(rng, n):
+    """n points (R, xi, q): R in [0.5, 2], stacked (n, 4) xi at random
+    angles and q = <xi, xi> with |q| in [0.25, 16] of random sign.  A point
+    is 6 words: R, |q|, the sign (the word's low bit), sigma, two angles."""
+    w = rng.words((n, 6))
+    lo, hi = np.array([(0.5, 2.0), (0.25, 16.0), (0.0, 1.0), (1.0, 4.0),
+                       (0.0, 2 * math.pi), (0.0, 2 * math.pi)]).T
+    R, q, _, sig, a1, a2 = (lo + (hi - lo) * unit_floats(w)).T
+    q = q * np.where(w[:, 2] & np.uint64(1), 1.0, -1.0)
+    sig = np.where(np.abs(q) > sig * sig, np.sqrt(np.abs(q)) * 1.3, sig)
+    r1, r2 = 0.5 * (sig + q / sig), 0.5 * (sig - q / sig)
+    xi = np.stack([r1 * np.cos(a1), r1 * np.sin(a1),
+                   r2 * np.cos(a2), r2 * np.sin(a2)], axis=-1)
     return R, xi, q
 
 
-# ranges of the chart draws (r, theta1, theta2) of a random cone point
-_CHART_RANGES = ((0.3, 2.0), (0.0, 2 * math.pi), (0.0, 2 * math.pi))
+def _cone_pair_block(u):
+    """Chart coordinates (..., 2, 3) of cone pairs from unit draws (..., 6),
+    each pair's two (r, theta1, theta2) in stream order."""
+    lo, hi = np.array([(0.3, 2.0), (0.0, 2 * math.pi), (0.0, 2 * math.pi)]).T
+    return lo + (hi - lo) * u.reshape(u.shape[:-1] + (2, 3))
 
 
-def _sample_cone_pair(rng):
-    return tuple(ConePoint(*(rng.uniform(lo, hi) for lo, hi in _CHART_RANGES))
-                 for _ in range(2))
+def _pick_pairs(rng, n, accept, size=6, extra=0):
+    """The first n candidates that `accept` passes, in stream order: their
+    chart pairs (n, 2, 3) and the unit draws after each pair.  A candidate
+    is `size` draws, its pair first, and an accepted one takes `extra`
+    more.  `accept` maps <xi, xi'> and the gap |r1 - r2| / max(r1, r2) of
+    the polar radii of xi - xi' (0 where r1 or r2 is 0) to booleans.  The
+    stream is read in blocks until n are accepted."""
+    u, picked = np.empty(0), []
+    while len(picked) < n:
+        u = np.r_[u, rng.uniforms(4 * n * (size + extra))]
+        e = cone_embed(_cone_pair_block(sliding_window_view(u, 6)))
+        r1, r2 = kernels._polar_radii(e[:, 0] - e[:, 1])
+        gap = np.where(np.minimum(r1, r2) > 0,
+                       np.abs(r1 - r2) / np.maximum(r1, r2), 0.0)
+        ok = accept(pair(e[:, 0], e[:, 1]), gap)
+        picked, i = [], 0
+        while len(picked) < n and i + size + extra <= len(u):
+            if ok[i]:
+                picked.append(i)
+                i += extra
+            i += size
+    u = u[np.add.outer(picked, np.arange(size + extra))]
+    return _cone_pair_block(u[:, :6]), u[:, 6:]
 
 
-def _cone_pair_block(rng, n):
-    """Chart coordinates (n, 2, 3) of the next n `_sample_cone_pair` draws,
-    drawn in one block."""
-    lo, hi = np.array(_CHART_RANGES).T
-    return lo + (hi - lo) * rng.uniforms(6 * n).reshape(n, 2, 3)
+def _corollary_points(rng, n):
+    """Chart pairs (n, 2, 3) and R in [0.5, 2] of the corollary suite: a
+    pair is kept when |<xi, xi'>| >= 0.05 and then draws its R."""
+    charts, u = _pick_pairs(rng, n, lambda inner, gap: np.abs(inner) >= 0.05, extra=1)
+    return charts, 0.5 + 1.5 * u[:, 0]
+
+
+def _lemma_identity_points(rng, n):
+    """Chart pairs (n, 2, 3) and R in [0.5, 2] of the lemma identities: a
+    pair is drawn with its R and kept when the radii of xi - xi' are 20%
+    apart."""
+    charts, u = _pick_pairs(rng, n, lambda inner, gap: gap > 0.2, size=7)
+    return charts, 0.5 + 1.5 * u[:, 0]
+
+
+def _lemma_sine_points(rng, n):
+    """Chart pairs (n, 2, 3) of the vanishing sine identity: kept when
+    <xi, xi'> < -0.1 and the radii of xi - xi' are 25% apart."""
+    return _pick_pairs(rng, n, lambda inner, gap: (inner < -0.1) & (gap > 0.25))[0]
 
 
 # --------------------------------------------------------------- bessel
@@ -190,10 +230,10 @@ def suite_bessel(cfg: SuiteConfig):
     checks.append(make_check(
         "gamma.gamma_half", "S6.gamma-chain", {}, special.gamma_complex(0.5),
         math.sqrt(math.pi), 1e-13))
-    rng = SplitMix64(cfg.seed)
     worst = 0.0
-    for _ in range(20):
-        z = complex(rng.uniform(-3.5, 4.0), rng.uniform(-10.0, 10.0))
+    for x, y in SplitMix64(cfg.seed).uniforms(
+            (20, 2), (-3.5, -10.0), (4.0, 10.0)).tolist():
+        z = complex(x, y)
         if abs(z.imag) < 0.05 and z.real <= 0:
             z += 0.5j
         lhs = special.gamma_complex(z + 1.0)
@@ -317,7 +357,7 @@ def suite_kernels(cfg: SuiteConfig):
         res.volume, res.surface, 1e-5, kind="rel"))
 
     # production reduction vs the polar-reduced finite-eps oracle
-    xi = DualVector(1.5, 0.0, 0.5, 0.0)
+    xi = np.array([1.5, 0.0, 0.5, 0.0])
     for sR, se in ((-1, 1), (1, 1)):
         got = kernels.ft_bruteforce_damped(1.0, xi, sR, se, eps=0.4)
         a, b = 1.0, 0.5
@@ -334,44 +374,39 @@ def suite_kernels(cfg: SuiteConfig):
 
 
 def suite_fourier(cfg: SuiteConfig):
-    rng = SplitMix64(cfg.seed)
-    points = [_sample_offcone_dual(rng) for _ in range(50)]
+    R, xi, q = _sample_offcone_dual(SplitMix64(cfg.seed), 50)
     # conjugation symmetry and real spacelike branches on a subsample
-    rng2 = SplitMix64(cfg.seed + 1)
-    subsample = [_sample_offcone_dual(rng2) for _ in range(6)]
+    subsample = _sample_offcone_dual(SplitMix64(cfg.seed + 1), 6)
 
     # every transform of the suite is one batch, in check order
-    batch = [(R, xi, sR, se) for R, xi, _ in points
+    batch = [(R_i, xi_i, sR, se) for R_i, xi_i in zip(R, xi)
              for sR in (-1, 1) for se in (-1, 1)]
-    for R, xi, q in subsample:
-        sR = 1 if q > 0 else -1  # K-branch (purely real) for this q
-        batch += [(R, xi, -1, +1), (R, xi, -1, -1), (R, xi, sR, +1)]
-    Rs, xis, sRs, ses = zip(*batch)
+    for R_i, xi_i, q_i in zip(*subsample):
+        sR = 1 if q_i > 0 else -1  # K-branch (purely real) for this q
+        batch += [(R_i, xi_i, -1, +1), (R_i, xi_i, -1, -1), (R_i, xi_i, sR, +1)]
     values = iter(kernels.ft_regularized(
-        np.array(Rs), np.array([xi.as_array() for xi in xis]),
-        np.array(sRs), np.array(ses)).value)
+        *(np.array(column) for column in zip(*batch))).value)
     # the 200 closed-form references are one more batch, in check order
-    Rp, qp = np.array([(R, q) for R, _, q in points]).T[:, :, None, None]
     signs = np.array([-1, 1])
     refs = iter(kernels.ft_closed_form(
-        Rp, qp, signs[:, None], signs).ravel().tolist())
+        R[:, None, None], q[:, None, None], signs[:, None], signs).ravel().tolist())
 
     checks = []
-    for i, (R, xi, q) in enumerate(points):
+    for i, (R_i, q_i) in enumerate(zip(R.tolist(), q.tolist())):
         for sR in (-1, 1):
             for se in (-1, 1):
                 ref = next(refs)
                 tol = max(1e-4 * abs(ref), 1e-5)
                 checks.append(make_check(
                     f"ft.closed_form.{i:02d}.sR{sR:+d}.se{se:+d}",
-                    "S5.prop-ft", {"R": R, "q": q}, next(values), ref, tol))
-    for i, (R, xi, q) in enumerate(subsample):
+                    "S5.prop-ft", {"R": R_i, "q": q_i}, next(values), ref, tol))
+    for i, (R_i, _, q_i) in enumerate(zip(*(v.tolist() for v in subsample))):
         plus, minus, val = next(values), next(values), next(values)
         checks.append(make_check(
-            f"ft.conjugation.{i}", "S5.prop-ft", {"R": R, "q": q},
+            f"ft.conjugation.{i}", "S5.prop-ft", {"R": R_i, "q": q_i},
             minus, np.conj(plus), 1e-9))
         checks.append(make_check(
-            f"ft.spacelike_real.{i}", "S5.prop-ft", {"R": R, "q": q},
+            f"ft.spacelike_real.{i}", "S5.prop-ft", {"R": R_i, "q": q_i},
             val.imag, 0.0, 1e-6))
     return checks
 
@@ -380,20 +415,14 @@ def suite_fourier(cfg: SuiteConfig):
 
 
 def suite_corollary(cfg: SuiteConfig):
-    rng = SplitMix64(cfg.seed + 2)
-    samples = []
-    while len(samples) < 20:
-        p1, p2 = _sample_cone_pair(rng)
-        inner = pair(cone_embed(p1), cone_embed(p2))
-        if abs(inner) < 0.05:
-            continue
-        samples.append((p1, p2, inner, rng.uniform(0.5, 2.0)))
-    p1s, p2s, inners, Rs = zip(*samples)
-    syms, antis = kernels.corollary_kernels(np.array(Rs), p1s, p2s)
-    ref_syms = 0.5 * math.pi * kernels.psi0(-np.array(inners))
+    charts, Rs = _corollary_points(SplitMix64(cfg.seed + 2), 20)
+    e = cone_embed(charts)
+    inners = pair(e[:, 0], e[:, 1])
+    syms, antis = kernels.corollary_kernels(Rs, charts[:, 0], charts[:, 1])
+    ref_syms = 0.5 * math.pi * kernels.psi0(-inners)
 
     checks = []
-    for count, (_, _, inner, R) in enumerate(samples):
+    for count, (inner, R) in enumerate(zip(inners.tolist(), Rs.tolist())):
         sym, anti = syms[count], antis[count]
         checks.append(make_check(
             f"corollary.symmetric.{count:02d}", "S5.cor-kernels",
@@ -410,7 +439,7 @@ def suite_corollary(cfg: SuiteConfig):
                 {"inner": inner, "R": R}, anti, ref,
                 1e-4 * max(abs(ref), 1e-2)))
     # pair identity <xi-xi', xi-xi'> = -2 <xi, xi'>
-    e = cone_embed(_cone_pair_block(SplitMix64(cfg.seed + 3), 200))
+    e = cone_embed(_cone_pair_block(SplitMix64(cfg.seed + 3).uniforms((200, 6))))
     d = e[:, 0] - e[:, 1]
     worst = float(np.max(np.abs(pair(d, d) + 2 * pair(e[:, 0], e[:, 1]))))
     checks.append(make_check(
@@ -423,36 +452,19 @@ def suite_corollary(cfg: SuiteConfig):
 
 
 def suite_lemma(cfg: SuiteConfig):
-    rng = SplitMix64(cfg.seed + 4)
-    identity = []
-    while len(identity) < 10:
-        p1, p2 = _sample_cone_pair(rng)
-        R = rng.uniform(0.5, 2.0)
-        d = cone_embed(p1) - cone_embed(p2)
-        r1, r2 = d.polar_radii
-        if min(r1, r2) == 0 or abs(r1 - r2) / max(r1, r2) <= 0.2:
-            continue
-        identity.append((p1, p2, R))
+    identity, Rs = _lemma_identity_points(SplitMix64(cfg.seed + 4), 10)
     # reduction r2 = 0: the second identity becomes the Y0 representation
-    p1 = ConePoint(1.0, 0.4, 1.1)
-    p2b = ConePoint(1.0, 2.2, 1.1)  # same r and theta2: r2_diff = 0 exactly
-    reduction = (p1, p2b, 1.2)
+    # (same r and theta2: r2_diff = 0 exactly)
+    reduction, reduction_R = np.array([[[1.0, 0.4, 1.1], [1.0, 2.2, 1.1]]]), 1.2
     # vanishing sine identity on the sinh-dominant side (inner < 0)
-    rng5 = SplitMix64(cfg.seed + 5)
-    sine = []
-    while len(sine) < 3:
-        p1, p2 = _sample_cone_pair(rng5)
-        inner = pair(cone_embed(p1), cone_embed(p2))
-        d = cone_embed(p1) - cone_embed(p2)
-        r1, r2 = d.polar_radii
-        if inner >= -0.1 or min(r1, r2) <= 0 or abs(r1 - r2) / max(r1, r2) <= 0.25:
-            continue
-        sine.append((p1, p2, 1.0 + 0.3 * len(sine), inner))
+    sine = _lemma_sine_points(SplitMix64(cfg.seed + 5), 3)
+    sine_Rs = 1.0 + 0.3 * np.arange(3)
 
-    p1s, p2s, Rs = zip(*identity, reduction, *(sample[:3] for sample in sine))
-    lv = kernels.lemma_kernel_integrals(np.array(Rs), p1s, p2s)
+    charts = np.concatenate([identity, reduction, sine])
+    lv = kernels.lemma_kernel_integrals(
+        np.r_[Rs, reduction_R, sine_Rs], charts[:, 0], charts[:, 1])
     checks = []
-    for count, (_, _, R) in enumerate(identity):
+    for count, R in enumerate(Rs.tolist()):
         refs = [ref[count] for ref in lv.references]
         scale = max(abs(x) for x in refs) + 1e-12
         params = {"R": R, "r1": float(lv.r1[count]), "r2": float(lv.r2[count])}
@@ -461,11 +473,13 @@ def suite_lemma(cfg: SuiteConfig):
                 f"lemma.identity{j+1}.{count:02d}", "S5.lemma-integrals",
                 params, lv.integrals[j][count], ref, 1e-3 * scale))
     k = len(identity)
-    R, r1d, r2d = reduction[2], float(lv.r1[k]), float(lv.r2[k])
+    R, r1d, r2d = reduction_R, float(lv.r1[k]), float(lv.r2[k])
     checks.append(make_check(
         "lemma.r2_zero_reduction", "S5.eq-JY", {"R": R, "r1": r1d, "r2": r2d},
         lv.integrals[1][k], special.bessel_y0(R * r1d), 1e-9))
-    for found, (_, _, R, inner) in enumerate(sine):
+    e = cone_embed(sine)
+    for found, (R, inner) in enumerate(zip(sine_Rs.tolist(),
+                                           pair(e[:, 0], e[:, 1]).tolist())):
         checks.append(make_check(
             f"lemma.sine_vanishes.{found}", "S5.lemma-integrals",
             {"inner": inner, "R": R}, lv.integrals[2][k + 1 + found], 0.0, 1e-6))
@@ -702,9 +716,8 @@ def suite_mellin_ratio(cfg: SuiteConfig):
                     {"rho": rho, "R": R, "eps": e}, v.computed_ratio,
                     v.reference, 5e-3, kind="rel"))
     # intermediate Gamma/trig identities at random rho
-    rng = SplitMix64(cfg.seed + 6)
-    for i in range(10):
-        rho = rng.uniform(0.05, 3.0)
+    rhos = SplitMix64(cfg.seed + 6).uniforms(10, 0.05, 3.0)
+    for i, rho in enumerate(rhos.tolist()):
         for e in (0, 1):
             res = mellin.gamma_chain_identities(rho, e)
             for name, val in res.items():
@@ -1001,51 +1014,41 @@ def suite_ktypes(cfg: SuiteConfig):
         (lambda x: x[1] * x[3] ** 2 + x[0],
          lambda x: np.array([1.0, x[3] ** 2, 0, 2 * x[1] * x[3]])),
     ]
-    rngq = SplitMix64(cfg.seed + 8)
+    Xs = SplitMix64(cfg.seed + 8).uniforms((len(polys), 5, 4), -2, 2)
     worst = 0.0
-    for poly, grad in polys:
-        for _ in range(5):
-            X = np.array([rngq.uniform(-2, 2) for _ in range(4)])
+    for (poly, grad), block in zip(polys, Xs):
+        for X in block:
             worst = max(worst, quaternion_gradient_identity_residual(poly, grad, X))
     checks.append(make_check(
         "ktypes.gradient_identity", "S3.xdx-identity", {}, worst, 0.0,
         1e-12))
 
-    # w0 action block
+    # w0 action block: 10000 points, then 30 per degree, off the cone
     rngw = SplitMix64(cfg.seed + 9)
-    phi = lambda X: np.exp(-np.abs(X).sum()) + X[0]
-    worst = 0.0
-    for _ in range(10000):
-        X = np.array([rngw.uniform(-2, 2) for _ in range(4)])
-        nX = norm(X)
-        if abs(nX) < 0.05:
-            continue
-        twice = w0_act(lambda Y: w0_act(phi, Y), X)
-        worst = max(worst, abs(twice - phi(X)) / max(abs(phi(X)), 1e-10))
+    X = rngw.uniforms((10000, 4), -2, 2)
+    X = X[np.abs(norm(X)) >= 0.05]
+    phi = lambda X: np.exp(-np.abs(X).sum(axis=-1)) + X[..., 0]
+    twice, ref = w0_act(lambda Y: w0_act(phi, Y), X), phi(X)
+    worst = np.max(np.abs(twice - ref) / np.maximum(np.abs(ref), 1e-10), initial=0.0)
     checks.append(make_check(
         "w0.involution", "S3.w0-action", {"n_points": 10000}, worst, 0.0,
         1e-10))
     worst = 0.0
-    for two_l in (-1.0, complex(-1.0, 1.4), 0.0, 2.0):
+    for two_l, X in zip((-1.0, complex(-1.0, 1.4), 0.0, 2.0),
+                        rngw.uniforms((4, 30, 4), -2, 2)):
         l = two_l / 2.0
-        for _ in range(30):
-            X = np.array([rngw.uniform(-2, 2) for _ in range(4)])
-            if norm(X) < 0.05:
-                continue
-            ang = lambda Y: 1.0 + 0.3 * Y[0] / math.sqrt((Y**2).sum())
-            hom = lambda Y: homogeneous_power(Y, l) * ang(Y)
-            got = w0_act(hom, X)
-            ref = 2.0 ** (4 * l + 2) * homogeneous_power(X, -2 * l - 1) * hom(X)
-            worst = max(worst, abs(got - ref) / abs(ref))
+        X = X[norm(X) >= 0.05]
+        ang = lambda Y: 1.0 + 0.3 * Y[..., 0] / np.sqrt((Y**2).sum(axis=-1))
+        hom = lambda Y: homogeneous_power(Y, l) * ang(Y)
+        got = w0_act(hom, X)
+        ref = 2.0 ** (4 * l + 2) * homogeneous_power(X, -2 * l - 1) * hom(X)
+        worst = max(worst, np.max(np.abs(got - ref) / np.abs(ref), initial=0.0))
     checks.append(make_check(
         "w0.homogeneous_multiplier", "S3.w0-action", {"degrees": "4"},
         worst, 0.0, 1e-10))
-    worst = 0.0
-    rngn = SplitMix64(cfg.seed + 10)
-    for _ in range(50):
-        X = np.array([rngn.uniform(-2, 2) for _ in range(4)])
-        det = np.linalg.det(matrix_realization(X))
-        worst = max(worst, abs(det.real - norm(X)) + abs(det.imag))
+    X = SplitMix64(cfg.seed + 10).uniforms((50, 4), -2, 2)
+    det = np.linalg.det(matrix_realization(X))
+    worst = np.max(np.abs(det.real - norm(X)) + np.abs(det.imag))
     checks.append(make_check(
         "geometry.det_realization", "S3.identification", {"n": 50}, worst,
         0.0, 1e-12))

@@ -15,8 +15,9 @@ from splitcone.geometry import cone_embed, pair
 from splitcone.numerics import SplitMix64
 from splitcone.suites import (
     SuiteConfig,
+    _corollary_points,
     _gaussian_family,
-    _sample_cone_pair,
+    _lemma_identity_points,
     _sample_offcone_dual,
     build_suite,
 )
@@ -32,11 +33,9 @@ def _report(name, ok, detail=""):
 def test_criterion_01_fourier_closed_forms():
     """50 random (R, xi), all four sign branches, |ft - closed| within
     max(1e-4 |value|, 1e-5)."""
-    rng = SplitMix64(2024)
     t0 = time.time()
     worst = 0.0
-    for _ in range(50):
-        R, xi, q = _sample_offcone_dual(rng)
+    for R, xi, q in zip(*_sample_offcone_dual(SplitMix64(2024), 50)):
         for sR in (-1, 1):
             for se in (-1, 1):
                 res = kernels.ft_regularized(R, xi, sR, se)
@@ -49,15 +48,10 @@ def test_criterion_01_fourier_closed_forms():
 
 
 def test_criterion_02_corollary_kernels():
-    rng = SplitMix64(2025)
-    count, ok = 0, True
-    details = []
-    while count < 20:
-        p1, p2 = _sample_cone_pair(rng)
+    ok = True
+    charts, Rs = _corollary_points(SplitMix64(2025), 20)
+    for (p1, p2), R in zip(charts, Rs.tolist()):
         inner = pair(cone_embed(p1), cone_embed(p2))
-        if abs(inner) < 0.05:
-            continue
-        R = rng.uniform(0.5, 2.0)
         sym, anti = kernels.corollary_kernels(R, p1, p2)
         ref_sym = 0.5 * math.pi * kernels.psi0(-inner)
         ok &= abs(sym - ref_sym) <= 1e-4 * abs(ref_sym)
@@ -66,25 +60,17 @@ def test_criterion_02_corollary_kernels():
         else:
             ref = 0.5j * math.pi * kernels.phi0_plus(-(R * R / 4) * inner)
             ok &= abs(anti - ref) <= 1e-4 * max(abs(ref), 1e-3)
-        count += 1
     _report("criterion 2 (corollary kernels, 20 pairs)", ok, "")
 
 
 def test_criterion_03_lemma_identities():
-    rng = SplitMix64(2026)
-    count, worst = 0, 0.0
-    while count < 10:
-        p1, p2 = _sample_cone_pair(rng)
-        d = cone_embed(p1) - cone_embed(p2)
-        r1, r2 = d.polar_radii
-        if min(r1, r2) == 0 or abs(r1 - r2) / max(r1, r2) <= 0.2:
-            continue
-        R = rng.uniform(0.5, 2.0)
+    worst = 0.0
+    charts, Rs = _lemma_identity_points(SplitMix64(2026), 10)
+    for (p1, p2), R in zip(charts, Rs.tolist()):
         lv = kernels.lemma_kernel_integrals(R, p1, p2)
         scale = max(abs(x) for x in lv.references) + 1e-12
         for got, ref in zip(lv.integrals, lv.references):
             worst = max(worst, abs(got - ref) / (1e-3 * scale))
-        count += 1
     _report("criterion 3 (four oscillatory identities, 10 samples)",
             worst <= 1.0, f"worst error/tolerance = {worst:.3f}")
 
@@ -113,10 +99,8 @@ def test_criterion_04_mellin_ratio():
 
 
 def test_criterion_05_gamma_chain_identities():
-    rng = SplitMix64(2027)
     worst = 0.0
-    for _ in range(10):
-        rho = rng.uniform(0.05, 3.0)
+    for rho in SplitMix64(2027).uniforms(10, 0.05, 3.0).tolist():
         for e in (0, 1):
             res = mellin.gamma_chain_identities(rho, e)
             worst = max(worst, max(res.values()))

@@ -33,9 +33,8 @@ P_J_GOLDEN = pathlib.Path(__file__).parent / "golden" / "p_j_values.json"
 
 def cone_points(m, seed=42):
     rng = SplitMix64(seed)
-    r = np.array([rng.uniform(0.2, 3.0) for _ in range(m)])
-    t1 = np.array([rng.uniform(0, 2 * math.pi) for _ in range(m)])
-    t2 = np.array([rng.uniform(0, 2 * math.pi) for _ in range(m)])
+    r = rng.uniforms(m, 0.2, 3.0)
+    t1, t2 = rng.uniforms((2, m), 0, 2 * math.pi)
     pts = np.stack([r * np.cos(t1), r * np.sin(t1), r * np.cos(t2),
                     r * np.sin(t2)], axis=-1)
     return r, t1, t2, pts

@@ -5,7 +5,7 @@ import pytest
 from scipy import special as sp
 
 from splitcone import kernels
-from splitcone.geometry import ConePoint, DualVector, cone_embed, pair
+from splitcone.geometry import ConePoint, cone_embed, pair
 from splitcone.kernels import (
     corollary_kernels,
     delta_cone_apply,
@@ -18,7 +18,7 @@ from splitcone.kernels import (
     phi0_plus,
     psi0,
 )
-from splitcone.numerics import SplitMix64
+from splitcone.numerics import SplitMix64, unit_floats
 from splitcone.quadrature import hyperbolic_oscillatory
 from splitcone.suites import _gaussian_family, _sample_offcone_dual
 
@@ -78,8 +78,10 @@ def test_ft_closed_form_table():
 
 def test_ft_closed_form_batch_is_bitwise_scalar():
     rng = SplitMix64(5)
-    R = np.array([rng.uniform(0.2, 3.0) for _ in range(12)])
-    q = np.array([rng.uniform(0.05, 30.0) * rng.choice_sign() for _ in range(12)])
+    R = rng.uniforms(12, 0.2, 3.0)
+    w = rng.words((12, 2))  # |q|, then its sign in the low bit
+    sign = np.where(w[:, 1] & np.uint64(1), 1, -1)
+    q = (0.05 + (30.0 - 0.05) * unit_floats(w[:, 0])) * sign
     signs = np.array([-1, 1])
     # every point on all four sign branches
     batch = ft_closed_form(R[:, None, None], q[:, None, None], signs[:, None], signs)
@@ -108,16 +110,17 @@ def test_ft_closed_form_rejects_a_bad_batch_element(R, q, sR, se):
 
 
 def test_ft_regularized_matches_closed_form():
-    rng = SplitMix64(21)
-    for _ in range(6):
-        R = rng.uniform(0.5, 2.0)
-        q = rng.uniform(0.25, 16.0) * rng.choice_sign()
-        sig = rng.uniform(1.0, 4.0)
+    # R, |q|, the sign of q (the word's low bit) and sigma
+    w = SplitMix64(21).words((6, 4))
+    lo, hi = np.array([0.5, 0.25, 0.0, 1.0]), np.array([2.0, 16.0, 1.0, 4.0])
+    signs = np.where(w[:, 2] & np.uint64(1), 1, -1)
+    for (R, q, _, sig), sign in zip((lo + (hi - lo) * unit_floats(w)).tolist(), signs):
+        q *= sign
         if abs(q) > sig * sig:
             sig = math.sqrt(abs(q)) * 1.3
         r1 = 0.5 * (sig + q / sig)
         r2 = 0.5 * (sig - q / sig)
-        xi = DualVector(r1, 0.0, 0.0, r2)
+        xi = np.array([r1, 0.0, 0.0, r2])
         for sR in (-1, 1):
             for se in (-1, 1):
                 res = ft_regularized(R, xi, sR, se)
@@ -128,14 +131,12 @@ def test_ft_regularized_matches_closed_form():
 
 def test_ft_regularized_rejects_cone():
     with pytest.raises(ValueError):
-        ft_regularized(1.0, DualVector(1.0, 0.0, 1.0, 0.0), -1, 1)
+        ft_regularized(1.0, np.array([1.0, 0.0, 1.0, 0.0]), -1, 1)
 
 
 def _criterion_01_points():
     """Criterion 1's 200 (R, xi, q, sign_R2, sign_eps) branch values."""
-    rng = SplitMix64(2024)
-    for _ in range(50):
-        R, xi, q = _sample_offcone_dual(rng)
+    for R, xi, q in zip(*_sample_offcone_dual(SplitMix64(2024), 50)):
         for sR in (-1, 1):
             for se in (-1, 1):
                 yield R, xi, q, sR, se
@@ -152,7 +153,7 @@ def test_damped_rungs_converge_to_undamped_limit_at_first_order():
     # the +-i eps regularization: on a ladder of ratio 2 each halving of
     # eps halves |I(eps) - I(0)|
     for R, xi, q, sR, se in _criterion_01_points():
-        r1, r2 = xi.polar_radii
+        r1, r2 = kernels._polar_radii(xi)
         a, b = 0.5 * (r1 + r2), 0.5 * (r1 - r2)
         eta = -math.copysign(1.0, b) * se
         p, qq = a * eta, -b * eta * sR * R * R
@@ -169,7 +170,7 @@ def test_damped_rungs_converge_to_undamped_limit_at_first_order():
 def test_ft_regularized_high_frequency(q, sR, se):
     # R sqrt|q| = 100, far outside the sampled range |q| <= 16
     sig = 1.3 * math.sqrt(abs(q))
-    xi = DualVector(0.5 * (sig + q / sig), 0.0, 0.0, 0.5 * (sig - q / sig))
+    xi = np.array([0.5 * (sig + q / sig), 0.0, 0.0, 0.5 * (sig - q / sig)])
     res = ft_regularized(1.0, xi, sR, se)
     err = abs(res.value - ft_closed_form(1.0, q, sR, se))
     assert err <= 1e-9
@@ -197,10 +198,10 @@ def test_ft_regularized_grid_up_to_1e4_within_estimate():
     lambda: hyperbolic_oscillatory(1.0, -math.inf),
     lambda: hyperbolic_oscillatory(1.0, 1.0, math.inf),
     lambda: hyperbolic_oscillatory(1.0, 1.0, math.nan),
-    lambda: ft_regularized(math.inf, DualVector(1.5, 0.0, 0.5, 0.0), -1, 1),
-    lambda: ft_regularized(math.nan, DualVector(1.5, 0.0, 0.5, 0.0), -1, 1),
-    lambda: ft_regularized(1.0, DualVector(math.nan, 0.0, 0.5, 0.0), -1, 1),
-    lambda: ft_regularized(1.0, DualVector(1.5, 0.0, math.inf, 0.0), -1, 1),
+    lambda: ft_regularized(math.inf, np.array([1.5, 0.0, 0.5, 0.0]), -1, 1),
+    lambda: ft_regularized(math.nan, np.array([1.5, 0.0, 0.5, 0.0]), -1, 1),
+    lambda: ft_regularized(1.0, np.array([math.nan, 0.0, 0.5, 0.0]), -1, 1),
+    lambda: ft_regularized(1.0, np.array([1.5, 0.0, math.inf, 0.0]), -1, 1),
     lambda: ft_closed_form(math.inf, 2.0, -1, 1),
     lambda: ft_closed_form(1.0, math.nan, -1, 1),
     lambda: ft_closed_form(1.0, -math.inf, 1, -1),
@@ -290,14 +291,14 @@ def test_delta_quadric_rejects_bad_offset(offset):
 def test_batched_kernels_match_single_calls():
     points = list(_criterion_01_points())[:24]
     R, xi, sR, se = (np.array(v) for v in zip(*(
-        (R, xi.as_array(), sR, se) for R, xi, _, sR, se in points)))
+        (R, xi, sR, se) for R, xi, _, sR, se in points)))
     batch = ft_regularized(R, xi, sR, se)
     for k, (R_, xi_, _, sR_, se_) in enumerate(points):
         one = ft_regularized(R_, xi_, sR_, se_)
         assert batch.value[k] == one.value
         assert batch.error_estimate[k] == one.error_estimate
-    p1s = [ConePoint(1.2, 0.3, 1.1), ConePoint(1.0, 0.3, 0.2)]
-    p2s = [ConePoint(0.7, 2.0, 0.4), ConePoint(1.0, 0.3, 1.1 + math.pi)]
+    p1s = np.array([[1.2, 0.3, 1.1], [1.0, 0.3, 0.2]])
+    p2s = np.array([[0.7, 2.0, 0.4], [1.0, 0.3, 1.1 + math.pi]])
     Rs = [1.5, 2.0]
     syms, antis = corollary_kernels(Rs, p1s, p2s)
     lv = lemma_kernel_integrals(Rs, p1s, p2s)
@@ -310,7 +311,7 @@ def test_batched_kernels_match_single_calls():
 
 def _damped_reference(R, xi, sR, se, eps):
     """-1/4 H(a eta, -b eta sR R^2, |b| eps), the production reduction at eps."""
-    r1, r2 = xi.polar_radii
+    r1, r2 = kernels._polar_radii(xi)
     a, b = 0.5 * (r1 + r2), 0.5 * (r1 - r2)
     eta = -math.copysign(1.0, b) * se
     return -0.25 * hyperbolic_oscillatory(
@@ -322,7 +323,7 @@ _SIGN_PAIRS = [(-1, 1), (1, 1), (1, -1), (-1, -1)]
 
 def test_bruteforce_oracle_matches_production_at_finite_eps():
     # the suite's point, both orderings of r1 and r2, all four sign pairs
-    for xi in (DualVector(1.5, 0.0, 0.5, 0.0), DualVector(0.5, 0.0, 1.5, 0.0)):
+    for xi in (np.array([1.5, 0.0, 0.5, 0.0]), np.array([0.5, 0.0, 1.5, 0.0])):
         for sR, se in _SIGN_PAIRS:
             got = ft_bruteforce_damped(1.0, xi, sR, se, eps=0.4)
             ref = _damped_reference(1.0, xi, sR, se, 0.4)
@@ -334,15 +335,17 @@ def test_bruteforce_oracle_over_supported_range():
     # have nearly equal radii, with gaps |r1 - r2| / r1 from 2.5e-4 to 0.1
     cases = [(R, eps, r1, r2) for R in (0.1, 3.0) for eps in (0.01, 3.0)
              for r1, r2 in ((0.05, 3.0), (3.0, 0.05), (3.0, 2.9993))]
-    rng = SplitMix64(11)
-    for k in range(24):
-        R, eps, r1 = rng.uniform(0.1, 3.0), rng.uniform(0.01, 3.0), rng.uniform(0.05, 3.0)
-        r2 = r1 * (1.0 - 10.0 ** rng.uniform(-3.6, -1.0)) if k % 3 == 0 else rng.uniform(0.05, 3.0)
+    near = (np.arange(24) % 3 == 0)[:, None]
+    draws = SplitMix64(11).uniforms(
+        (24, 4), np.where(near, (0.1, 0.01, 0.05, -3.6), (0.1, 0.01, 0.05, 0.05)),
+        np.where(near, (3.0, 3.0, 3.0, -1.0), 3.0))
+    for k, (R, eps, r1, x) in enumerate(draws.tolist()):
+        r2 = r1 * (1.0 - 10.0 ** x) if k % 3 == 0 else x
         r2 = max(r2, 0.05)
         if abs(r1 - r2) >= 1e-4 * (r1 + r2):
             cases.append((R, eps, r1, r2))
     for k, (R, eps, r1, r2) in enumerate(cases):
-        xi = DualVector(r1, 0.0, 0.0, r2)
+        xi = np.array([r1, 0.0, 0.0, r2])
         sR, se = _SIGN_PAIRS[k % 4]
         got = ft_bruteforce_damped(R, xi, sR, se, eps=eps)
         ref = _damped_reference(R, xi, sR, se, eps)
@@ -351,9 +354,9 @@ def test_bruteforce_oracle_over_supported_range():
 
 @pytest.mark.parametrize("turn", [10.0, 40.0])
 def test_bruteforce_oracle_does_not_depend_on_the_turn(monkeypatch, turn):
-    points = [(1.0, DualVector(1.5, 0.0, 0.5, 0.0), 0.4),
-              (0.1, DualVector(0.3, 0.4, 2.0, -1.0), 0.01),
-              (2.0, DualVector(1.0, 0.0, 1.001, 0.0), 0.1)]
+    points = [(1.0, np.array([1.5, 0.0, 0.5, 0.0]), 0.4),
+              (0.1, np.array([0.3, 0.4, 2.0, -1.0]), 0.01),
+              (2.0, np.array([1.0, 0.0, 1.001, 0.0]), 0.1)]
     values = [[ft_bruteforce_damped(R, xi, sR, se, eps) for sR, se in _SIGN_PAIRS]
               for R, xi, eps in points]
     monkeypatch.setattr(kernels, "_ORACLE_TURN", turn)
@@ -385,4 +388,4 @@ def test_bruteforce_oracle_does_not_depend_on_the_turn(monkeypatch, turn):
         "r2-small", "r1-large", "r1-equals-r2", "r1-near-r2", "xi-nan"])
 def test_bruteforce_oracle_rejects_outside_supported_range(R, xi, eps):
     with pytest.raises(ValueError, match="outside the supported range"):
-        ft_bruteforce_damped(R, DualVector(*xi), 1, 1, eps=eps)
+        ft_bruteforce_damped(R, np.array(xi), 1, 1, eps=eps)

@@ -11,13 +11,25 @@ from splitcone.quadrature import QuadratureError, hyperbolic_oscillatory
 
 
 def test_splitmix_determinism():
+    # the published SplitMix64 outputs
+    assert SplitMix64(0).words(3).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert SplitMix64(1234567).words(3).tolist() == [
+        0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77]
+    # split draws continue the stream, and a shape is the same stream
     a = SplitMix64(123)
-    b = SplitMix64(123)
-    assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
-    c = SplitMix64(124)
-    assert a.next_u64() != c.next_u64()
-    u = SplitMix64(0).uniform()
-    assert 0.0 <= u < 1.0
+    split = np.r_[a.words(3), a.words(5)]
+    assert split.tolist() == SplitMix64(123).words(8).tolist()
+    assert SplitMix64(123).words((2, 4)).ravel().tolist() == split.tolist()
+    assert SplitMix64(123).words(1)[0] != SplitMix64(124).words(1)[0]
+    u = SplitMix64(0).uniforms(1000)
+    assert np.all((0.0 <= u) & (u < 1.0))
+    assert SplitMix64(0).uniforms(0).shape == (0,)
+    # uniforms maps the words' top 53 bits to [lo, hi)
+    lo, hi = np.array([-2.0, 0.5]), np.array([2.0, 3.0])
+    assert np.array_equal(
+        SplitMix64(9).uniforms((3, 2), lo, hi),
+        lo + (hi - lo) * (SplitMix64(9).words((3, 2)) >> np.uint64(11)) * 2.0**-53)
 
 
 def test_richardson_limit():
@@ -43,18 +55,12 @@ def test_h_matches_bessel_identities():
 
 
 def test_h_damped_against_mpmath():
-    mpmath.mp.dps = 25
-
-    def brute(p, q, d):
-        f = lambda x: mpmath.exp(
-            1j * (p * mpmath.exp(x) + q * mpmath.exp(-x)) - d * mpmath.exp(-x)
-        )
-        segs = mpmath.linspace(-14, 5, 120)
-        v = mpmath.quad(f, segs, maxdegree=10)
-        U = p * mpmath.exp(5)
-        g = lambda u: mpmath.exp(1j * (u + q * p / u) - d * p / u) / u
-        v += mpmath.quadosc(g, [U, mpmath.inf], period=2 * mpmath.pi)
-        return complex(v)
+    # H(p, q, delta) = pi i H0^(1)(2 sqrt(p (q + i delta))) for p > 0, the
+    # closed form of test_h_strongly_damped_against_hankel, at 50 digits
+    def hankel(p, q, d):
+        with mpmath.workdps(50):
+            g = 2 * mpmath.sqrt(mpmath.mpf(p) * (mpmath.mpf(q) + 1j * mpmath.mpf(d)))
+            return complex(mpmath.pi * 1j * mpmath.hankel1(0, g))
 
     # (1.3, -2.1, ...) is the weakly damped, strongly oscillating regime of
     # the finite-eps rungs (delta = |q| eps at the smallest ladder eps); the
@@ -63,9 +69,26 @@ def test_h_damped_against_mpmath():
                       (1.3, -2.1, 2.1 * 0.0125), (1.0, 0.1, 2.0),
                       (1.0, -0.1, 2.0), (2.0, -0.2, 3.0)):
         got, est = hyperbolic_oscillatory(p, q, d)
-        err = abs(got - brute(p, q, d))
+        err = abs(got - hankel(p, q, d))
         assert err < 1e-12
         assert err <= est
+
+
+def test_h_weakly_damped_against_brute_force_mpmath():
+    # the closed form above against direct quadrature of the defining
+    # integral, on the weakly damped, strongly oscillating input
+    mpmath.mp.dps = 25
+    p, q, d = 1.3, -2.1, 2.1 * 0.0125
+    f = lambda x: mpmath.exp(
+        1j * (p * mpmath.exp(x) + q * mpmath.exp(-x)) - d * mpmath.exp(-x))
+    brute = mpmath.quad(f, mpmath.linspace(-14, 5, 120), maxdegree=10)
+    U = p * mpmath.exp(5)
+    g = lambda u: mpmath.exp(1j * (u + q * p / u) - d * p / u) / u
+    brute = complex(brute + mpmath.quadosc(g, [U, mpmath.inf], period=2 * mpmath.pi))
+    got, est = hyperbolic_oscillatory(p, q, d)
+    err = abs(got - brute)
+    assert err < 1e-12
+    assert err <= est
 
 
 def test_undamped_error_bound_bounds_closed_form_error():

@@ -166,7 +166,7 @@ def test_json_writer_rejects_what_json_dumps_rejects():
             to_json(rep)
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     out = tmp_path / "r.json"
     assert main(["corollary", "--format", "json", "--out", str(out),
                  "--seed", "7"]) == 0
@@ -181,6 +181,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["corollary", "--tol", "-1"]) == 2
     assert main(["corollary", "--rho", "abc"]) == 2
     assert main(["fourier", "--panel-budget", "3"]) == 2
+    # an unwritable output path is a usage error with one line on stderr
+    capsys.readouterr()
+    assert main(["bessel", "--out", str(tmp_path / "nodir" / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write report" in err and err.count("\n") == 1
     # numerical non-convergence via a negative error budget
     monkeypatch.setattr(quadrature, "_ERROR_BUDGET", -1.0)
     assert main(["fourier", "--format", "json", "--out", str(out)]) == 3
@@ -197,6 +202,16 @@ def test_cli_bad_parameters_are_usage_errors(flag, value, capsys):
     assert main(["mellin_ratio", f"{flag}={value}"]) == 2
     err = capsys.readouterr().err
     assert "bad configuration" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eps_parity": "2"}, {"rho_list": ()}, {"R_list": ()},
+], ids=["parity-2", "rho-empty", "R-empty"])
+def test_suite_config_rejects_bad_parity_and_empty_lists(kwargs):
+    # each used to be accepted and then fail mid-run (make_f_xi_eps, or an
+    # IndexError in suite_mellin_ratio)
+    with pytest.raises(ValueError):
+        SuiteConfig(suite="mellin_ratio", **kwargs)
 
 
 def test_cli_rho_supported_range_passes():

@@ -160,10 +160,9 @@ def test_ktilde_iterated_relation():
 
 
 def test_gamma_against_mpmath():
-    rng = SplitMix64(3)
     mpmath.mp.dps = 30
-    for _ in range(60):
-        z = complex(rng.uniform(-4, 4), rng.uniform(-10, 10))
+    for x, y in SplitMix64(3).uniforms((60, 2), (-4, -10), (4, 10)).tolist():
+        z = complex(x, y)
         if z.real <= 0 and abs(z.imag) < 1e-2:
             continue
         ref = complex(mpmath.gamma(z))

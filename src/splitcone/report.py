@@ -1,13 +1,24 @@
-"""Structured verification reports and their serializations."""
+"""Structured verification reports and their serializations.
+
+A check's record is declared once, in `_CHECK_LAYOUT`: `report_payload`,
+the CSV columns and the JSON check template all follow it.  `to_json`
+fills that template from the `CheckResult` attributes, writing each field
+down the column of all checks; its cold path, json.dumps, writes the
+report's head and tail and any value that is not a flat scalar.
+"""
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 SCHEMA_VERSION = 1
 
@@ -26,12 +37,15 @@ class CheckResult:
     kind: str = "abs"  # which error the tolerance bounds: "abs" | "rel"
 
     def __post_init__(self):
-        a = abs(complex(self.computed) - complex(self.reference))
-        scale = max(abs(complex(self.computed)), abs(complex(self.reference)))
+        computed, reference = complex(self.computed), complex(self.reference)
+        a = abs(computed - reference)
+        scale = max(abs(computed), abs(reference))
         r = a / scale if scale > 0 else 0.0
-        object.__setattr__(self, "abs_error", float(a))
-        object.__setattr__(self, "rel_error", float(r))
+        object.__setattr__(self, "abs_error", a)
+        object.__setattr__(self, "rel_error", r)
         err = a if self.kind == "abs" else r
+        # bool: against a numpy tolerance the comparison gives a numpy bool,
+        # which json does not write
         object.__setattr__(self, "passed", bool(err <= self.tolerance))
 
 
@@ -80,93 +94,105 @@ def _num(x):
     return x
 
 
+def _params(p):
+    return {k: _num(v) for k, v in sorted(p.items())}
+
+
+# A check's record, in order: (key, CheckResult attribute, conversion of
+# the attribute into its payload value, None for the value as it is).
+_CHECK_LAYOUT = (
+    ("check_id", "check_id", None),
+    ("paper_anchor", "paper_anchor", None),
+    ("parameters", "parameters", _params),
+    ("computed", "computed", _num),
+    ("reference", "reference", _num),
+    ("abs_error", "abs_error", None),
+    ("rel_error", "rel_error", None),
+    ("tolerance", "tolerance", None),
+    ("tolerance_kind", "kind", None),
+    ("pass", "passed", None),
+)
+_check_fields = attrgetter(*[attr for _, attr, _ in _CHECK_LAYOUT])
+_CHECK_TEMPLATE = "    {\n" + ",\n".join(
+    f"      {encode_basestring_ascii(key)}: %s" for key, _, _ in _CHECK_LAYOUT) + "\n    }"
+_CSV_FIELDS = [key for key, _, _ in _CHECK_LAYOUT]
+
+
 def _check_payload(c: CheckResult):
-    return {
-        "check_id": c.check_id,
-        "paper_anchor": c.paper_anchor,
-        "parameters": {k: _num(v) for k, v in sorted(c.parameters.items())},
-        "computed": _num(c.computed),
-        "reference": _num(c.reference),
-        "abs_error": c.abs_error,
-        "rel_error": c.rel_error,
-        "tolerance": c.tolerance,
-        "tolerance_kind": c.kind,
-        "pass": c.passed,
-    }
+    return {key: value if convert is None else convert(value)
+            for (key, _, convert), value in zip(_CHECK_LAYOUT, _check_fields(c))}
 
 
-def report_payload(rep: VerificationReport, include_wall_time=True):
+def _report_fields(rep, include_wall_time):
+    """The report's payload with its checks still `CheckResult`s."""
     return {
         "schema_version": SCHEMA_VERSION,
         "suite": rep.suite,
-        "config_echo": {k: _num(v) for k, v in sorted(rep.config_echo.items())},
+        "config_echo": _params(rep.config_echo),
         "generator": rep.generator,
-        "checks": [_check_payload(c) for c in sorted(rep.checks, key=lambda c: c.check_id)],
+        "checks": sorted(rep.checks, key=lambda c: c.check_id),
         "summary": rep.summary,
         "wall_ms": rep.wall_ms if include_wall_time else 0.0,
     }
 
 
-def _encode(o, pad):
-    """`o` as json.dumps(..., indent=2) writes it at the indentation `pad`."""
-    if isinstance(o, float):
-        if math.isfinite(o):
-            return float.__repr__(o)
-        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
+def report_payload(rep: VerificationReport, include_wall_time=True):
+    payload = _report_fields(rep, include_wall_time)
+    payload["checks"] = [_check_payload(c) for c in payload["checks"]]
+    return payload
+
+
+def _json(o, pad):
+    """`o` as json.dumps(o, indent=2) writes it at the indentation `pad`;
+    json escapes the newlines in strings, so all of its own are structural."""
+    if isinstance(o, float) and math.isfinite(o):
+        return float.__repr__(o)
+    if o is True or o is False:
+        return "true" if o else "false"
+    if type(o) is int:
         return int.__repr__(o)
-    inner = pad + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        body = ",\n".join([inner + _encode(v, inner) for v in o])
-        return f"[\n{body}\n{pad}]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        body = ",\n".join([f"{inner}{encode_basestring_ascii(_key(k))}: "
-                           f"{_encode(v, inner)}" for k, v in o.items()])
-        return f"{{\n{body}\n{pad}}}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    return json.dumps(o, indent=2).replace("\n", "\n" + pad)
 
 
-def _key(k):
-    """A dict key as the string json.dumps makes of it."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, (int, float)) or k is None:
-        return _encode(k, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, not "
-                    f"{type(k).__name__}")
+def _column_json(col, convert, pad):
+    """`_json(convert(v), pad)` for each v of `col` (of v if convert is
+    None).  A column of strings, of finite floats, through `_num` of finite
+    complex numbers, or through `_params` of string-keyed parameters (as
+    the column of all their values) is written in one pass."""
+    if convert is _params:
+        rows = [sorted(p.items()) for p in col]
+        with suppress(TypeError):  # a key that is not a string
+            keys = list(map(encode_basestring_ascii, [k for row in rows for k, _ in row]))
+            inner, close = pad + "  ", f"\n{pad}}}"
+            values = _column_json([v for row in rows for _, v in row], _num, inner)
+            lines = iter([f"{inner}{k}: {v}" for k, v in zip(keys, values)])
+            return ["{\n" + ",\n".join(islice(lines, len(row))) + close if row else "{}"
+                    for row in rows]
+    elif convert is None:
+        with suppress(TypeError):
+            return list(map(encode_basestring_ascii, col))
+    with suppress(TypeError, AttributeError, OverflowError):  # not all numbers
+        if all(map(cmath.isfinite, col)):
+            if convert is None:
+                return list(map(float.__repr__, col))
+            return [float.__repr__(x.real) if x.imag == 0.0 else
+                    f"[\n{pad}  {float.__repr__(x.real)},\n"
+                    f"{pad}  {float.__repr__(x.imag)}\n{pad}]" for x in col]
+    return [_json(v if convert is None else convert(v), pad) for v in col]
 
 
 def to_json(rep: VerificationReport, include_wall_time=True) -> str:
     """`json.dumps(report_payload(rep), indent=2)` plus a newline, byte for
-    byte, written by `_encode`: `indent` would select json's pure-Python
-    encoder."""
-    return _encode(report_payload(rep, include_wall_time), "") + "\n"
-
-
-_CSV_FIELDS = [
-    "check_id",
-    "paper_anchor",
-    "parameters",
-    "computed",
-    "reference",
-    "abs_error",
-    "rel_error",
-    "tolerance",
-    "tolerance_kind",
-    "pass",
-]
+    byte: `indent` would select json's pure-Python encoder."""
+    fields = _report_fields(rep, include_wall_time)
+    columns = zip(*map(_check_fields, fields["checks"]))
+    cells = [_column_json(col, convert, "      ")
+             for (_, _, convert), col in zip(_CHECK_LAYOUT, columns)]
+    checks = ",\n".join(map(_CHECK_TEMPLATE.__mod__, zip(*cells)))
+    fields["checks"] = f"[\n{checks}\n  ]" if checks else "[]"
+    return "{\n" + ",\n".join(f"  {encode_basestring_ascii(key)}: "
+                              + (value if key == "checks" else _json(value, "  "))
+                              for key, value in fields.items()) + "\n}\n"
 
 
 def to_csv(rep: VerificationReport) -> str:
@@ -175,10 +201,10 @@ def to_csv(rep: VerificationReport) -> str:
     writer.writeheader()
     for c in sorted(rep.checks, key=lambda c: c.check_id):
         row = _check_payload(c)
-        row["parameters"] = json.dumps(row["parameters"], sort_keys=True)
-        row["computed"] = json.dumps(row["computed"])
-        row["reference"] = json.dumps(row["reference"])
-        writer.writerow({k: row[k] for k in _CSV_FIELDS})
+        for key, _, convert in _CHECK_LAYOUT:
+            if convert is not None:
+                row[key] = json.dumps(row[key], sort_keys=True)
+        writer.writerow(row)
     return buf.getvalue()
 
 

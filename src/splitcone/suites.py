@@ -72,6 +72,10 @@ class SuiteConfig:
             raise ValueError("R values must lie in [0.4, 4]")
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
             raise ValueError("tol scale must be positive and finite")
+        # SplitMix64 keeps the seed's low 64 bits, so a seed outside this
+        # range would repeat the checks of another while echoing its own
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must lie in [0, 2^64)")
 
     def parities(self):
         if self.eps_parity == "both":
@@ -97,9 +101,10 @@ def _sample_offcone_dual(rng, n):
 
 def _cone_pair_block(u):
     """Chart coordinates (..., 2, 3) of cone pairs from unit draws (..., 6),
-    each pair's two (r, theta1, theta2) in stream order."""
+    each pair's two (r, theta1, theta2) in stream order; draws (..., 3)
+    give single points (..., 1, 3)."""
     lo, hi = np.array([(0.3, 2.0), (0.0, 2 * math.pi), (0.0, 2 * math.pi)]).T
-    return lo + (hi - lo) * u.reshape(u.shape[:-1] + (2, 3))
+    return lo + (hi - lo) * u.reshape(u.shape[:-1] + (-1, 3))
 
 
 def _pick_pairs(rng, n, accept, size=6, extra=0):
@@ -112,11 +117,14 @@ def _pick_pairs(rng, n, accept, size=6, extra=0):
     u, picked = np.empty(0), []
     while len(picked) < n:
         u = np.r_[u, rng.uniforms(4 * n * (size + extra))]
-        e = cone_embed(_cone_pair_block(sliding_window_view(u, 6)))
-        r1, r2 = kernels._polar_radii(e[:, 0] - e[:, 1])
+        # each 3-draw chart window embedded once: the candidate at offset i
+        # pairs rows i and i + 3
+        e = cone_embed(_cone_pair_block(sliding_window_view(u, 3))[:, 0])
+        xi, xi2 = e[:-3], e[3:]
+        r1, r2 = kernels._polar_radii(xi - xi2)
         gap = np.where(np.minimum(r1, r2) > 0,
                        np.abs(r1 - r2) / np.maximum(r1, r2), 0.0)
-        ok = accept(pair(e[:, 0], e[:, 1]), gap)
+        ok = accept(pair(xi, xi2), gap)
         picked, i = [], 0
         while len(picked) < n and i + size + extra <= len(u):
             if ok[i]:

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from splitcone import cli, quadrature, suites
 from splitcone.cli import main
@@ -116,6 +118,15 @@ def test_scale_tolerance_at_scale_one_returns_the_check():
     assert not tightened.passed
 
 
+def test_scale_tolerance_recomputes_pass():
+    # dataclasses.replace hands the old `passed` to __init__, and
+    # __post_init__ must overwrite it from the new tolerance
+    check = make_check("x", "S", {}, 1.0, 1.5, 1.0)
+    tight = suites._scale_tolerance(check, 0.25)
+    assert check.passed and tight.tolerance == 0.25 and not tight.passed
+    assert suites._scale_tolerance(tight, 4.0).passed
+
+
 def _json_dumps(rep, include_wall_time):
     return json.dumps(report_payload(rep, include_wall_time), indent=2) + "\n"
 
@@ -153,6 +164,50 @@ def _edge_report():
     VerificationReport("empty_echo", {}, _edge_report().checks[:1]),
 ], ids=["edge-values", "zero-checks", "one-check"])
 def test_json_writer_matches_json_dumps_on_edge_reports(rep):
+    for include_wall_time in (True, False):
+        assert to_json(rep, include_wall_time) == _json_dumps(rep, include_wall_time)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308,
+                     math.nan, math.inf, -math.inf]))
+_PART = st.one_of(st.sampled_from([0.0, -0.0]), _FLOATS)
+_COMPLEX = st.builds(complex, _PART, _PART)
+# numpy 2 writes repr(np.float64(x)) as "np.float64(x)": the writer must
+# format these as floats, as json.dumps does
+_NUMBERS = st.one_of(_FLOATS, _COMPLEX, _FLOATS.map(np.float64))
+_TEXT = st.text(max_size=12)  # quotes, control characters, non-ASCII
+# a complex number only as a flat value: json.dumps writes none nested
+_JSON = st.recursive(
+    st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers(), _TEXT,
+              st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=6)
+_VALUES = st.one_of(_COMPLEX, _JSON)
+_PARAMS = st.one_of(st.dictionaries(_TEXT, _VALUES, max_size=4),
+                    st.dictionaries(st.integers(), _NUMBERS, max_size=3))
+
+
+@st.composite
+def _checks(draw):
+    # CheckResult itself, unlike make_check, keeps real values as they are
+    build = draw(st.sampled_from([make_check, CheckResult]))
+    args = [draw(s) for s in (_TEXT, _TEXT, _PARAMS, _NUMBERS, _NUMBERS, _FLOATS)]
+    try:
+        return build(*args, kind=draw(st.sampled_from(["abs", "rel"])))
+    except OverflowError:  # |computed - reference| beyond the float range
+        reject()
+
+
+_REPORTS = st.builds(VerificationReport, _TEXT, st.dictionaries(_TEXT, _VALUES, max_size=3),
+                     st.lists(_checks(), max_size=5), _FLOATS, _TEXT)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_REPORTS)
+def test_json_writer_matches_json_dumps_on_generated_reports(rep):
     for include_wall_time in (True, False):
         assert to_json(rep, include_wall_time) == _json_dumps(rep, include_wall_time)
 
@@ -197,6 +252,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     ("--rho", "0"), ("--rho", "nan"), ("--rho", "inf"), ("--rho", "-inf"),
     ("--rho", "0.1"), ("--rho", "-2.5"), ("--rho", "0.3,3"),
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+    ("--seed", "-1"), ("--seed", str(2**64)),
 ])
 def test_cli_bad_parameters_are_usage_errors(flag, value, capsys):
     assert main(["mellin_ratio", f"{flag}={value}"]) == 2

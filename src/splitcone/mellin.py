@@ -1,17 +1,18 @@
-"""Mellin-transform machinery and the end-to-end ratio verification.
+"""Mellin-transform machinery and the ratio of the two operators' images.
 
 The transform convention is M f(rho) = int_0^inf f(s) s^(1-i rho) ds/s.
-Two verification layers:
+The ratio M Pl / M FC must equal `reference_ratio`, R^(-2+2i rho)
+2^(-2i rho) times coth(pi rho/2) for even parity or tanh(pi rho/2) for
+odd parity.  It is computed two ways:
 
-  * closed_form: the per-theta Mellin images of the two ray chains are
-    explicit Gamma-function expressions; their ratio is theta-independent
-    and must equal R^(-2+2i rho) 2^(-2i rho) times coth(pi rho/2) for even
-    parity or tanh(pi rho/2) for odd parity.
-  * end_to_end: both operators are applied on the ray s -> s xi0 over a
-    log-s Gauss grid, Mellin-transformed numerically (with analytic
-    power-law tail corrections), and the ratio is compared to the same
-    reference after calibrating one overall constant at the first grid
-    point; the calibration constant itself is reported (it should be 1).
+  * `closed_form_ratio`: the per-theta Mellin images of the two ray chains
+    are explicit Gamma-function expressions, whose ratio must not depend
+    on theta.
+  * `RayTable.ratio`: both operators are applied on the ray s -> s xi0
+    over a log-s Gauss grid and Mellin-transformed numerically (with
+    analytic power-law tail corrections).  The `mellin_ratio` suite
+    compares it to the reference after calibrating one overall constant
+    at its first rho and R, and reports the constant (it should be 1).
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ __all__ = [
     "mellin_power_tail",
     "gr_2667_integrals",
     "per_theta_mellin_closed_forms",
-    "RatioVerdict",
+    "closed_form_ratio",
     "RayTable",
     "reference_ratio",
-    "verify_ratio",
     "gamma_chain_identities",
 ]
 
@@ -184,41 +184,37 @@ def reference_ratio(rho, R, parity_eps):
     return fac * ((1.0 / t) if parity_eps == 0 else t)
 
 
-@dataclass(frozen=True)
-class RatioVerdict:
-    rho: float
-    R: float
-    parity_eps: int
-    mode: str
-    computed_ratio: complex
-    reference: complex
-    rel_error: float
-    calibration: complex = 1.0 + 0.0j
+def _check_rho_R(rho, R):
+    if not (math.isfinite(rho) and rho != 0.0 and math.isfinite(R) and R > 0):
+        raise ValueError("rho must be finite and nonzero, R finite and positive")
 
 
-def _ratio_closed_form(rho, R, parity_eps, thetas=(0.0, 0.5, 1.5)):
-    vals = []
-    for th in thetas:
-        m_pl, m_fc = per_theta_mellin_closed_forms(rho, R, th, parity_eps)
-        vals.append(m_pl / m_fc)
-    spread = max(abs(v - vals[0]) for v in vals)
-    if spread > 1e-11 * abs(vals[0]):
+_THETAS = (0.0, 0.5, 1.5)  # the angles closed_form_ratio compares
+
+
+def closed_form_ratio(rho, R, parity_eps):
+    """M Pl / M FC from the per-theta Gamma expressions; raises
+    ArithmeticError unless it is the same at every angle of _THETAS."""
+    _check_rho_R(rho, R)
+    vals = [m_pl / m_fc for m_pl, m_fc in (
+        per_theta_mellin_closed_forms(rho, R, th, parity_eps) for th in _THETAS)]
+    if max(abs(v - vals[0]) for v in vals) > 1e-11 * abs(vals[0]):
         raise ArithmeticError("closed-form ratio is not theta-independent")
     return vals[0]
 
 
 class RayTable:
     """Ray evaluations of both operators on a log-s Gauss grid, with the
-    power laws fitted at the grid's edges.
+    power laws fitted at the grid's edges, for each parity and R given.
 
-    The operators act on the test function at the base point (1, 0.7, 0.3).
+    The operators act on the test function of each parity at the base point
+    (1, 0.7, 0.3).  The radial rows behind the values do not depend on the
+    parity, so the "fc" rows are built once and the "pl" rows once per R.
     The grid doubles as the Mellin quadrature rule (10 Gauss-Legendre
     panels of order 8 in log s on [s_lo, s_hi]); known asymptotic exponents
     supply analytic tail models: the Phi0+ chain opens like s^(1/2) and
     closes like s^(-3/2); the Psi0 chain has an s -> 0 form A + B log s and
-    closes like s^(-3/2), s^(-2).  The radial rows behind the values do not
-    depend on the parity, so tables of both parities may share the rows of
-    `shared_rows`; each value row's edge power laws are fitted once.
+    closes like s^(-3/2), s^(-2).  `ratio` gives M Pl / M FC from them.
     """
 
     s_lo = 1e-3
@@ -227,23 +223,19 @@ class RayTable:
     x, w = panel_nodes(np.linspace(math.log(s_lo), math.log(s_hi), 11), 8)
     s = np.exp(x)
 
-    @classmethod
-    def shared_rows(cls, R_list):
-        """ray_rows of "fc" and of "pl" at each R, on the table's s grid."""
-        return {"fc": ray_rows(cls.radial, "fc", cls.s),
-                "pl": {R: ray_rows(cls.radial, "pl", cls.s, R) for R in R_list}}
-
-    def __init__(self, parity_eps, R_list, rows=None):
-        self.parity_eps = parity_eps
-        self.f = make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), parity_eps, self.radial)
-        rows = rows if rows is not None else self.shared_rows(R_list)
-        self.fc_vals = ray_values(self.f, "fc", self.s, rows=rows["fc"])
-        self.pl_vals = {R: ray_values(self.f, "pl", self.s, R, rows["pl"][R])
-                        for R in R_list}
+    def __init__(self, parities, R_list):
+        fc_rows = ray_rows(self.radial, "fc", self.s)
+        pl_rows = {R: ray_rows(self.radial, "pl", self.s, R) for R in R_list}
+        # parity -> (values, edge fits) of FC, (parity, R) -> those of Pl;
         # s -> 0: FC like A + B log s (+ C sqrt s), Pl like A (+ sqrt, linear)
-        self.fc_fits = self._edge_fits(self.fc_vals, [0.0, "log", 0.5])
-        self.pl_fits = {R: self._edge_fits(v, [0.0, 0.5, 1.0])
-                        for R, v in self.pl_vals.items()}
+        self.fc, self.pl = {}, {}
+        for e in parities:
+            f = make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), e, self.radial)
+            vals = ray_values(f, "fc", self.s, rows=fc_rows)
+            self.fc[e] = vals, self._edge_fits(vals, [0.0, "log", 0.5])
+            for R, rows in pl_rows.items():
+                vals = ray_values(f, "pl", self.s, R, rows)
+                self.pl[e, R] = vals, self._edge_fits(vals, [0.0, 0.5, 1.0])
 
     def _edge_fits(self, vals, lower_powers):
         """[(side, edge, powers, c)] of the least-squares fits vals ~ sum c_k
@@ -259,7 +251,7 @@ class RayTable:
             fits.append((side, edge, powers, coef))
         return fits
 
-    def _mellin_with_tails(self, vals, rho, fits):
+    def _mellin_with_tails(self, vals, fits, rho):
         """Grid Mellin sum plus the closed-form tails of the fitted powers.
         The power "log" is the term log s, whose tail is
         int_0^e s^(mu-1) log s ds = e^mu (log e / mu - 1/mu^2)."""
@@ -273,47 +265,13 @@ class RayTable:
             )
         return total
 
-    def mellin_pl(self, rho, R):
-        return self._mellin_with_tails(self.pl_vals[R], rho, self.pl_fits[R])
-
-    def mellin_fc(self, rho):
-        return self._mellin_with_tails(self.fc_vals, rho, self.fc_fits)
-
-
-def verify_ratio(rho, R, parity_eps, mode="closed_form",
-                 ray_table: RayTable = None, calibration=None):
-    """Ratio verdict at one (rho, R, parity) against the reference factor.
-
-    closed_form: per-theta Gamma expressions (theta-independence asserted).
-    end_to_end: numerical Mellin of cached operator ray values; a shared
-    RayTable may be passed to amortize operator work across calls, and an
-    externally calibrated constant may be supplied (otherwise 1 is used,
-    i.e. raw comparison).
-    """
-    if not (math.isfinite(rho) and math.isfinite(R)):
-        raise ValueError("rho and R must be finite")
-    if rho == 0.0:
-        raise ValueError("rho = 0 excluded")
-    if not R > 0:
-        raise ValueError("R must be positive")
-    ref = reference_ratio(rho, R, parity_eps)
-    if mode == "closed_form":
-        ratio = _ratio_closed_form(rho, R, parity_eps)
-        calib = 1.0 + 0.0j
-    elif mode == "end_to_end":
-        table = ray_table or RayTable(parity_eps, [R])
-        if table.parity_eps != parity_eps:
-            raise ValueError(
-                f"ray table has parity {table.parity_eps}, not {parity_eps}")
-        if R not in table.pl_vals:
+    def ratio(self, rho, R, parity_eps):
+        """M Pl / M FC at (rho, R, parity) from the table's values; a
+        numpy complex, as the fitted tails are."""
+        _check_rho_R(rho, R)
+        if parity_eps not in self.fc:
+            raise ValueError(f"ray table has no parity {parity_eps}")
+        if (parity_eps, R) not in self.pl:
             raise ValueError(f"ray table has no values at R = {R}")
-        num = table.mellin_pl(rho, R)
-        den = table.mellin_fc(rho)
-        ratio = num / den
-        calib = calibration if calibration is not None else (1.0 + 0.0j)
-        ratio = ratio / calib
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    rel = abs(ratio - ref) / abs(ref)
-    return RatioVerdict(rho, R, parity_eps, mode, complex(ratio), complex(ref),
-                        float(rel), complex(calib))
+        return (self._mellin_with_tails(*self.pl[parity_eps, R], rho)
+                / self._mellin_with_tails(*self.fc[parity_eps], rho))

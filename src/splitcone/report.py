@@ -38,9 +38,18 @@ class CheckResult:
 
     def __post_init__(self):
         computed, reference = complex(self.computed), complex(self.reference)
-        a = abs(computed - reference)
-        scale = max(abs(computed), abs(reference))
-        r = a / scale if scale > 0 else 0.0
+        try:
+            a = abs(computed - reference)
+            scale = max(abs(computed), abs(reference))
+            r = a / scale if scale > 0 else 0.0
+        except OverflowError:
+            # a modulus past the float range: from the quartered values
+            # (halved ones still overflow at the largest floats) the error
+            # is 4 |d/4|, inf if |d| is, and its ratio to the scale finite
+            computed, reference = 0.25 * computed, 0.25 * reference
+            a = abs(computed - reference)
+            r = a / max(abs(computed), abs(reference))
+            a *= 4.0
         object.__setattr__(self, "abs_error", a)
         object.__setattr__(self, "rel_error", r)
         err = a if self.kind == "abs" else r

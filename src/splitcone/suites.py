@@ -8,6 +8,7 @@ seed, read in blocks in a fixed draw order).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +62,9 @@ class SuiteConfig:
                 raise ValueError(f"{name} list must not be empty")
             if not all(math.isfinite(v) for v in vals):
                 raise ValueError(f"{name} values must be finite")
+            # a repeated value would repeat its check IDs
+            if len(set(vals)) < len(vals):
+                raise ValueError(f"{name} values must not repeat")
         # the mellin_ratio end-to-end calibration at the first rho and R
         # misses its 2e-3 tolerance from |rho| = 0.18 and 2.16 outward (at
         # R = 0.4); rho = 0 is excluded with them
@@ -72,8 +76,12 @@ class SuiteConfig:
             raise ValueError("R values must lie in [0.4, 4]")
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
             raise ValueError("tol scale must be positive and finite")
-        # SplitMix64 keeps the seed's low 64 bits, so a seed outside this
-        # range would repeat the checks of another while echoing its own
+        # SplitMix64 keeps a seed's low 64 bits and truncates a fraction, so
+        # other seeds would repeat the checks of another while echoing their own
+        try:
+            operator.index(self.seed)
+        except TypeError:
+            raise ValueError("seed must be an integer") from None
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must lie in [0, 2^64)")
 
@@ -699,30 +707,29 @@ def suite_mellin_ratio(cfg: SuiteConfig):
     for e in parities:
         for rho in cfg.rho_list:
             for R in cfg.R_list:
-                v = mellin.verify_ratio(rho, R, e, "closed_form")
                 checks.append(make_check(
                     f"ratio.closed.e{e}.rho{rho}.R{R}", "S6.ratio",
-                    {"rho": rho, "R": R, "eps": e}, v.computed_ratio,
-                    v.reference, 1e-8, kind="rel"))
+                    {"rho": rho, "R": R, "eps": e},
+                    mellin.closed_form_ratio(rho, R, e),
+                    mellin.reference_ratio(rho, R, e), 1e-8, kind="rel"))
     # end-to-end grid with single-constant calibration at the first point
-    rows = mellin.RayTable.shared_rows(list(cfg.R_list))
+    # (divided as Python complex; the grid's numpy ratios divide as numpy)
+    table = mellin.RayTable(parities, cfg.R_list)
+    rho0, R0 = cfg.rho_list[0], cfg.R_list[0]
     for e in parities:
-        table = mellin.RayTable(e, list(cfg.R_list), rows)
-        rho0, R0 = cfg.rho_list[0], cfg.R_list[0]
-        v0 = mellin.verify_ratio(rho0, R0, e, "end_to_end", ray_table=table)
-        calib = v0.computed_ratio / v0.reference
+        calib = (complex(table.ratio(rho0, R0, e))
+                 / mellin.reference_ratio(rho0, R0, e))
         checks.append(make_check(
             f"ratio.e2e_calibration.e{e}", "S6.ratio-e2e",
             {"rho0": rho0, "R0": R0, "eps": e}, calib, 1.0, 2e-3,
             kind="rel"))
         for rho in cfg.rho_list:
             for R in cfg.R_list:
-                v = mellin.verify_ratio(
-                    rho, R, e, "end_to_end", ray_table=table, calibration=calib)
                 checks.append(make_check(
                     f"ratio.e2e.e{e}.rho{rho}.R{R}", "S6.ratio-e2e",
-                    {"rho": rho, "R": R, "eps": e}, v.computed_ratio,
-                    v.reference, 5e-3, kind="rel"))
+                    {"rho": rho, "R": R, "eps": e},
+                    table.ratio(rho, R, e) / calib,
+                    mellin.reference_ratio(rho, R, e), 5e-3, kind="rel"))
     # intermediate Gamma/trig identities at random rho
     rhos = SplitMix64(cfg.seed + 6).uniforms(10, 0.05, 3.0)
     for i, rho in enumerate(rhos.tolist()):

@@ -80,18 +80,17 @@ def test_criterion_04_mellin_ratio():
     rho_list = (0.3, 0.7, 1.0, 2.0)
     R_list = (0.5, 1.0, 2.0)
     worst_cf, worst_e2e = 0.0, 0.0
+    table = mellin.RayTable((0, 1), R_list)
     for e in (0, 1):
-        table = mellin.RayTable(e, list(R_list))
-        v0 = mellin.verify_ratio(rho_list[0], R_list[0], e, "end_to_end",
-                                 ray_table=table)
-        calib = v0.computed_ratio / v0.reference
+        calib = (complex(table.ratio(rho_list[0], R_list[0], e))
+                 / mellin.reference_ratio(rho_list[0], R_list[0], e))
         for rho in rho_list:
             for R in R_list:
-                vc = mellin.verify_ratio(rho, R, e, "closed_form")
-                worst_cf = max(worst_cf, vc.rel_error)
-                ve = mellin.verify_ratio(rho, R, e, "end_to_end",
-                                         ray_table=table, calibration=calib)
-                worst_e2e = max(worst_e2e, ve.rel_error)
+                ref = mellin.reference_ratio(rho, R, e)
+                vc = mellin.closed_form_ratio(rho, R, e)
+                worst_cf = max(worst_cf, abs(vc - ref) / abs(ref))
+                ve = table.ratio(rho, R, e) / calib
+                worst_e2e = max(worst_e2e, abs(ve - ref) / abs(ref))
     ok = worst_cf < 1e-8 and worst_e2e < 5e-3
     _report("criterion 4 (coth/tanh ratio, closed and end-to-end)", ok,
             f"closed {worst_cf:.2e} (<1e-8), end-to-end {worst_e2e:.2e} "

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from splitcone.mellin import (
     RayTable,
+    closed_form_ratio,
     gamma_chain_identities,
     gr_2667_integrals,
     mellin,
     mellin_power_tail,
     per_theta_mellin_closed_forms,
     reference_ratio,
-    verify_ratio,
 )
 from splitcone.operators import chain_fc_theta_integrand, chain_pl_theta_integrand
 from splitcone.special import gamma_complex
@@ -108,8 +108,8 @@ def test_closed_form_ratio_grid():
     for e in (0, 1):
         for rho in (0.3, 1.0, 2.0):
             for R in (0.5, 2.0):
-                v = verify_ratio(rho, R, e, "closed_form")
-                assert v.rel_error < 1e-10
+                ref = reference_ratio(rho, R, e)
+                assert abs(closed_form_ratio(rho, R, e) - ref) < 1e-10 * abs(ref)
 
 
 def test_theta_independence():
@@ -121,33 +121,42 @@ def test_theta_independence():
 
 
 def test_end_to_end_ratio():
-    table = RayTable(0, [1.0])
-    v0 = verify_ratio(0.7, 1.0, 0, "end_to_end", ray_table=table)
-    calib = v0.computed_ratio / v0.reference
+    table = RayTable((0,), [1.0])
+    calib = complex(table.ratio(0.7, 1.0, 0)) / reference_ratio(0.7, 1.0, 0)
     assert abs(calib - 1.0) < 2e-3
-    v = verify_ratio(1.0, 1.0, 0, "end_to_end", ray_table=table, calibration=calib)
-    assert v.rel_error < 5e-3
+    ref = reference_ratio(1.0, 1.0, 0)
+    assert abs(table.ratio(1.0, 1.0, 0) / calib - ref) < 5e-3 * abs(ref)
 
 
-def test_shared_rows_give_the_standalone_table():
+def test_two_parity_table_gives_the_one_parity_tables():
     R_list = [0.5, 2.0]
-    rows = RayTable.shared_rows(R_list)
+    both = RayTable((0, 1), R_list)
     for e in (0, 1):
-        shared, alone = RayTable(e, R_list, rows), RayTable(e, R_list)
-        assert (shared.fc_vals == alone.fc_vals).all()
+        alone = RayTable((e,), R_list)
+        assert (both.fc[e][0] == alone.fc[e][0]).all()
         for R in R_list:
-            assert (shared.pl_vals[R] == alone.pl_vals[R]).all()
-        for rho in (0.3, 2.0):
-            assert shared.mellin_fc(rho) == alone.mellin_fc(rho)
-            assert shared.mellin_pl(rho, 2.0) == alone.mellin_pl(rho, 2.0)
+            assert (both.pl[e, R][0] == alone.pl[e, R][0]).all()
+            for rho in (0.3, 2.0):
+                assert both.ratio(rho, R, e) == alone.ratio(rho, R, e)
+
+
+def test_ray_table_ratio_pinned():
+    # M Pl / M FC as one-parity tables gave it, before tables of both
+    # parities shared their rows
+    table = RayTable((0, 1), [0.5, 2.0])
+    for rho, R, e, re, im in (
+            (0.3, 0.5, 0, "0x1.88a55d2815c06p+2", "-0x1.aef68d65bb31ap+2"),
+            (2.0, 2.0, 0, "0x1.00fc29c08ede0p-2", "0x1.34598eeb7792ep-17"),
+            (-0.7, 0.5, 1, "0x1.285136340a919p+0", "-0x1.7df3b2eadf9a8p+1"),
+            (1.3, 2.0, 1, "0x1.ef09306273bd5p-3", "0x1.117a2172424d0p-17")):
+        got = table.ratio(rho, R, e)
+        assert (got.real.hex(), got.imag.hex()) == (re, im)
 
 
 def test_ray_table_rejects_bad_R():
     for R in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValueError):
-            RayTable(0, [1.0, R])
-        with pytest.raises(ValueError):
-            RayTable.shared_rows([R])
+            RayTable((0,), [1.0, R])
 
 
 def test_large_rho_modulus():
@@ -155,21 +164,19 @@ def test_large_rho_modulus():
         assert abs(abs(reference_ratio(8.0, 1.0, e)) - 1.0) < 1e-9
 
 
-def test_mode_validation():
-    with pytest.raises(ValueError):
-        verify_ratio(1.0, 1.0, 0, "nope")
-    with pytest.raises(ValueError):
-        verify_ratio(0.0, 1.0, 0)
+def test_ratio_input_validation():
+    table = RayTable((0,), [1.0])
     for rho, R in ((math.nan, 1.0), (math.inf, 1.0), (1.0, 0.0), (1.0, -1.0),
-                   (1.0, math.nan)):
-        for mode in ("closed_form", "end_to_end"):
-            with pytest.raises(ValueError):
-                verify_ratio(rho, R, 0, mode)
+                   (1.0, math.nan), (0.0, 1.0)):
+        with pytest.raises(ValueError):
+            closed_form_ratio(rho, R, 0)
+        with pytest.raises(ValueError):
+            table.ratio(rho, R, 0)
 
 
 def test_end_to_end_rejects_mismatched_table():
-    table = RayTable(0, [1.0])
+    table = RayTable((0,), [1.0])
     with pytest.raises(ValueError, match="parity"):
-        verify_ratio(1.0, 1.0, 1, "end_to_end", ray_table=table)
+        table.ratio(1.0, 1.0, 1)
     with pytest.raises(ValueError, match="R = 2.0"):
-        verify_ratio(1.0, 2.0, 0, "end_to_end", ray_table=table)
+        table.ratio(1.0, 2.0, 0)

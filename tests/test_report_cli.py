@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitcone import cli, quadrature, suites
@@ -38,6 +38,17 @@ def test_check_result_errors():
     assert c.passed
     c2 = make_check("x", "S", {}, 1.0, 2.0, 0.4, kind="rel")
     assert not c2.passed
+    # finite values whose difference or modulus is past the float range:
+    # an infinite error and the finite relative error, not OverflowError
+    c3 = make_check("x", "S", {}, complex(8e307, 8e307),
+                    complex(-8e307, -8e307), 1.0)
+    assert c3.abs_error == math.inf and c3.rel_error == 2.0 and not c3.passed
+    c4 = make_check("x", "S", {}, 1.5e308 + 1.5e308j, 0.0, 0.5, kind="rel")
+    assert c4.abs_error == math.inf and c4.rel_error == 1.0 and not c4.passed
+    # at the largest floats even the halved difference overflows
+    big = complex(1.7976931348623157e308, 1.7976931348623157e308)
+    c5 = make_check("x", "S", {}, big, -big, 1.0)
+    assert c5.abs_error == math.inf and c5.rel_error == 2.0
 
 
 def test_json_roundtrip_and_schema():
@@ -195,10 +206,7 @@ def _checks(draw):
     # CheckResult itself, unlike make_check, keeps real values as they are
     build = draw(st.sampled_from([make_check, CheckResult]))
     args = [draw(s) for s in (_TEXT, _TEXT, _PARAMS, _NUMBERS, _NUMBERS, _FLOATS)]
-    try:
-        return build(*args, kind=draw(st.sampled_from(["abs", "rel"])))
-    except OverflowError:  # |computed - reference| beyond the float range
-        reject()
+    return build(*args, kind=draw(st.sampled_from(["abs", "rel"])))
 
 
 _REPORTS = st.builds(VerificationReport, _TEXT, st.dictionaries(_TEXT, _VALUES, max_size=3),
@@ -253,6 +261,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     ("--rho", "0.1"), ("--rho", "-2.5"), ("--rho", "0.3,3"),
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
     ("--seed", "-1"), ("--seed", str(2**64)),
+    ("--R", "1,1.0"), ("--rho", "0.3,0.30"),
 ])
 def test_cli_bad_parameters_are_usage_errors(flag, value, capsys):
     assert main(["mellin_ratio", f"{flag}={value}"]) == 2
@@ -262,10 +271,12 @@ def test_cli_bad_parameters_are_usage_errors(flag, value, capsys):
 
 @pytest.mark.parametrize("kwargs", [
     {"eps_parity": "2"}, {"rho_list": ()}, {"R_list": ()},
-], ids=["parity-2", "rho-empty", "R-empty"])
+    {"seed": 1.5}, {"seed": 2.0},
+], ids=["parity-2", "rho-empty", "R-empty", "seed-1.5", "seed-2.0"])
 def test_suite_config_rejects_bad_parity_and_empty_lists(kwargs):
     # each used to be accepted and then fail mid-run (make_f_xi_eps, or an
-    # IndexError in suite_mellin_ratio)
+    # IndexError in suite_mellin_ratio), or, for a fractional seed, run the
+    # checks of its integer part while echoing the fraction
     with pytest.raises(ValueError):
         SuiteConfig(suite="mellin_ratio", **kwargs)
 
@@ -282,9 +293,10 @@ def test_cli_rho_supported_range_passes():
 @pytest.mark.parametrize("suite", ["bessel", "fourier", "corollary", "lemma",
                                    "mellin_ratio", "kernels", "ktypes"])
 def test_cheap_suites_pass_at_defaults(suite):
-    failed = [c.check_id for c in build_suite(SuiteConfig(suite=suite))
-              if not c.passed]
-    assert failed == []
+    checks = build_suite(SuiteConfig(suite=suite))
+    assert [c.check_id for c in checks if not c.passed] == []
+    ids = [c.check_id for c in checks]
+    assert len(set(ids)) == len(ids)
 
 
 @pytest.mark.parametrize("seed", [136, 184, 211, 1169, 1247])

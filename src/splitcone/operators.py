@@ -28,6 +28,9 @@ point are a single common constant times explicit radial transforms; the
 bump centers are searched so that g is bounded away from zero on every
 bump (keeping the |.|^(-1/2) factor nonsingular on supp psi and the level
 set {<xi0, xi'> = 1} compactly within it).
+
+Routes.  The `op_*` functions always integrate over the cone, for any f
+and xi; the ray route (C+- times `ray_rows`) is `ray_values` alone.
 """
 
 from __future__ import annotations
@@ -347,12 +350,6 @@ def ray_rows(radial, op, s_grid, R=None):
     return rows
 
 
-def _on_ray(f: TestFunctionFxiEps, xi: ConePoint):
-    same1 = abs(_torus_dist(xi.theta1, f.base_xi.theta1)) < 1e-12
-    same2 = abs(_torus_dist(xi.theta2, f.base_xi.theta2)) < 1e-12
-    return same1 and same2
-
-
 # ----- generic path -----
 
 
@@ -388,6 +385,8 @@ def _angular_rule(zero_lines, refine):
 
 # Absolute accuracy the generic path's radial truncation is certified for.
 _GENERIC_TOL = 1e-9
+# Most radial nodes of the generic path (a 2000-row block: 66 MB float64).
+_GENERIC_MAX_NODES = 4096
 
 
 def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
@@ -401,7 +400,19 @@ def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
     factor of f and linearizes the Bessel kernel oscillation.  When f
     exposes `angular_support_mask`, angular nodes outside the support are
     pruned before any kernel work.
+
+    Supported range: finite xi.r and at most 4096 radial nodes (8 a panel
+    of length min(0.5, pi / (4 sqrt(xi.r)))); ValueError otherwise, before
+    any kernel work.  The sqrt-exponential f_xi at base radius 1 needs
+    3,392 nodes at xi.r = 64.
     """
+    if not math.isfinite(xi.r):
+        raise ValueError("the cone route needs a finite xi.r")
+    v_max = math.sqrt(f.decay.truncation_radius(_GENERIC_TOL * 1e-2))
+    osc = 2.0 * math.sqrt(2.0 * xi.r * 2.0)
+    n_pan = max(10, int(math.ceil(refine * v_max / min(0.5, math.pi / osc))))
+    if 8 * n_pan > _GENERIC_MAX_NODES:
+        raise ValueError(f"xi.r = {xi.r:g} needs {8 * n_pan} radial nodes")
     lorentz = pairing == "lorentz"
     zeros = [0.0, np.pi] if lorentz else [0.5 * np.pi, 1.5 * np.pi]
     ph, w = _angular_rule(zeros, refine)
@@ -417,9 +428,6 @@ def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
     gk, wk = gfac[keep], np.outer(w, w)[keep]
     t1k, t2k = th1[keep][:, None], th2[keep][:, None]
 
-    v_max = math.sqrt(f.decay.truncation_radius(_GENERIC_TOL * 1e-2))
-    osc = 2.0 * math.sqrt(2.0 * xi.r * 2.0)
-    n_pan = max(10, int(math.ceil(refine * v_max / min(0.5, math.pi / osc))))
     v, wv = panel_nodes(np.linspace(0.0, v_max, n_pan + 1), 8)
     rr = (v * v)[None, :]
     wmeas = wv * 2.0 * v**3  # r' dr' = v^2 * 2v dv
@@ -434,28 +442,26 @@ def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
     return prefactor * total
 
 
-def op_FCstar(f, xi: ConePoint):
-    """(-1/pi) int Psi0(xi . xi'_euclid) f(xi') dS/|xi'| over the cone."""
-    return _apply_generic(f, xi, psi0, "euclid", -1.0 / math.pi)
+def op_FCstar(f, xi: ConePoint, refine=1.0):
+    """(-1/pi) int Psi0(xi . xi'_euclid) f(xi') dS/|xi'| over the cone;
+    refine scales the angular and radial panel counts."""
+    return _apply_generic(f, xi, psi0, "euclid", -1.0 / math.pi,
+                          refine=refine)
 
 
 def op_FC(f, xi: ConePoint):
-    """(-1/pi) int Psi0(-<xi, xi'>) f(xi') dS/|xi'|."""
-    if isinstance(f, TestFunctionFxiEps) and _on_ray(f, xi):
-        return float(ray_values(f, "fc", [xi.r / f.base_xi.r])[0].real)
+    """(-1/pi) int Psi0(-<xi, xi'>) f(xi') dS/|xi'| over the cone."""
     return _apply_generic(f, xi, lambda p: psi0(-p), "lorentz", -1.0 / math.pi)
 
 
 def op_PlHatPrime(f, R, xi: ConePoint):
-    """(i/4pi) int Phi0+(-(R^2/4) <xi, xi'>) f(xi') dS/|xi'|.
+    """(i/4pi) int Phi0+(-(R^2/4) <xi, xi'>) f(xi') dS/|xi'| over the cone.
 
     The kernel vanishes on <xi, xi'> > 0; that half of the angular torus is
     pruned analytically from the rotated grid.
     """
     if not (math.isfinite(R) and R > 0):
         raise ValueError("R must be finite and positive")
-    if isinstance(f, TestFunctionFxiEps) and _on_ray(f, xi):
-        return complex(ray_values(f, "pl", [xi.r / f.base_xi.r], R)[0])
     rr4 = 0.25 * R * R
     return _apply_generic(
         f,
@@ -468,8 +474,10 @@ def op_PlHatPrime(f, R, xi: ConePoint):
 
 
 def ray_values(f: TestFunctionFxiEps, op, s_grid, R=None, rows=None):
-    """Ray evaluations op(f)(s xi0) over a grid of s > 0 (complex array);
-    rows, if given, are `ray_rows(f.radial, op, s_grid, R)`."""
+    """Ray evaluations op(f)(s xi0) over a grid of s > 0 (complex array),
+    op "fc" (F_C) or "pl" (Pl_R hat prime at R), from C+- and the radial
+    rows; rows, if given, are `ray_rows(f.radial, op, s_grid, R)`.  This is
+    the ray route; the `op_*` functions never take it."""
     _checked_s(op, s_grid, R)
     if rows is None:
         rows = ray_rows(f.radial, op, s_grid, R)

@@ -41,11 +41,13 @@ class CheckResult:
         try:
             a = abs(computed - reference)
             scale = max(abs(computed), abs(reference))
-            r = a / scale if scale > 0 else 0.0
+            if a == math.inf and scale < math.inf:
+                raise OverflowError  # finite values whose difference overflows
+            r = a / scale if scale else 0.0  # a NaN value gives a NaN ratio
         except OverflowError:
-            # a modulus past the float range: from the quartered values
-            # (halved ones still overflow at the largest floats) the error
-            # is 4 |d/4|, inf if |d| is, and its ratio to the scale finite
+            # |d| or a modulus past the float range: the error is 4 |d/4|
+            # (inf if |d| is) from the quartered values, as halved ones can
+            # overflow at the largest floats; its ratio to the scale finite
             computed, reference = 0.25 * computed, 0.25 * reference
             a = abs(computed - reference)
             r = a / max(abs(computed), abs(reference))

@@ -506,26 +506,16 @@ def suite_lemma(cfg: SuiteConfig):
 
 
 def _generic_vs_ray_checks(fexp):
-    """The generic quadrature path against the separable ray path, for the
-    test function fexp at the base point (1, 0.7, 0.3)."""
-    checks = []
-    for s in (0.5, 1.7):
-        xi = ConePoint(s, 0.7, 0.3)
-        gen = operators._apply_generic(
-            fexp, xi, lambda p: kernels.psi0(-p), "lorentz",
-            -1.0 / math.pi)
-        fast = operators.op_FC(fexp, xi)
-        checks.append(make_check(
-            f"op_fc.generic_vs_ray.s{s}", "S3.operators", {"s": s}, gen, fast,
-            5e-5 * abs(fast)))
-    xi = ConePoint(0.5, 0.7, 0.3)
-    genp = operators._apply_generic(
-        fexp, xi, lambda p: kernels.phi0_plus(-0.25 * 1.3**2 * p), "lorentz",
-        1j / (4.0 * math.pi), half_space="negative")
-    fastp = operators.op_PlHatPrime(fexp, 1.3, xi)
-    return checks + [make_check(
-        "op_pl.generic_vs_ray", "S6.plhat", {"s": 0.5, "R": 1.3}, genp, fastp,
-        5e-5 * abs(fastp))]
+    """The shipped operators (cone route) against `ray_values` (ray route),
+    for the test function fexp at the base point (1, 0.7, 0.3)."""
+    cases = [(f"op_fc.generic_vs_ray.s{s}", "S3.operators", {"s": s},
+              operators.op_FC(fexp, ConePoint(s, 0.7, 0.3)),
+              operators.ray_values(fexp, "fc", [s])[0]) for s in (0.5, 1.7)]
+    cases.append((
+        "op_pl.generic_vs_ray", "S6.plhat", {"s": 0.5, "R": 1.3},
+        operators.op_PlHatPrime(fexp, 1.3, ConePoint(0.5, 0.7, 0.3)),
+        operators.ray_values(fexp, "pl", [0.5], 1.3)[0]))
+    return [make_check(*case, 5e-5 * abs(case[-1])) for case in cases]
 
 
 def suite_operators(cfg: SuiteConfig):
@@ -559,50 +549,43 @@ def suite_operators(cfg: SuiteConfig):
 
         # ray-restriction fidelity against the reference chains
         for R in (1.0, 2.0):
-            pl = np.array([operators.op_PlHatPrime(f, R, ConePoint(s, 0.7, 0.3))
-                           for s in s_grid])
+            pl = operators.ray_values(f, "pl", s_grid, R)
             ch = np.array([operators.chain_pl(s, R, e) for s in s_grid])
             resid = np.max(np.abs(pl - f.c_plus * ch)) / np.max(np.abs(pl))
             checks.append(make_check(
                 f"op_pl.chain_fidelity.e{e}.R{R}", "S6.plhat-chain",
                 {"eps": e, "R": R}, resid, 0.0, 1e-3))
-        fc = np.array([operators.op_FC(f, ConePoint(s, 0.7, 0.3))
-                       for s in s_grid])
+        fc = operators.ray_values(f, "fc", s_grid)
         ch = np.array([operators.chain_fc(s, e) for s in s_grid])
         resid = np.max(np.abs(fc - f.c_plus * ch)) / np.max(np.abs(fc))
         checks.append(make_check(
             f"op_fc.chain_fidelity.e{e}", "S6.fc-chain", {"eps": e}, resid,
             0.0, 1e-3))
-        # the same single constant calibrates both operators
-        s0 = 0.5
-        c_pl = operators.op_PlHatPrime(f, 1.0, ConePoint(s0, 0.7, 0.3)) \
-            / operators.chain_pl(s0, 1.0, e)
-        c_fc = operators.op_FC(f, ConePoint(s0, 0.7, 0.3)) \
-            / operators.chain_fc(s0, e)
+        # the same single constant calibrates both operators (Python
+        # scalars, so the division is CPython's)
+        s0, s_small = 0.5, 1e-3
+        pl = operators.ray_values(f, "pl", [s0, s_small], 1.0)
+        fc = operators.ray_values(f, "fc", [s0, s_small])
+        c_pl = complex(pl[0]) / operators.chain_pl(s0, 1.0, e)
+        c_fc = float(fc[0].real) / operators.chain_fc(s0, e)
         checks.append(make_check(
             f"op.common_constant.e{e}", "S6.plhat-chain", {"eps": e, "s": s0},
             c_pl, c_fc, 1e-6 * abs(c_fc)))
         # s -> 0 behavior along the ray matches the chain integrand limits
-        s_small = 1e-3
-        got = operators.op_FC(f, ConePoint(s_small, 0.7, 0.3))
         ref = f.c_plus * operators.chain_fc(s_small, e)
         checks.append(make_check(
             f"op_fc.small_s.e{e}", "S6.fc-chain", {"eps": e, "s": s_small},
-            got, ref, 1e-4 * abs(ref)))
-        got = operators.op_PlHatPrime(f, 1.0, ConePoint(s_small, 0.7, 0.3))
+            fc[1], ref, 1e-4 * abs(ref)))
         ref = f.c_plus * operators.chain_pl(s_small, 1.0, e)
         checks.append(make_check(
             f"op_pl.small_s.e{e}", "S6.plhat-chain", {"eps": e, "s": s_small},
-            got, ref, 1e-4 * abs(ref)))
+            pl[1], ref, 1e-4 * abs(ref)))
         # center parity: evaluation at the antipodal point flips by (-1)^e
         if e == 1:
             fexp_e = operators.make_f_xi_eps(base, e, radial="exponential")
-            wrapped_e = operators.ConeFunction(fexp_e.values, fexp_e.decay)
-            xi_ray = ConePoint(0.6, base.theta1, base.theta2)
-            xi_anti = ConePoint(0.6, base.theta1 + math.pi,
-                                base.theta2 + math.pi)
-            v_ray = operators.op_FC(wrapped_e, xi_ray)
-            v_anti = operators.op_FC(wrapped_e, xi_anti)
+            v_ray = operators.op_FC(fexp_e, ConePoint(0.6, 0.7, 0.3))
+            v_anti = operators.op_FC(
+                fexp_e, ConePoint(0.6, 0.7 + math.pi, 0.3 + math.pi))
             checks.append(make_check(
                 f"op_fc.center_parity.e{e}", "S6.f-xi-eps", {"eps": e},
                 v_anti, (-1.0) ** e * v_ray, 1e-12 * abs(v_ray)))
@@ -612,21 +595,17 @@ def suite_operators(cfg: SuiteConfig):
     checks += _generic_vs_ray_checks(fexp)
 
     # kernel support: f concentrated in <xi, xi'> > 0 gives zero output
-    class OneBump:
-        decay = fexp.decay
+    def one_bump(r, th1, th2):
+        d2 = operators._torus_dist(th1, fexp.center[0]) ** 2 \
+            + operators._torus_dist(th2, fexp.center[1]) ** 2
+        g = np.cos(th1 - base.theta1) - np.cos(th2 - base.theta2)
+        t = np.asarray(r) * g
+        bump = operators._bump(np.broadcast_to(d2, t.shape).copy(), 0.5)
+        return bump * np.exp(-np.abs(t))
 
-        @staticmethod
-        def values(r, th1, th2):
-            d2 = operators._torus_dist(th1, fexp.center[0]) ** 2 \
-                + operators._torus_dist(th2, fexp.center[1]) ** 2
-            g = np.cos(th1 - base.theta1) - np.cos(th2 - base.theta2)
-            t = np.asarray(r) * g
-            bump = operators._bump(np.broadcast_to(d2, t.shape).copy(), 0.5)
-            return bump * np.exp(-np.abs(t))
-
-        __call__ = values
-
-    val = operators.op_PlHatPrime(OneBump(), 1.0, ConePoint(0.8, 0.7, 0.3))
+    val = operators.op_PlHatPrime(
+        operators.ConeFunction(one_bump, fexp.decay), 1.0,
+        ConePoint(0.8, 0.7, 0.3))
     checks.append(make_check(
         "op_pl.half_space_support", "S6.eq-Phi0", {}, val, 0.0, 1e-12))
 
@@ -641,14 +620,9 @@ def suite_operators(cfg: SuiteConfig):
         lambda r, t1, t2: gauss.values(r, t1 - shift[0], t2 - shift[1]),
         gauss.decay,
     )
-    for name, op in (
-        ("fcstar", operators.op_FCstar),
-        ("fc", operators.op_FC),
-    ):
-        x0 = ConePoint(0.9, 0.5, 1.2)
-        x1 = ConePoint(0.9, 0.5 + shift[0], 1.2 + shift[1])
-        v0 = op(gauss, x0)
-        v1 = op(gauss_rot, x1)
+    for name, op in (("fcstar", operators.op_FCstar), ("fc", operators.op_FC)):
+        v0 = op(gauss, ConePoint(0.9, 0.5, 1.2))
+        v1 = op(gauss_rot, ConePoint(0.9, 0.5 + shift[0], 1.2 + shift[1]))
         checks.append(make_check(
             f"op_{name}.equivariance", "S3.operators", {"shift": str(shift)},
             v1, v0, 2e-6 * max(abs(v0), 1e-3)))
@@ -668,12 +642,8 @@ def suite_operators(cfg: SuiteConfig):
         v_scaled, v_plain / lam**2, 2e-6 * max(abs(v_plain), 1e-3)))
 
     # self-consistency of the generic grid under refinement
-    v_coarse = operators._apply_generic(
-        gauss, ConePoint(0.9, 0.5, 1.2),
-        kernels.psi0, "euclid", -1.0 / math.pi)
-    v_fine = operators._apply_generic(
-        gauss, ConePoint(0.9, 0.5, 1.2),
-        kernels.psi0, "euclid", -1.0 / math.pi, refine=1.6)
+    v_coarse = operators.op_FCstar(gauss, ConePoint(0.9, 0.5, 1.2))
+    v_fine = operators.op_FCstar(gauss, ConePoint(0.9, 0.5, 1.2), refine=1.6)
     checks.append(make_check(
         "op_fcstar.grid_refinement", "S3.operators", {},
         v_coarse, v_fine, 1e-5 * max(abs(v_fine), 1e-3)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from splitcone import kernels, suites
+from splitcone import operators, suites
 from splitcone.geometry import ConePoint
 from splitcone.numerics import gauss_legendre
 from splitcone.operators import (
@@ -144,17 +144,6 @@ def test_ray_chain_fidelity():
         assert np.max(np.abs(fc - f.c_plus * ch)) < 1e-9 * np.max(np.abs(fc))
 
 
-def test_op_dispatch_on_ray_points():
-    f = make_f_xi_eps(BASE, 0)
-    xi = ConePoint(0.7, BASE.theta1, BASE.theta2)
-    direct = op_FC(f, xi)
-    assert abs(direct - f.c_plus * chain_fc(0.7, 0)) < 1e-8 * abs(direct)
-    v = op_PlHatPrime(f, 1.5, xi)
-    assert abs(v - f.c_plus * chain_pl(0.7, 1.5, 0)) < 1e-8 * abs(v)
-    with pytest.raises(ValueError):
-        op_PlHatPrime(f, -1.0, xi)
-
-
 def test_ray_inputs_rejected():
     f = make_f_xi_eps(BASE, 0)
     for bad_s in (math.inf, math.nan, 0.0, -1.0):
@@ -171,6 +160,11 @@ def test_ray_inputs_rejected():
         op_FC(f, on_ray)
     with pytest.raises(ValueError):
         op_PlHatPrime(f, 1.0, on_ray)
+    # the cone route refuses an infinite radius off the ray as well
+    far = ConePoint(math.inf, 0.5, 1.2)
+    for op in (op_FC, op_FCstar, lambda f, xi: op_PlHatPrime(f, 1.0, xi)):
+        with pytest.raises(ValueError):
+            op(f, far)
     for bad_R in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValueError):
             op_PlHatPrime(f, bad_R, ConePoint(0.5, BASE.theta1, BASE.theta2))
@@ -200,42 +194,57 @@ def test_ray_values_are_the_scalar_values_bitwise():
             fc = ray_values(f, "fc", s_grid)
             assert (ray_values(f, "fc", s_grid, rows=fc_rows) == fc).all()
             for s, v in zip(s_grid, fc):
-                scalar = op_FC(f, ConePoint(s, BASE.theta1, BASE.theta2))
-                assert type(scalar) is float and v == scalar
+                assert v == ray_values(f, "fc", [s])[0]
             for R, rows in pl_rows.items():
                 pl = ray_values(f, "pl", s_grid, R)
                 assert (ray_values(f, "pl", s_grid, R, rows) == pl).all()
                 for s, v in zip(s_grid, pl):
-                    assert v == op_PlHatPrime(
-                        f, R, ConePoint(s, BASE.theta1, BASE.theta2))
+                    assert v == ray_values(f, "pl", [s], R)[0]
 
 
 def test_ray_values_pinned():
     f0 = make_f_xi_eps(BASE, 0)
     f1 = make_f_xi_eps(BASE, 1, radial="exponential")
-    assert op_FC(f0, ConePoint(0.5, 0.7, 0.3)).hex() == "-0x1.917eebad51583p-7"
+    v = ray_values(f0, "fc", [0.5])[0]
+    assert (v.real.hex(), v.imag) == ("-0x1.917eebad51583p-7", 0.0)
     # c = 2 sqrt(12) and 2 sqrt(14), past 2 pi
-    assert op_FC(f1, ConePoint(6.0, 0.7, 0.3)).hex() == "-0x1.b5cacad30d012p-15"
-    v = op_PlHatPrime(f0, 2.0, ConePoint(7.0, 0.7, 0.3))
+    v = ray_values(f1, "fc", [6.0])[0]
+    assert (v.real.hex(), v.imag) == ("-0x1.b5cacad30d012p-15", 0.0)
+    v = ray_values(f0, "pl", [7.0], 2.0)[0]
     assert (v.real.hex(), v.imag.hex()) == ("-0x0.0p+0", "-0x1.492dce03bc15fp-13")
 
 
 def test_generic_path_agrees_with_ray_path():
     f = make_f_xi_eps(BASE, 0, radial="exponential")
-    xi = ConePoint(0.5, BASE.theta1, BASE.theta2)
-    generic = op_FC(ConeFunction(f.values, f.decay), xi)
-    fast = op_FC(f, xi)
+    generic = op_FC(f, ConePoint(0.5, BASE.theta1, BASE.theta2))
+    fast = ray_values(f, "fc", [0.5])[0]
     assert abs(generic - fast) < 5e-5 * abs(fast)
+
+
+def _failed_generic_vs_ray(f):
+    return [c.check_id for c in suites._generic_vs_ray_checks(f)
+            if not c.passed]
 
 
 def test_generic_vs_ray_catches_a_kernel_argument_off_by_1e4(monkeypatch):
     f = make_f_xi_eps(BASE, 0, radial="exponential")
-    assert all(c.passed for c in suites._generic_vs_ray_checks(f))
-    psi0 = kernels.psi0
-    monkeypatch.setattr(kernels, "psi0", lambda t: psi0(t * (1.0 + 1e-4)))
-    failed = [c.check_id for c in suites._generic_vs_ray_checks(f)
-              if not c.passed]
-    assert "op_fc.generic_vs_ray.s1.7" in failed
+    assert _failed_generic_vs_ray(f) == []
+    psi0 = operators.psi0
+    monkeypatch.setattr(operators, "psi0", lambda t: psi0(t * (1.0 + 1e-4)))
+    assert "op_fc.generic_vs_ray.s1.7" in _failed_generic_vs_ray(f)
+
+
+@pytest.mark.parametrize("kernel, failing", [
+    ("psi0", ["op_fc.generic_vs_ray.s0.5", "op_fc.generic_vs_ray.s1.7"]),
+    ("phi0_plus", ["op_pl.generic_vs_ray"])])
+def test_generic_vs_ray_catches_a_shipped_kernel_off_by_1e3(
+        monkeypatch, kernel, failing):
+    # the checks call the shipped operators, so a 0.1% error in the kernel
+    # an operator uses fails them
+    f = make_f_xi_eps(BASE, 0, radial="exponential")
+    exact = getattr(operators, kernel)
+    monkeypatch.setattr(operators, kernel, lambda t: 1.001 * exact(t))
+    assert _failed_generic_vs_ray(f) == failing
 
 
 @pytest.mark.parametrize("zero_lines, fn", [

@@ -49,6 +49,14 @@ def test_check_result_errors():
     big = complex(1.7976931348623157e308, 1.7976931348623157e308)
     c5 = make_check("x", "S", {}, big, -big, 1.0)
     assert c5.abs_error == math.inf and c5.rel_error == 2.0
+    # finite reals whose difference alone overflows: the ratio is still 2
+    c6 = make_check("x", "S", {}, 1.5e308, -1.5e308, 3.0, kind="rel")
+    assert c6.abs_error == math.inf and c6.rel_error == 2.0 and c6.passed
+    # a NaN value fails a relative check, whichever side it is on
+    for computed, reference in ((math.nan, 1.0), (1.0, math.nan),
+                                (complex(math.nan, 1.0), complex(1.0, math.inf))):
+        c = make_check("x", "S", {}, computed, reference, 1.0, kind="rel")
+        assert math.isnan(c.rel_error) and not c.passed
 
 
 def test_json_roundtrip_and_schema():
@@ -291,7 +299,8 @@ def test_cli_rho_supported_range_passes():
 
 
 @pytest.mark.parametrize("suite", ["bessel", "fourier", "corollary", "lemma",
-                                   "mellin_ratio", "kernels", "ktypes"])
+                                   "mellin_ratio", "kernels", "ktypes",
+                                   "operators"])
 def test_cheap_suites_pass_at_defaults(suite):
     checks = build_suite(SuiteConfig(suite=suite))
     assert [c.check_id for c in checks if not c.passed] == []

@@ -56,7 +56,11 @@ def mellin(f, rho, s_lo=1e-8, s_hi=1e8):
     target accuracy above s_hi (power-law windows can be corrected
     separately with `mellin_power_tail`).  The error estimate is the
     difference from a half-resolution pass plus the size of the lower tail.
+    Supported: finite s_lo and s_hi with 0 < s_lo < s_hi, and a finite rho;
+    ValueError otherwise.
     """
+    if not (0.0 < s_lo < s_hi < math.inf and math.isfinite(rho)):
+        raise ValueError("mellin needs 0 < s_lo < s_hi < inf and a finite rho")
     x_lo, x_hi = math.log(s_lo), math.log(s_hi)
     n_pan = max(8, int(math.ceil((x_hi - x_lo) * 10 / math.log(2.0))))
 

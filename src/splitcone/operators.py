@@ -291,24 +291,32 @@ def _u_weight(radial, u):
     return 2.0 * u * u * np.exp(-u * u)
 
 
-def _u_grid(radial, step, tol=1e-12):
-    """Panel nodes for int_0^inf weight(u) kernel(c u) du.
-
-    Panels are graded geometrically toward u = 0 (the Bessel kernels are
-    log-singular there) and of length step (at most the oscillation length).
-    """
+def _u_max(radial, tol=1e-12):
+    """End of the radial u range: the weight is below tol past it."""
     if radial == "sqrt_exponential":
-        u_max = math.log(1.0 / tol) + 12.0
-    else:
-        u_max = math.sqrt(math.log(1.0 / tol)) + 4.0
-    first = step
-    small = []
-    while first > 1e-7:
-        first /= 3.0
-        small.append(first)
+        return math.log(1.0 / tol) + 12.0
+    return math.sqrt(math.log(1.0 / tol)) + 4.0
+
+
+# Depth of the grading toward 0: the first panel of length step is cut at
+# step / 3^k, k = 1.._GRADED (step / 3^15 is 3.5e-8 at step 0.5).
+_GRADED = 15
+
+
+def _u_grid(step, n):
+    """Order-10 panel nodes and weights on [0, n step]: panels of length
+    step (at most the kernels' oscillation length), the first one graded
+    geometrically toward 0, where the Bessel kernels are log-singular.
+
+    It depends on nothing but step and n, and its breaks step k are
+    computed one by one, so the grid of n panels is the first 10 (_GRADED
+    + n) nodes of every longer one.  `ray_rows` builds it twice a call at
+    most: in u at step 0.5 and in x = c u at step pi."""
+    small = [step]
+    for _ in range(_GRADED):
+        small.append(small[-1] / 3.0)
     breaks = np.concatenate(
-        [[0.0], sorted(small), np.arange(step, u_max + step, step)]
-    )
+        [[0.0], small[:0:-1], step * np.arange(1.0, n + 1.0)])
     return panel_nodes(breaks, 10)
 
 
@@ -324,30 +332,42 @@ def _checked_s(op, s_grid, R):
 
 
 def ray_rows(radial, op, s_grid, R=None):
-    """Radial rows 2 int_0^inf u^2 m(u) fn(c u) du of op's ray restriction:
-    fn = K0 and Y0 at c = 2 sqrt(2s) for "fc", J0 at c = R sqrt(2s) for "pl".
-    The u grid depends on c only through its panel length (0.5, or pi/c for
-    J0/Y0 past c = 2 pi); it is rebuilt where that changes, one at a time.
-    Past c = 2 pi it has about 126 c nodes, so c is supported up to 3e3
-    (0.4 M nodes, about 60 ms: the "fc" row at s = 1e6)."""
+    """Radial rows int_0^inf W(u) fn(c u) du of op's ray restriction, W the
+    weight `_u_weight`: fn = K0 and Y0 at c = 2 sqrt(2s) for "fc", J0 at
+    c = R sqrt(2s) for "pl".
+
+    Up to c = 2 pi every row takes one shared u grid of step 0.5, and the
+    kernels are evaluated at c u one c at a time.  Past it the panels are
+    pi / c long in u, so pi long in x = c u: each kernel is evaluated once
+    on one x grid, as far as the largest c needs, and each such c takes a
+    prefix of it, weighted by W(x / c) / c.  That prefix has about 126 c
+    nodes, so c is supported up to 3e3 (0.4 M nodes: the "fc" row at
+    s = 1e6)."""
+    if radial not in ("sqrt_exponential", "exponential"):
+        raise ValueError(f"unknown radial profile {radial!r}")
     root = np.sqrt(2.0 * _checked_s(op, s_grid, R))
     kinds, cs = (("k0", "y0"), 2.0 * root) if op == "fc" else (("j0",), float(R) * root)
     if np.any(cs > 3.0e3):
         raise ValueError("ray rows are supported for c <= 3e3")
-    rows = []
-    for kind in kinds:
-        fn = getattr(special, "bessel_" + kind)
-        row = np.empty(len(cs))
-        step = None
-        for i, c in enumerate(cs.tolist()):
-            c_step = 0.5 if kind == "k0" else min(0.5, math.pi / max(1.0, c))
-            if c_step != step:
-                step = c_step
-                u, w = _u_grid(radial, step)
-                weight = _u_weight(radial, u)
-            row[i] = np.dot(weight * fn(c * u), w)
-        rows.append(row)
-    return rows
+    fns = [getattr(special, "bessel_" + kind) for kind in kinds]
+    u_max = _u_max(radial)
+    rows = np.empty((len(kinds), len(cs)))
+    small = cs <= 2.0 * math.pi
+    if small.any():
+        u, w = _u_grid(0.5, math.ceil(u_max / 0.5))
+        weight = _u_weight(radial, u)
+        for i in np.flatnonzero(small).tolist():
+            rows[:, i] = [np.dot(weight * fn(cs[i] * u), w) for fn in fns]
+    if not small.all():
+        panels = [math.ceil(c * u_max / math.pi) for c in cs.tolist()]
+        x, wx = _u_grid(math.pi, max(panels))
+        fx = [fn(x) for fn in fns]
+        for i in np.flatnonzero(~small).tolist():
+            m = 10 * (_GRADED + panels[i])
+            c = float(cs[i])
+            wc = _u_weight(radial, x[:m] / c) * wx[:m]
+            rows[:, i] = [np.dot(f[:m], wc) / c for f in fx]
+    return list(rows)
 
 
 # ----- generic path -----
@@ -385,8 +405,12 @@ def _angular_rule(zero_lines, refine):
 
 # Absolute accuracy the generic path's radial truncation is certified for.
 _GENERIC_TOL = 1e-9
-# Most radial nodes of the generic path (a 2000-row block: 66 MB float64).
+# Most radial nodes of the generic path.
 _GENERIC_MAX_NODES = 4096
+# Most kernel points and most angular rows in one block of the generic
+# path: 2,000 rows of up to 136 radial nodes, as many as the suites use.
+_GENERIC_BLOCK_POINTS = 272_000
+_GENERIC_BLOCK_ROWS = 2000
 
 
 def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
@@ -432,9 +456,12 @@ def _apply_generic(f, xi: ConePoint, kernel, pairing, prefactor,
     rr = (v * v)[None, :]
     wmeas = wv * 2.0 * v**3  # r' dr' = v^2 * 2v dv
 
+    # blocks of angular rows, at most _GENERIC_BLOCK_POINTS kernel points
+    # each, so memory does not grow with the radial node count
+    block = min(_GENERIC_BLOCK_ROWS, _GENERIC_BLOCK_POINTS // v.size)
     partials = []
-    for i0 in range(0, gk.size, 2000):
-        sl = slice(i0, i0 + 2000)
+    for i0 in range(0, gk.size, block):
+        sl = slice(i0, i0 + block)
         kv = kernel(xi.r * gk[sl][:, None] * rr)
         fv = f(rr, t1k[sl], t2k[sl])
         partials.append(np.einsum("av,v,a->", kv * fv, wmeas, wk[sl]))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -183,6 +184,55 @@ def test_ray_rows_reject_c_above_the_supported_bound():
         op_FC(f, ConePoint(1.2e6, BASE.theta1, BASE.theta2))
 
 
+def test_ray_rows_reject_an_unknown_radial_profile():
+    for op, R in (("fc", None), ("pl", 1.0)):
+        with pytest.raises(ValueError):
+            ray_rows("bogus", op, [1.0], R)
+
+
+def _laplace_row(laplace, c):
+    """2 int_0^inf u^2 e^-u fn(c u) du as the second derivative at p = 1
+    of the Laplace transform int_0^inf e^-pu fn(c u) du."""
+    with mpmath.workdps(30):
+        return float(2 * mpmath.diff(lambda p: laplace(p, mpmath.mpf(c)), 1, 2))
+
+
+def test_j0_rows_against_closed_forms():
+    # c = R sqrt(2s) at R = 1, on both sides of 2 pi, where the rows change
+    # from the u grid to the x = c u grid;
+    # 2 int u^2 e^-u J0(cu) du = 2(2-c^2)/(1+c^2)^(5/2) and
+    # 2 int u^2 e^-u^2 J0(cu) du = (sqrt(pi)/2) 1F1(3/2; 1; -c^2/4)
+    s = np.array([c * c / 2.0 for c in
+                  (0.05, 0.5, 2.0, 6.0, 6.5, 20.0, 55.8, 400.0, 3e3)])
+    cs = np.sqrt(2.0 * s)
+    for radial, ref_fn in (
+            ("sqrt_exponential", lambda c: 2 * (2 - c * c) / (1 + c * c) ** 2.5),
+            ("exponential", lambda c: 0.5 * math.sqrt(math.pi) * float(
+                mpmath.hyp1f1(1.5, 1, -mpmath.mpf(c) ** 2 / 4)))):
+        row, = ray_rows(radial, "pl", s, 1.0)
+        ref = np.array([ref_fn(c) for c in cs.tolist()])
+        assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_k0_and_y0_rows_against_mpmath():
+    # Laplace transforms (Gradshteyn & Ryzhik 6.611.3 and 6.611.2):
+    # int e^-pu K0(cu) du = arccos(p/c) / sqrt(c^2 - p^2) and
+    # int e^-pu Y0(cu) du = -(2/pi) arsinh(p/c) / sqrt(p^2 + c^2)
+    def k0(p, c):
+        return mpmath.re(mpmath.acos(p / c) / mpmath.sqrt(c * c - p * p))
+
+    def y0(p, c):
+        return -(2 / mpmath.pi) * mpmath.asinh(p / c) / mpmath.sqrt(p * p + c * c)
+
+    cs = (4.0, 6.0, 6.5, 20.0, 55.8, 400.0)
+    s = np.array([c * c / 8.0 for c in cs])  # c = 2 sqrt(2s)
+    kk, yy = ray_rows("sqrt_exponential", "fc", s)
+    for c, k, y in zip((2.0 * np.sqrt(2.0 * s)).tolist(), kk, yy):
+        ref = _laplace_row(k0, c)
+        assert abs(k - ref) <= 5e-14 * abs(ref), c
+        assert abs(y - _laplace_row(y0, c)) <= 1e-15, c
+
+
 def test_ray_values_are_the_scalar_values_bitwise():
     # c = 2 sqrt(2s) and R sqrt(2s) cross 2 pi, where the u grid changes
     s_grid = np.exp(np.linspace(math.log(0.01), math.log(40.0), 17))
@@ -207,11 +257,13 @@ def test_ray_values_pinned():
     f1 = make_f_xi_eps(BASE, 1, radial="exponential")
     v = ray_values(f0, "fc", [0.5])[0]
     assert (v.real.hex(), v.imag) == ("-0x1.917eebad51583p-7", 0.0)
-    # c = 2 sqrt(12) and 2 sqrt(14), past 2 pi
+    # c = 2 sqrt(12) and 2 sqrt(14), past 2 pi: rows on the shared x grid,
+    # which test_j0_rows_against_closed_forms and
+    # test_k0_and_y0_rows_against_mpmath check
     v = ray_values(f1, "fc", [6.0])[0]
-    assert (v.real.hex(), v.imag) == ("-0x1.b5cacad30d012p-15", 0.0)
+    assert (v.real.hex(), v.imag) == ("-0x1.b5cacad30d00dp-15", 0.0)
     v = ray_values(f0, "pl", [7.0], 2.0)[0]
-    assert (v.real.hex(), v.imag.hex()) == ("-0x0.0p+0", "-0x1.492dce03bc15fp-13")
+    assert (v.real.hex(), v.imag.hex()) == ("-0x0.0p+0", "-0x1.492dce03bc485p-13")
 
 
 def test_generic_path_agrees_with_ray_path():
@@ -219,6 +271,25 @@ def test_generic_path_agrees_with_ray_path():
     generic = op_FC(f, ConePoint(0.5, BASE.theta1, BASE.theta2))
     fast = ray_values(f, "fc", [0.5])[0]
     assert abs(generic - fast) < 5e-5 * abs(fast)
+
+
+def test_generic_blocks_hold_at_most_272000_kernel_points():
+    # a Gaussian-decay input needs 80 radial nodes at xi.r = 1 and 184 at
+    # xi.r = 64; the 232 x 232 Lorentz angular rows go to the kernel in
+    # blocks of min(2000, 272000 // nodes) rows
+    f = ConeFunction(lambda r, t1, t2: np.ones(np.broadcast(r, t1).shape),
+                     DecayCertificate("gaussian"))
+    for r, nodes, rows in ((1.0, 80, 2000), (64.0, 184, 1478)):
+        shapes = []
+
+        def spy(p):
+            shapes.append(p.shape)
+            return np.zeros(p.shape)
+
+        operators._apply_generic(f, ConePoint(r, 0.7, 0.3), spy, "lorentz", 1.0)
+        assert {n for _, n in shapes} == {nodes}
+        assert [m for m, _ in shapes[:-1]] == [rows] * (len(shapes) - 1)
+        assert sum(m for m, _ in shapes) == 232 * 232
 
 
 def _failed_generic_vs_ray(f):

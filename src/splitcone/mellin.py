@@ -29,6 +29,7 @@ from .special import gamma_complex
 
 __all__ = [
     "MellinResult",
+    "MellinRule",
     "mellin",
     "mellin_power_tail",
     "gr_2667_integrals",
@@ -47,9 +48,10 @@ class MellinResult:
     error_estimate: float
 
 
-def mellin(f, rho, s_lo=1e-8, s_hi=1e8):
+class MellinRule:
     """M f(rho) by order-12 Gauss-Legendre panels in log s, 10 per octave,
-    on a certified window.
+    on a certified window: the rule is built once, and each call applies
+    it to one f.
 
     Below s_lo, f is taken as the constant f(s_lo) and that tail is added
     in closed form.  The caller certifies that f contributes less than the
@@ -59,23 +61,32 @@ def mellin(f, rho, s_lo=1e-8, s_hi=1e8):
     Supported: finite s_lo and s_hi with 0 < s_lo < s_hi, and a finite rho;
     ValueError otherwise.
     """
-    if not (0.0 < s_lo < s_hi < math.inf and math.isfinite(rho)):
-        raise ValueError("mellin needs 0 < s_lo < s_hi < inf and a finite rho")
-    x_lo, x_hi = math.log(s_lo), math.log(s_hi)
-    n_pan = max(8, int(math.ceil((x_hi - x_lo) * 10 / math.log(2.0))))
 
-    def run(npan):
-        x, w = panel_nodes(np.linspace(x_lo, x_hi, npan + 1), 12)
-        s = np.exp(x)
-        vals = np.asarray(f(s), dtype=complex)
-        integ = vals * np.exp((1.0 - 1j * rho) * x)  # s^(1-i rho) ds/s
-        return complex(np.dot(integ, w))
+    def __init__(self, rho, s_lo=1e-8, s_hi=1e8):
+        if not (0.0 < s_lo < s_hi < math.inf and math.isfinite(rho)):
+            raise ValueError(
+                "mellin needs 0 < s_lo < s_hi < inf and a finite rho")
+        self.rho, self.s_lo = rho, s_lo
+        x_lo, x_hi = math.log(s_lo), math.log(s_hi)
+        n_pan = max(8, int(math.ceil((x_hi - x_lo) * 10 / math.log(2.0))))
+        # (s, s^(1-i rho) ds/s in log s, weights) at full and half resolution
+        self._passes = []
+        for npan in (n_pan, max(4, n_pan // 2)):
+            x, w = panel_nodes(np.linspace(x_lo, x_hi, npan + 1), 12)
+            self._passes.append((np.exp(x), np.exp((1.0 - 1j * rho) * x), w))
 
-    f_lo = complex(np.asarray(f(np.full(1, s_lo)), dtype=complex).ravel()[0])
-    tail = mellin_power_tail(f_lo, 0.0, rho, s_lo, "lower")
-    v1 = run(n_pan) + tail
-    v0 = run(max(4, n_pan // 2)) + tail
-    return MellinResult(float(rho), v1, abs(v1 - v0) + abs(tail))
+    def __call__(self, f):
+        f_lo = np.asarray(f(np.full(1, self.s_lo)), dtype=complex).ravel()[0]
+        tail = mellin_power_tail(complex(f_lo), 0.0, self.rho, self.s_lo, "lower")
+        v1, v0 = (complex(np.dot(np.asarray(f(s), dtype=complex) * kernel, w))
+                  + tail for s, kernel, w in self._passes)
+        return MellinResult(float(self.rho), v1, abs(v1 - v0) + abs(tail))
+
+
+def mellin(f, rho, s_lo=1e-8, s_hi=1e8):
+    """M f(rho) by one `MellinRule(rho, s_lo, s_hi)`, with its window, its
+    range and its error estimate."""
+    return MellinRule(rho, s_lo, s_hi)(f)
 
 
 def mellin_power_tail(coeff, power, rho, s_edge, side):
@@ -83,9 +94,17 @@ def mellin_power_tail(coeff, power, rho, s_edge, side):
 
     side="lower": int_0^s_edge; side="upper": int_s_edge^inf.  Used to
     correct truncated numerical windows when the asymptotic exponents of
-    the integrand are known.
+    the integrand are known.  Supported: a finite s_edge > 0 and a tail that
+    converges, Re mu > 0 below and Re mu < 0 above, mu = power + 1 - i rho;
+    ValueError otherwise (a divergent tail has no value to return).
     """
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be 'lower' or 'upper', not {side!r}")
+    if not (math.isfinite(s_edge) and s_edge > 0.0):
+        raise ValueError("the window edge must be finite and positive")
     mu = power + 1.0 - 1j * rho  # exponent of s in f(s) s^(1-i rho)/s ds
+    if not (mu.real > 0.0 if side == "lower" else mu.real < 0.0):
+        raise ValueError(f"the {side} tail of s^{power} diverges")
     if side == "lower":
         return coeff * s_edge**mu / mu
     return -coeff * s_edge**mu / mu

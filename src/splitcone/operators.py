@@ -299,22 +299,27 @@ def _u_max(radial, tol=1e-12):
 
 
 # Depth of the grading toward 0: the first panel of length step is cut at
-# step / 3^k, k = 1.._GRADED (step / 3^15 is 3.5e-8 at step 0.5).
-_GRADED = 15
+# step / 2^k, k = 1.._GRADED (step / 2^20 is 9.5e-7 at step 1).  A Gauss
+# panel [a, 2a] resolves the log singularity of K0 and Y0 at 0 to about
+# 5e-16 of its contribution ([a, 3a] only to about 1e-12).
+_GRADED = 20
+# Step of the shared u grid of `ray_rows`: it serves every c <= pi / _U_STEP,
+# so the step in x = c u is at most pi on both of its grids.
+_U_STEP = 1.0
 
 
 def _u_grid(step, n):
     """Order-10 panel nodes and weights on [0, n step]: panels of length
     step (at most the kernels' oscillation length), the first one graded
-    geometrically toward 0, where the Bessel kernels are log-singular.
+    toward 0 by halving, as the Bessel kernels are log-singular there.
 
     It depends on nothing but step and n, and its breaks step k are
     computed one by one, so the grid of n panels is the first 10 (_GRADED
     + n) nodes of every longer one.  `ray_rows` builds it twice a call at
-    most: in u at step 0.5 and in x = c u at step pi."""
+    most: in u at step _U_STEP and in x = c u at step pi."""
     small = [step]
     for _ in range(_GRADED):
-        small.append(small[-1] / 3.0)
+        small.append(small[-1] / 2.0)
     breaks = np.concatenate(
         [[0.0], small[:0:-1], step * np.arange(1.0, n + 1.0)])
     return panel_nodes(breaks, 10)
@@ -336,13 +341,13 @@ def ray_rows(radial, op, s_grid, R=None):
     weight `_u_weight`: fn = K0 and Y0 at c = 2 sqrt(2s) for "fc", J0 at
     c = R sqrt(2s) for "pl".
 
-    Up to c = 2 pi every row takes one shared u grid of step 0.5, and the
-    kernels are evaluated at c u one c at a time.  Past it the panels are
-    pi / c long in u, so pi long in x = c u: each kernel is evaluated once
-    on one x grid, as far as the largest c needs, and each such c takes a
-    prefix of it, weighted by W(x / c) / c.  That prefix has about 126 c
-    nodes, so c is supported up to 3e3 (0.4 M nodes: the "fc" row at
-    s = 1e6)."""
+    Up to c = pi / _U_STEP = pi every row takes one shared u grid of step
+    _U_STEP = 1, and the kernels are evaluated at c u one c at a time.
+    Past it the panels are pi / c long in u, so pi long in x = c u: each
+    kernel is evaluated once on one x grid, as far as the largest c needs,
+    and each such c takes a prefix of it, weighted by W(x / c) / c.  Either
+    way the step in x is at most pi.  The prefix has about 126 c nodes, so
+    c is supported up to 3e3 (0.4 M nodes: the "fc" row at s = 1e6)."""
     if radial not in ("sqrt_exponential", "exponential"):
         raise ValueError(f"unknown radial profile {radial!r}")
     root = np.sqrt(2.0 * _checked_s(op, s_grid, R))
@@ -352,9 +357,9 @@ def ray_rows(radial, op, s_grid, R=None):
     fns = [getattr(special, "bessel_" + kind) for kind in kinds]
     u_max = _u_max(radial)
     rows = np.empty((len(kinds), len(cs)))
-    small = cs <= 2.0 * math.pi
+    small = cs <= math.pi / _U_STEP
     if small.any():
-        u, w = _u_grid(0.5, math.ceil(u_max / 0.5))
+        u, w = _u_grid(_U_STEP, math.ceil(u_max / _U_STEP))
         weight = _u_weight(radial, u)
         for i in np.flatnonzero(small).tolist():
             rows[:, i] = [np.dot(weight * fn(cs[i] * u), w) for fn in fns]

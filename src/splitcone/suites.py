@@ -709,17 +709,17 @@ def suite_mellin_ratio(cfg: SuiteConfig):
                 checks.append(make_check(
                     f"gamma_chain.{name}.e{e}.{i:02d}", "S6.gamma-chain",
                     {"rho": rho, "eps": e}, val, 0.0, 1e-10))
-    # per-theta closed forms against numerical Mellin of the chain integrands
+    # per-theta closed forms against numerical Mellin of the chain
+    # integrands, all by one rule
+    rho, R = 0.7, 1.3
+    rule = mellin.MellinRule(rho, s_lo=1e-10, s_hi=1e14)
     for e in parities:
         for theta in (0.0, 0.8):
-            rho, R = 0.7, 1.3
             m_pl, m_fc = mellin.per_theta_mellin_closed_forms(rho, R, theta, e)
-            num_pl = mellin.mellin(
-                lambda s: operators.chain_pl_theta_integrand(theta, s, R, e),
-                rho, s_lo=1e-10, s_hi=1e14).value
-            num_fc = mellin.mellin(
-                lambda s: operators.chain_fc_theta_integrand(theta, s, e),
-                rho, s_lo=1e-10, s_hi=1e14).value
+            num_pl = rule(
+                lambda s: operators.chain_pl_theta_integrand(theta, s, R, e)).value
+            num_fc = rule(
+                lambda s: operators.chain_fc_theta_integrand(theta, s, e)).value
             checks.append(make_check(
                 f"mellin.per_theta_pl.e{e}.th{theta}", "S6.plhat-mellin",
                 {"theta": theta, "rho": rho, "R": R}, num_pl, m_pl,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitcone.mellin import (
+    MellinRule,
     RayTable,
     closed_form_ratio,
     gamma_chain_identities,
@@ -38,19 +39,44 @@ def test_mellin_error_estimate_bounds_error(rho):
         assert abs(r.value - complex(ref)) <= r.error_estimate
 
 
+BAD_WINDOWS = ({"s_lo": 1e3, "s_hi": 1e-3}, {"s_lo": 1.0, "s_hi": 1.0},
+               {"s_hi": math.inf}, {"s_hi": math.nan}, {"s_lo": 0.0},
+               {"s_lo": -1e-8}, {"s_lo": math.nan})
+BAD_RHOS = (math.nan, math.inf, -math.inf)
+
+
 def test_mellin_window_and_rho_range():
     def f(s):
         return np.exp(-s)
 
-    for kw in ({"s_lo": 1e3, "s_hi": 1e-3}, {"s_lo": 1.0, "s_hi": 1.0},
-               {"s_hi": math.inf}, {"s_hi": math.nan}, {"s_lo": 0.0},
-               {"s_lo": -1e-8}, {"s_lo": math.nan}):
+    for kw in BAD_WINDOWS:
         with pytest.raises(ValueError):
             mellin(f, 0.5, **kw)
-    for rho in (math.nan, math.inf, -math.inf):
+    for rho in BAD_RHOS:
         with pytest.raises(ValueError):
             mellin(f, rho)
     assert mellin(f, 0.0).value == pytest.approx(1.0, rel=1e-7)
+
+
+def test_mellin_rule_matches_mellin_bitwise():
+    # the 8 per-theta chain integrands of the mellin_ratio suite through
+    # one rule, each against a lone mellin call
+    rho, R, window = 0.7, 1.3, {"s_lo": 1e-10, "s_hi": 1e14}
+    rule = MellinRule(rho, **window)
+    for e in (0, 1):
+        for theta in (0.0, 0.8):
+            for f in (lambda s: chain_pl_theta_integrand(theta, s, R, e),
+                      lambda s: chain_fc_theta_integrand(theta, s, e)):
+                got, alone = rule(f), mellin(f, rho, **window)
+                assert got.value == alone.value
+                assert got.error_estimate == alone.error_estimate
+                assert got.rho == alone.rho
+    for kw in BAD_WINDOWS:
+        with pytest.raises(ValueError):
+            MellinRule(0.5, **kw)
+    for rho in BAD_RHOS:
+        with pytest.raises(ValueError):
+            MellinRule(rho)
 
 
 def test_mellin_rational():
@@ -68,6 +94,30 @@ def test_mellin_power_tail():
     s = np.linspace(1e-9, e, 400000)
     ref = np.trapezoid(c * s**p * s ** (-1j * rho), s)
     assert abs(tail - ref) < 1e-5 * abs(ref)
+    # int_400^inf c s^-2.5 s^-i rho ds
+    ref = complex(mpmath.quad(lambda t: c * t ** (-2.5 - 1j * rho),
+                              [400, mpmath.inf]))
+    tail = mellin_power_tail(c, -2.5, rho, 400.0, "upper")
+    assert abs(tail - ref) < 1e-12 * abs(ref)
+
+
+def test_mellin_power_tail_rejects_what_it_cannot_give():
+    for side in ("uper", "Lower", "", None):
+        with pytest.raises(ValueError):
+            mellin_power_tail(1.0, -2.0, 0.7, 400.0, side)
+    # powers whose tails converge on that side, so only the edge is wrong
+    for power, side in ((-0.5, "lower"), (-2.5, "upper")):
+        for edge in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                mellin_power_tail(1.0, power, 0.7, edge, side)
+    # divergent tails: Re mu = power + 1 >= 0 above, <= 0 below
+    for power, rho, side, edge in (
+            (0.5, 0.7, "upper", 400.0), (-1.0, 0.7, "upper", 400.0),
+            (-1.0, 0.0, "upper", 400.0), (math.nan, 0.7, "upper", 400.0),
+            (-1.0, 0.0, "lower", 1e-3), (-1.0, 0.7, "lower", 1e-3),
+            (-1.5, 0.7, "lower", 1e-3), (math.nan, 0.7, "lower", 1e-3)):
+        with pytest.raises(ValueError):
+            mellin_power_tail(1.0, power, rho, edge, side)
 
 
 def test_gr_2667():
@@ -156,14 +206,14 @@ def test_two_parity_table_gives_the_one_parity_tables():
 
 
 def test_ray_table_ratio_pinned():
-    # M Pl / M FC of a two-parity table, whose rows past c = 2 pi come from
+    # M Pl / M FC of a two-parity table, whose rows past c = pi come from
     # the shared x grid (checked against closed forms in test_operators)
     table = RayTable((0, 1), [0.5, 2.0])
     for rho, R, e, re, im in (
-            (0.3, 0.5, 0, "0x1.88a55d281bf83p+2", "-0x1.aef68d65be11ap+2"),
-            (2.0, 2.0, 0, "0x1.00fc29c09188cp-2", "0x1.34598e06b8f85p-17"),
-            (-0.7, 0.5, 1, "0x1.285136340b4cbp+0", "-0x1.7df3b2eae0815p+1"),
-            (1.3, 2.0, 1, "0x1.ef09306272ff7p-3", "0x1.117a220332a8dp-17")):
+            (0.3, 0.5, 0, "0x1.88a55d281bfccp+2", "-0x1.aef68d65be213p+2"),
+            (2.0, 2.0, 0, "0x1.00fc29c091813p-2", "0x1.34598e0b18d83p-17"),
+            (-0.7, 0.5, 1, "0x1.285136340b4acp+0", "-0x1.7df3b2eae07f5p+1"),
+            (1.3, 2.0, 1, "0x1.ef09306273004p-3", "0x1.117a220124950p-17")):
         got = table.ratio(rho, R, e)
         assert (got.real.hex(), got.imag.hex()) == (re, im)
 

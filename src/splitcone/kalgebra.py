@@ -150,12 +150,9 @@ class KBasisElement:
     def evaluate(self, r, th1, th2):
         """Function value at cone chart points (vectorized)."""
         r = np.asarray(r, dtype=float)
-        return self._times_kt(r, special.ktilde(self.n, 2.0 * r), th1, th2)
-
-    def _times_kt(self, r, kt, th1, th2):
         return (
             r ** (self.l + self.k)
-            * kt
+            * special.ktilde(self.n, 2.0 * r)
             * np.exp(1j * (self.a * np.asarray(th1) + self.b * np.asarray(th2)))
         )
 
@@ -208,16 +205,21 @@ class KVector:
 
     def evaluate(self, r, th1, th2):
         """Sum of the terms' values, bit for bit the sum of
-        KBasisElement.evaluate, with one Kt call for all orders."""
+        KBasisElement.evaluate: one Kt call for all orders, one array
+        expression for all terms, summed along the term axis."""
         r = np.asarray(r, dtype=float)
-        acc = np.zeros(np.broadcast(r, th1, th2).shape, dtype=complex)
+        shape = np.broadcast(r, th1, th2).shape
         if not self.terms:
-            return acc
-        ns = sorted({key.n for key in self.terms})
-        kts = dict(zip(ns, special.ktilde(ns, 2.0 * r)))
-        for key, c in self.terms.items():
-            acc = acc + complex(c) * key._times_kt(r, kts[key.n], th1, th2)
-        return acc
+            return np.zeros(shape, dtype=complex)
+        keys = list(self.terms)
+        lead = (len(keys),) + (1,) * len(shape)
+        coeffs = np.array([complex(c) for c in self.terms.values()]).reshape(lead)
+        a = np.array([key.a for key in keys]).reshape(lead)
+        b = np.array([key.b for key in keys]).reshape(lead)
+        p = np.array([key.l + key.k for key in keys]).reshape(lead)
+        kts = special.ktilde([key.n for key in keys], 2.0 * r)
+        phases = np.exp(1j * (a * np.asarray(th1) + b * np.asarray(th2)))
+        return np.sum(coeffs * (r**p * kts * phases), axis=0)
 
 
 def _shift_plane(key, plane, d):
@@ -448,13 +450,11 @@ def _ktilde_derivs(n, x):
     kp = -0.5 * (km1 + kp1)
     kpp = 0.25 * (km2 + 2.0 * k0 + kp2)
     c = 2.0**n
-    kt = c * x ** (-float(n)) * k0
-    ktp = c * (-n * x ** (-float(n) - 1) * k0 + x ** (-float(n)) * kp)
-    ktpp = c * (
-        n * (n + 1) * x ** (-float(n) - 2) * k0
-        - 2.0 * n * x ** (-float(n) - 1) * kp
-        + x ** (-float(n)) * kpp
-    )
+    xn = x ** (-float(n))
+    xn1 = xn / x
+    kt = c * xn * k0
+    ktp = c * (-n * xn1 * k0 + xn * kp)
+    ktpp = c * (n * (n + 1) * (xn1 / x) * k0 - 2.0 * n * xn1 * kp + xn * kpp)
     return kt, ktp, ktpp
 
 

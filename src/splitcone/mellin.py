@@ -232,12 +232,13 @@ class RayTable:
 
     The operators act on the test function of each parity at the base point
     (1, 0.7, 0.3).  The radial rows behind the values do not depend on the
-    parity, so the "fc" rows are built once and the "pl" rows once per R.
-    The grid doubles as the Mellin quadrature rule (10 Gauss-Legendre
-    panels of order 8 in log s on [s_lo, s_hi]); known asymptotic exponents
-    supply analytic tail models: the Phi0+ chain opens like s^(1/2) and
-    closes like s^(-3/2); the Psi0 chain has an s -> 0 form A + B log s and
-    closes like s^(-3/2), s^(-2).  `ratio` gives M Pl / M FC from them.
+    parity, so the "fc" rows are built once, and the "pl" rows of every R
+    in one call that evaluates J0 on one x grid.  The grid of s doubles as
+    the Mellin quadrature rule (10 Gauss-Legendre panels of order 8 in log
+    s on [s_lo, s_hi]); known asymptotic exponents supply analytic tail
+    models: the Phi0+ chain opens like s^(1/2) and closes like s^(-3/2);
+    the Psi0 chain has an s -> 0 form A + B log s and closes like
+    s^(-3/2), s^(-2).  `ratio` gives M Pl / M FC from them.
     """
 
     s_lo = 1e-3
@@ -248,7 +249,8 @@ class RayTable:
 
     def __init__(self, parities, R_list):
         fc_rows = ray_rows(self.radial, "fc", self.s)
-        pl_rows = {R: ray_rows(self.radial, "pl", self.s, R) for R in R_list}
+        j0_rows, = ray_rows(self.radial, "pl", self.s, np.reshape(R_list, (-1, 1)))
+        pl_rows = {R: [row] for R, row in zip(R_list, j0_rows)}
         # parity -> (values, edge fits) of FC, (parity, R) -> those of Pl;
         # s -> 0: FC like A + B log s (+ C sqrt s), Pl like A (+ sqrt, linear)
         self.fc, self.pl = {}, {}

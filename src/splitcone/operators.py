@@ -330,8 +330,8 @@ def _checked_s(op, s_grid, R):
     s = np.asarray(s_grid, dtype=float)
     if op not in ("fc", "pl"):
         raise ValueError(op)
-    if not (np.all(np.isfinite(s) & (s > 0.0)) and (
-            op == "fc" or R is not None and math.isfinite(R) and R > 0)):
+    R_ok = op == "fc" or R is not None and np.all(np.isfinite(R) & (np.asarray(R) > 0))
+    if not (np.all(np.isfinite(s) & (s > 0.0)) and R_ok):
         raise ValueError("ray evaluation needs finite s > 0 and R > 0")
     return s
 
@@ -339,7 +339,9 @@ def _checked_s(op, s_grid, R):
 def ray_rows(radial, op, s_grid, R=None):
     """Radial rows int_0^inf W(u) fn(c u) du of op's ray restriction, W the
     weight `_u_weight`: fn = K0 and Y0 at c = 2 sqrt(2s) for "fc", J0 at
-    c = R sqrt(2s) for "pl".
+    c = R sqrt(2s) for "pl".  R may be an array that broadcasts against
+    s_grid; the rows then take the broadcast shape, and all of them share
+    one x grid.
 
     Up to c = pi / _U_STEP = pi every row takes one shared u grid of step
     _U_STEP = 1, and the kernels are evaluated at c u one c at a time.
@@ -351,7 +353,9 @@ def ray_rows(radial, op, s_grid, R=None):
     if radial not in ("sqrt_exponential", "exponential"):
         raise ValueError(f"unknown radial profile {radial!r}")
     root = np.sqrt(2.0 * _checked_s(op, s_grid, R))
-    kinds, cs = (("k0", "y0"), 2.0 * root) if op == "fc" else (("j0",), float(R) * root)
+    kinds, cs = (("k0", "y0"), 2.0 * root) if op == "fc" else (
+        ("j0",), np.asarray(R, dtype=float) * root)
+    shape, cs = cs.shape, cs.ravel()
     if np.any(cs > 3.0e3):
         raise ValueError("ray rows are supported for c <= 3e3")
     fns = [getattr(special, "bessel_" + kind) for kind in kinds]
@@ -372,7 +376,7 @@ def ray_rows(radial, op, s_grid, R=None):
             c = float(cs[i])
             wc = _u_weight(radial, x[:m] / c) * wx[:m]
             rows[:, i] = [np.dot(f[:m], wc) / c for f in fx]
-    return list(rows)
+    return list(rows.reshape((len(kinds),) + shape))
 
 
 # ----- generic path -----

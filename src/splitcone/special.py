@@ -1,10 +1,14 @@
 """Bessel functions J0, Y0, K0, K_n, the renormalized family Kt_n, and
 the complex Gamma function.
 
-The evaluators are thin wrappers over `scipy.special`: they check the
+J0, Y0 and K0 are thin wrappers over `scipy.special`: they check the
 domain (rejecting NaN), keep the Gamma poles an error, and return a Python
-float for scalar input.  Kt_n and its closed-form derivative are built on
-top of `bessel_kn`.
+float for scalar input.  K_n of every order comes from one table per call:
+scipy's K0 and K1, then the upward recurrence K_(m+1) = K_(m-1) + (2m/x) K_m
+(DLMF 10.29.1), which is stable for K as K grows with m.  Kt_n and its
+closed-form derivative read their rows from the same table.  Its values
+are pinned independently by the integral oracle (`bessel.kn_oracle`) and by
+the mpmath test of the K family.
 
 The hyperbolic integral representations (sin/cos of u*cosh t, cos of
 u*sinh t, exp of -u*cosh t) are wired up in `oracles` as independent
@@ -12,6 +16,8 @@ checks; they never feed the production values.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import special as sp
@@ -57,9 +63,17 @@ def bessel_k0(u):
     return _like_input(sp.k0(_as_positive_array(u, "bessel_k0")))
 
 
-def _kn(n, x):
-    """K_n on an already checked argument; K_{-n} = K_n."""
-    return sp.kn(np.abs(np.asarray(n, dtype=int)), x)
+def _k_table(nmax, x):
+    """[K_0(x), ..., K_nmax(x)] on an already checked argument.  At tiny x
+    the higher orders overflow to inf, which is their value as a float, so
+    the recurrence does not warn about it."""
+    table = [sp.k0(x)]
+    if nmax >= 1:
+        table.append(sp.k1(x))
+    with np.errstate(over="ignore"):
+        for m in range(1, nmax):
+            table.append(table[m - 1] + (2.0 * m / x) * table[m])
+    return table
 
 
 def _ktilde(n, x, kn):
@@ -68,9 +82,20 @@ def _ktilde(n, x, kn):
 
 
 def bessel_kn(n, u):
-    """K_n for integer n of either sign (K_{-n} = K_n); an integer array of
-    orders broadcasts against u."""
-    return _like_input(_kn(n, _as_positive_array(u, "bessel_kn")))
+    """K_n for integer n of either sign (K_{-n} = K_n).  An integer array of
+    orders broadcasts against u as a column: its last u.ndim axes have
+    length 1, and each order takes its row of the one K table."""
+    x = _as_positive_array(u, "bessel_kn")
+    orders = np.abs(np.asarray(n, dtype=int))
+    if not orders.ndim:
+        return _like_input(_k_table(int(orders), x)[-1])
+    lead = orders.ndim - x.ndim
+    if lead < 1 or math.prod(orders.shape[lead:]) != 1:
+        raise ValueError("bessel_kn takes an array of orders of shape "
+                         "(..., 1, ..., 1), with one axis of length 1 per axis of u")
+    table = _k_table(int(orders.max(initial=0)), x)
+    return np.array([table[m] for m in orders.ravel().tolist()]).reshape(
+        orders.shape[:lead] + x.shape)
 
 
 def ktilde(n, r):
@@ -81,21 +106,22 @@ def ktilde(n, r):
     r^2 Kt_{n+1}(2r) = n Kt_n(2r) + Kt_{n-1}(2r) holds across n = 0.
 
     A sequence of orders gives one row per order, each bit for bit the
-    single-order value, from one K_n call.
+    single-order value, from one K table.
     """
     x = _as_positive_array(r, "ktilde")
     if np.ndim(n):
-        kns = _kn(np.reshape(n, (-1,) + (1,) * x.ndim), x)
-        return np.stack([_ktilde(int(m), x, kn) for m, kn in zip(n, kns)])
+        ns = [int(m) for m in n]
+        table = _k_table(max(abs(m) for m in ns), x)
+        return np.stack([_ktilde(m, x, table[abs(m)]) for m in ns])
     n = int(n)
-    return _ktilde(n, x, _kn(n, x))
+    return _ktilde(n, x, _k_table(abs(n), x)[-1])
 
 
 def ktilde_deriv_2r(n, r):
     """Closed form of d/dr Kt_n(2r), namely -2r Kt_{n+1}(2r)."""
     r = _as_positive_array(r, "ktilde_deriv_2r")
     n, x = int(n + 1), 2.0 * r
-    return -2.0 * r * _ktilde(n, x, _kn(n, x))
+    return -2.0 * r * _ktilde(n, x, _k_table(abs(n), x)[-1])
 
 
 def gamma_complex(z):

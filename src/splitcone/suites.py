@@ -196,7 +196,10 @@ def suite_bessel(cfg: SuiteConfig):
             special.bessel_kn(n, 1.5), oracles.kn_oracle(n, 1.5), 1e-9))
 
     # three-term recurrence of the renormalized family, n in [-5, 5]:
-    # rows of kt are the orders -6..6 at the points 2r
+    # rows of kt are the orders -6..6 at the points 2r.  K_n itself is built
+    # by the equivalent recurrence for K (`special._k_table`), so besides a
+    # wrong table step this checks Kt's normalization 2^n x^-n and its
+    # negative-order convention
     r = np.linspace(0.1, 5.0, 21)
     kt = special.ktilde(range(-6, 7), 2 * r)
     n = np.arange(-5, 6)[:, None]

@@ -243,6 +243,9 @@ def test_ray_values_are_the_scalar_values_bitwise():
     for radial in ("sqrt_exponential", "exponential"):
         fc_rows = ray_rows(radial, "fc", s_grid)
         pl_rows = {R: ray_rows(radial, "pl", s_grid, R) for R in (1.0, 2.0)}
+        # a column of R gives the same rows from one x grid
+        both, = ray_rows(radial, "pl", s_grid, np.array([[1.0], [2.0]]))
+        assert both.tolist() == [pl_rows[1.0][0].tolist(), pl_rows[2.0][0].tolist()]
         for e in (0, 1):
             f = make_f_xi_eps(BASE, e, radial=radial)
             fc = ray_values(f, "fc", s_grid)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,16 +19,58 @@ def test_j0_y0_against_mpmath():
 
 
 def test_k_family_against_mpmath():
-    xs = np.exp(np.linspace(math.log(0.05), math.log(40), 60))
+    # 20 digits give the same floats as 30 here, in half the time
+    xs = np.exp(np.linspace(math.log(1e-3), math.log(600), 60))
 
     def ref(n):
-        with mpmath.workdps(30):
+        with mpmath.workdps(20):
             return np.array([float(mpmath.besselk(n, x)) for x in xs])
 
-    assert np.max(np.abs(special.bessel_k0(xs) - ref(0)) / ref(0)) < 5e-15
-    for n in range(1, 9):
+    assert np.max(np.abs(special.bessel_k0(xs) - ref(0)) / ref(0)) < 2e-15
+    for n in range(13):
         k = ref(n)
-        assert np.max(np.abs(special.bessel_kn(n, xs) - k) / k) < 5e-15
+        assert np.max(np.abs(special.bessel_kn(n, xs) - k) / k) < 2e-15
+
+
+def test_kn_edge_values():
+    # zero and inf where the float value of K_n is zero or overflows, with
+    # no NaN and no warning; at x = 700 K_n is about 5e-306, a normal float,
+    # which scipy's kn (and kv) already give as 0
+    xs = [1e-300, 1e-30, 700.0, 745.0, 800.0, math.inf]
+    orders = (0, 1, 2, 8, 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = special.bessel_kn(np.array(orders)[:, None], np.array(xs))
+        singles = [[special.bessel_kn(n, x) for x in xs] for n in orders]
+    assert got.tolist() == singles
+    with mpmath.workdps(20):
+        want = np.array([[float(mpmath.besselk(n, x)) if x < math.inf else 0.0
+                          for x in xs] for n in orders])
+    assert not np.isnan(got).any()
+    assert ((got == 0) == (want == 0)).all()
+    assert (np.isinf(got) == np.isinf(want)).all()
+    finite = np.isfinite(want) & (want > 0)
+    assert np.max(np.abs(got[finite] - want[finite]) / want[finite]) < 2e-15
+
+
+def test_verify_bessel_catches_a_broken_k_table(monkeypatch):
+    # the table's step with m + 1 in place of m must fail the shipped suite
+    from scipy import special as sp
+
+    from splitcone import cli
+    from splitcone.suites import SuiteConfig
+
+    def broken(nmax, x):
+        table = [sp.k0(x), sp.k1(x)]
+        for m in range(1, nmax):
+            table.append(table[m - 1] + (2.0 * (m + 1) / x) * table[m])
+        return table[:nmax + 1]
+
+    monkeypatch.setattr(special, "_k_table", broken)
+    rep = cli.run(SuiteConfig(suite="bessel", seed=2024))
+    failed = {c.check_id for c in rep.checks if not c.passed}
+    assert {"bessel.kn_oracle.0", "bessel.kn_oracle.1", "bessel.kn_oracle.2",
+            "bessel.ktilde_recurrence"} <= failed
 
 
 def test_negative_order_symmetry():
@@ -66,6 +109,8 @@ def test_domain_rejections():
         special.bessel_j0(math.nan)
     with pytest.raises(ValueError):
         special.bessel_kn(2, np.array([1.0, math.nan]))
+    with pytest.raises(ValueError):  # orders must be a column over u
+        special.bessel_kn(np.array([1, 2]), np.array([1.0, 2.0]))
     for bad in (math.nan, 0.0, -1.0):
         arr = np.array([0.5, bad, 2.0])
         for fn in (special.ktilde, special.ktilde_deriv_2r):

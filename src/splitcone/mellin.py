@@ -1,6 +1,10 @@
 """Mellin-transform machinery and the ratio of the two operators' images.
 
 The transform convention is M f(rho) = int_0^inf f(s) s^(1-i rho) ds/s.
+Every Mellin sum is a `MellinRule`: log-s Gauss panels on a window, and
+beyond each edge tail terms s^p (log s)^k that are facts of the
+integrand, the exponents of its expansions at 0 and at infinity.
+
 The ratio M Pl / M FC must equal `reference_ratio`, R^(-2+2i rho)
 2^(-2i rho) times coth(pi rho/2) for even parity or tanh(pi rho/2) for
 odd parity.  It is computed two ways:
@@ -9,10 +13,10 @@ odd parity.  It is computed two ways:
     are explicit Gamma-function expressions, whose ratio must not depend
     on theta.
   * `RayTable.ratio`: both operators are applied on the ray s -> s xi0
-    over a log-s Gauss grid and Mellin-transformed numerically (with
-    analytic power-law tail corrections).  The `mellin_ratio` suite
-    compares it to the reference after calibrating one overall constant
-    at its first rho and R, and reports the constant (it should be 1).
+    at the nodes of a rule on s in [1e-3, 400] and transformed by it.
+    The `mellin_ratio` suite compares it to the reference after
+    calibrating one overall constant at its first rho and R, and reports
+    the constant (it should be 1).
 """
 
 from __future__ import annotations
@@ -49,65 +53,87 @@ class MellinResult:
 
 
 class MellinRule:
-    """M f(rho) by order-12 Gauss-Legendre panels in log s, 10 per octave,
-    on a certified window: the rule is built once, and each call applies
-    it to one f.
+    """M f(rho) from the values of f at the rule's nodes `s`: one row of
+    values, or a 2-D array of rows, each transformed.
 
-    Below s_lo, f is taken as the constant f(s_lo) and that tail is added
-    in closed form.  The caller certifies that f contributes less than the
-    target accuracy above s_hi (power-law windows can be corrected
-    separately with `mellin_power_tail`).  The error estimate is the
-    difference from a half-resolution pass plus the size of the lower tail.
-    Supported: finite s_lo and s_hi with 0 < s_lo < s_hi, and a finite rho;
-    ValueError otherwise.
+    Inside [s_lo, s_hi]: Gauss-Legendre of order 8 on equal panels in
+    log s, at most `step` long.  Beyond each edge f is a sum of the tail
+    terms `lower` (at 0) or `upper` (at infinity), a number p standing for
+    s^p and a pair (p, 1) for s^p log s.  Their coefficients are fitted by
+    least squares on the edge panel's nodes and their tails added by
+    `mellin_power_tail`.  A call gives a `MellinResult` whose estimate is
+    the last fitted term of each tail.  Supported: 0 < s_lo < s_hi < inf,
+    0 < step < inf and a finite rho; ValueError otherwise, as for a term
+    whose tail diverges.
     """
 
-    def __init__(self, rho, s_lo=1e-8, s_hi=1e8):
-        if not (0.0 < s_lo < s_hi < math.inf and math.isfinite(rho)):
-            raise ValueError(
-                "mellin needs 0 < s_lo < s_hi < inf and a finite rho")
-        self.rho, self.s_lo = rho, s_lo
+    def __init__(self, lower, upper, s_lo, s_hi, step):
+        if not (0.0 < s_lo < s_hi < math.inf and 0.0 < step < math.inf):
+            raise ValueError("a Mellin rule needs 0 < s_lo < s_hi < inf "
+                             "and a finite step > 0")
         x_lo, x_hi = math.log(s_lo), math.log(s_hi)
-        n_pan = max(8, int(math.ceil((x_hi - x_lo) * 10 / math.log(2.0))))
-        # (s, s^(1-i rho) ds/s in log s, weights) at full and half resolution
-        self._passes = []
-        for npan in (n_pan, max(4, n_pan // 2)):
-            x, w = panel_nodes(np.linspace(x_lo, x_hi, npan + 1), 12)
-            self._passes.append((np.exp(x), np.exp((1.0 - 1j * rho) * x), w))
+        breaks = np.linspace(x_lo, x_hi, math.ceil((x_hi - x_lo) / step) + 1)
+        self._x, self._w = panel_nodes(breaks, 8)
+        self.s = np.exp(self._x)
+        # (side, edge, [(p, k)], edge nodes, least-squares map to the coefficients)
+        self._tails = []
+        for side, edge, terms, idx in (("lower", s_lo, lower, slice(0, 8)),
+                                       ("upper", s_hi, upper, slice(-8, None))):
+            terms = [t if isinstance(t, tuple) else (t, 0) for t in terms]
+            if terms:
+                s = self.s[idx]
+                A = np.array([s**p * np.log(s) if k else s**p for p, k in terms])
+                scale = np.abs(A).max(axis=1, keepdims=True)
+                u, sv, vt = np.linalg.svd((A / scale).T, full_matrices=False)
+                fit = (vt.T / sv) @ u.T / scale
+                self._tails.append((side, edge, terms, idx, fit))
 
-    def __call__(self, f):
-        f_lo = np.asarray(f(np.full(1, self.s_lo)), dtype=complex).ravel()[0]
-        tail = mellin_power_tail(complex(f_lo), 0.0, self.rho, self.s_lo, "lower")
-        v1, v0 = (complex(np.dot(np.asarray(f(s), dtype=complex) * kernel, w))
-                  + tail for s, kernel, w in self._passes)
-        return MellinResult(float(self.rho), v1, abs(v1 - v0) + abs(tail))
+    def __call__(self, values, rho):
+        if not math.isfinite(rho):
+            raise ValueError("a Mellin sum needs a finite rho")
+        values = np.asarray(values, dtype=complex)
+        total = values * np.exp((1.0 - 1j * rho) * self._x) @ self._w
+        last = 0.0
+        for side, edge, terms, idx, fit in self._tails:
+            tails = [mellin_power_tail(c, p, rho, edge, side, k)
+                     for c, (p, k) in zip(fit @ values[..., idx].T, terms)]
+            total = total + sum(tails)
+            last = last + abs(tails[-1])
+        return MellinResult(float(rho), total, last)
 
 
-def mellin(f, rho, s_lo=1e-8, s_hi=1e8):
-    """M f(rho) by one `MellinRule(rho, s_lo, s_hi)`, with its window, its
-    range and its error estimate."""
-    return MellinRule(rho, s_lo, s_hi)(f)
+def mellin(f, rho, lower, upper):
+    """M f(rho) by the `MellinRule` of the tail terms lower and upper on
+    s in [1e-6, 1e6] at panels of 0.65 in log s.  The estimate adds to the
+    rule's own the gap to the same rule at 1.3, half the resolution."""
+    full, half = (rule(f(rule.s), rho) for rule in (
+        MellinRule(lower, upper, 1e-6, 1e6, step) for step in (0.65, 1.3)))
+    return MellinResult(full.rho, full.value,
+                        abs(full.value - half.value) + full.error_estimate)
 
 
-def mellin_power_tail(coeff, power, rho, s_edge, side):
-    """Closed-form M-contribution of coeff * s^power beyond a window edge.
+def mellin_power_tail(coeff, power, rho, s_edge, side, logs=0):
+    """Closed-form M-contribution of coeff * s^power (log s)^logs beyond a
+    window edge: int_0^s_edge (side="lower") or int_s_edge^inf ("upper").
 
-    side="lower": int_0^s_edge; side="upper": int_s_edge^inf.  Used to
-    correct truncated numerical windows when the asymptotic exponents of
-    the integrand are known.  Supported: a finite s_edge > 0 and a tail that
-    converges, Re mu > 0 below and Re mu < 0 above, mu = power + 1 - i rho;
-    ValueError otherwise (a divergent tail has no value to return).
+    With mu = power + 1 - i rho it is +-coeff s_edge^mu / mu, times
+    (log s_edge - 1/mu) for logs = 1.  Supported: logs 0 or 1, a finite
+    s_edge > 0 and a tail that converges, Re mu > 0 below and Re mu < 0
+    above; ValueError otherwise (a divergent tail has no value to return).
     """
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', not {side!r}")
+    if logs not in (0, 1):
+        raise ValueError("a tail term has log power 0 or 1")
     if not (math.isfinite(s_edge) and s_edge > 0.0):
         raise ValueError("the window edge must be finite and positive")
     mu = power + 1.0 - 1j * rho  # exponent of s in f(s) s^(1-i rho)/s ds
     if not (mu.real > 0.0 if side == "lower" else mu.real < 0.0):
         raise ValueError(f"the {side} tail of s^{power} diverges")
-    if side == "lower":
-        return coeff * s_edge**mu / mu
-    return -coeff * s_edge**mu / mu
+    tail = coeff * s_edge**mu / mu
+    if logs:
+        tail *= math.log(s_edge) - 1.0 / mu
+    return tail if side == "lower" else -tail
 
 
 def gr_2667_integrals(a, b):
@@ -226,77 +252,54 @@ def closed_form_ratio(rho, R, parity_eps):
     return vals[0]
 
 
-class RayTable:
-    """Ray evaluations of both operators on a log-s Gauss grid, with the
-    power laws fitted at the grid's edges, for each parity and R given.
+# Tail terms (at 0, at infinity) of the ray values for the weight
+# W(u) = 2 u^2 e^-u of "sqrt_exponential": the poles of the rows'
+# Mellin-Barnes form int_0^inf W(u) k(c u) du = (1/2 pi i) int M[W](1 - z)
+# M[k](z) c^-z dz, c^2 ~ s (Bleistein & Handelsman, Asymptotic Expansions
+# of Integrals, 1975, ch. 4).  At 0 those of M[k]: double at z = 0, -2 for
+# K0 and Y0 (1, log s, s, s log s), simple for J0 (1, s, s^2).  At
+# infinity those of M[W](1 - z) = 2 Gamma(3 - z), z = 3, 4, 5, ... (terms
+# s^(-z/2)), less the zeros of M[k]: M[J0](z) = 2^(z-1) Gamma(z/2) /
+# Gamma(1 - z/2) at z = 4, 6, M[Y0] at z = 3, 5 (K0 keeps them).
+_FC_ROW_TAILS = ((0, (0, 1), 1, (1, 1)), (-1.5, -2, -2.5))
+_PL_ROW_TAILS = ((0, 1, 2), (-1.5, -2.5, -3.5))
+# s in [1e-3, 400] by 10 panels: the 80 nodes the rays are evaluated on
+_RAY_WINDOW = (1e-3, 400.0, 1.3)
 
-    The operators act on the test function of each parity at the base point
-    (1, 0.7, 0.3).  The radial rows behind the values do not depend on the
-    parity, so the "fc" rows are built once, and the "pl" rows of every R
-    in one call that evaluates J0 on one x grid.  The grid of s doubles as
-    the Mellin quadrature rule (10 Gauss-Legendre panels of order 8 in log
-    s on [s_lo, s_hi]); known asymptotic exponents supply analytic tail
-    models: the Phi0+ chain opens like s^(1/2) and closes like s^(-3/2);
-    the Psi0 chain has an s -> 0 form A + B log s and closes like
-    s^(-3/2), s^(-2).  `ratio` gives M Pl / M FC from them.
+
+class RayTable:
+    """Ray evaluations of both operators at the nodes of a log-s
+    `MellinRule`, for each parity and R given; `ratio` gives M Pl / M FC.
+
+    The operators act on the test function of each parity at the base
+    point (1, 0.7, 0.3), radial profile "sqrt_exponential".  The radial
+    rows do not depend on the parity, so the "fc" rows are built once, and
+    the "pl" rows of every R in one call (one J0 x grid).  The table keeps
+    the values, in `fc` (by parity) and `pl` (by parity and R); `ratio`
+    fits their tails with the terms of `_FC_ROW_TAILS` and `_PL_ROW_TAILS`:
+    both chains close like s^(-3/2), and the Psi0 ("fc") values open like
+    A + B log s, the Phi0+ ("pl") ones like a constant.
     """
 
-    s_lo = 1e-3
-    s_hi = 400.0
-    radial = "sqrt_exponential"
-    x, w = panel_nodes(np.linspace(math.log(s_lo), math.log(s_hi), 11), 8)
-    s = np.exp(x)
-
     def __init__(self, parities, R_list):
-        fc_rows = ray_rows(self.radial, "fc", self.s)
-        j0_rows, = ray_rows(self.radial, "pl", self.s, np.reshape(R_list, (-1, 1)))
-        pl_rows = {R: [row] for R, row in zip(R_list, j0_rows)}
-        # parity -> (values, edge fits) of FC, (parity, R) -> those of Pl;
-        # s -> 0: FC like A + B log s (+ C sqrt s), Pl like A (+ sqrt, linear)
+        self._fc_rule = MellinRule(*_FC_ROW_TAILS, *_RAY_WINDOW)
+        self._pl_rule = MellinRule(*_PL_ROW_TAILS, *_RAY_WINDOW)
+        s, radial = self._fc_rule.s, "sqrt_exponential"
+        fc_rows = ray_rows(radial, "fc", s)
+        j0_rows, = ray_rows(radial, "pl", s, np.reshape(R_list, (-1, 1)))
         self.fc, self.pl = {}, {}
         for e in parities:
-            f = make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), e, self.radial)
-            vals = ray_values(f, "fc", self.s, rows=fc_rows)
-            self.fc[e] = vals, self._edge_fits(vals, [0.0, "log", 0.5])
-            for R, rows in pl_rows.items():
-                vals = ray_values(f, "pl", self.s, R, rows)
-                self.pl[e, R] = vals, self._edge_fits(vals, [0.0, 0.5, 1.0])
-
-    def _edge_fits(self, vals, lower_powers):
-        """[(side, edge, powers, c)] of the least-squares fits vals ~ sum c_k
-        s^powers[k]: lower_powers on the first 8 nodes, s^(-3/2), s^(-2) and
-        s^(-5/2) on the last 12."""
-        fits = []
-        for side, edge, powers, idx in (
-                ("lower", self.s_lo, lower_powers, np.arange(8)),
-                ("upper", self.s_hi, [-1.5, -2.0, -2.5], np.arange(-12, 0))):
-            s = self.s[idx]
-            A = np.stack([s**p if p != "log" else np.log(s) for p in powers], axis=1)
-            coef = np.linalg.lstsq(A, vals[idx], rcond=None)[0]
-            fits.append((side, edge, powers, coef))
-        return fits
-
-    def _mellin_with_tails(self, vals, fits, rho):
-        """Grid Mellin sum plus the closed-form tails of the fitted powers.
-        The power "log" is the term log s, whose tail is
-        int_0^e s^(mu-1) log s ds = e^mu (log e / mu - 1/mu^2)."""
-        mu = 1.0 - 1j * rho
-        total = complex(np.dot(vals * np.exp(mu * self.x), self.w))
-        for side, edge, powers, coef in fits:
-            total += sum(
-                c * edge**mu * (math.log(edge) / mu - 1.0 / (mu * mu))
-                if p == "log" else mellin_power_tail(c, p, rho, edge, side)
-                for c, p in zip(coef, powers)
-            )
-        return total
+            f = make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), e, radial)
+            self.fc[e] = ray_values(f, "fc", s, rows=fc_rows)
+            for R, row in zip(R_list, j0_rows):
+                self.pl[e, R] = ray_values(f, "pl", s, R, [row])
 
     def ratio(self, rho, R, parity_eps):
-        """M Pl / M FC at (rho, R, parity) from the table's values; a
-        numpy complex, as the fitted tails are."""
+        """M Pl / M FC at (rho, R, parity) from the table's values."""
         _check_rho_R(rho, R)
         if parity_eps not in self.fc:
             raise ValueError(f"ray table has no parity {parity_eps}")
         if (parity_eps, R) not in self.pl:
             raise ValueError(f"ray table has no values at R = {R}")
-        return (self._mellin_with_tails(*self.pl[parity_eps, R], rho)
-                / self._mellin_with_tails(*self.fc[parity_eps], rho))
+        return (self._pl_rule(self.pl[parity_eps, R], rho).value
+                / self._fc_rule(self.fc[parity_eps], rho).value)

@@ -1,5 +1,5 @@
-"""Shared numerical utilities: a reproducible RNG read in array blocks,
-Richardson extrapolation, and panel-based Gauss-Legendre quadrature.
+"""Shared numerical utilities: a reproducible RNG read in array blocks
+and panel-based Gauss-Legendre quadrature.
 
 Every routine here is deterministic for fixed inputs.  The package sums
 with numpy reductions in a fixed order (`np.add.reduce`, `np.dot`), so
@@ -46,32 +46,6 @@ class SplitMix64:
 def unit_floats(words):
     """[0, 1) values of SplitMix64 words: their top 53 bits times 2^-53."""
     return (words >> np.uint64(11)).astype(float) * 2.0 ** -53
-
-
-def richardson_limit(values, ratio=2.0, order=2):
-    """Extrapolate f(eps) -> f(0) from samples on a geometric epsilon ladder.
-
-    `values[i]` corresponds to eps_i = eps_0 / ratio**i (largest first).
-    Polynomial error model f(eps) = L + c1*eps + c2*eps^2 + ...; `order`
-    elimination levels are applied. Returns (limit, error_estimate), the
-    estimate taken from the last two table entries.
-    """
-    vals = [complex(v) for v in values]
-    n = len(vals)
-    if n == 1:
-        return vals[0], float("nan")
-    levels = min(order, n - 1)
-    table = list(vals)
-    last_two = [table[-1]]
-    for m in range(1, levels + 1):
-        mult = ratio**m
-        table = [
-            (mult * table[i + 1] - table[i]) / (mult - 1.0)
-            for i in range(len(table) - 1)
-        ]
-        last_two.append(table[-1])
-    err = abs(last_two[-1] - last_two[-2])
-    return table[-1], err
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

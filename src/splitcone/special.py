@@ -76,9 +76,19 @@ def _k_table(nmax, x):
     return table
 
 
-def _ktilde(n, x, kn):
-    """Kt_n(x) from K_n(x), integer n."""
-    return (2.0**n) * x ** (-float(n)) * kn
+def _ktilde(n, x, table):
+    """Kt_n(x) from a K table that reaches |n|.  Where x^m underflows and
+    K_m overflows (n = -m, tiny x), Kt_-m -> Gamma(m)/2 comes from the
+    recurrence of `ktilde`, Kt_-(k+1) = k Kt_-k + (x^2/4) Kt_-(k-1)."""
+    if n >= 0 or not math.isinf(table[-n].sum()):  # no K_m overflowed
+        return (2.0**n) * x ** (-float(n)) * table[abs(n)]
+    with np.errstate(invalid="ignore"):
+        kt = (2.0**n) * x ** (-float(n)) * table[-n]
+    bad = ~np.isfinite(kt)
+    lo, hi = table[0], 0.5 * x * table[1]
+    for k in range(1, -n):
+        lo, hi = hi, k * hi + 0.25 * x * x * lo
+    return np.where(bad, hi, kt)[()]
 
 
 def bessel_kn(n, u):
@@ -112,16 +122,16 @@ def ktilde(n, r):
     if np.ndim(n):
         ns = [int(m) for m in n]
         table = _k_table(max(abs(m) for m in ns), x)
-        return np.stack([_ktilde(m, x, table[abs(m)]) for m in ns])
+        return np.stack([_ktilde(m, x, table) for m in ns])
     n = int(n)
-    return _ktilde(n, x, _k_table(abs(n), x)[-1])
+    return _ktilde(n, x, _k_table(abs(n), x))
 
 
 def ktilde_deriv_2r(n, r):
     """Closed form of d/dr Kt_n(2r), namely -2r Kt_{n+1}(2r)."""
     r = _as_positive_array(r, "ktilde_deriv_2r")
     n, x = int(n + 1), 2.0 * r
-    return -2.0 * r * _ktilde(n, x, _k_table(abs(n), x)[-1])
+    return -2.0 * r * _ktilde(n, x, _k_table(abs(n), x))
 
 
 def gamma_complex(z):

@@ -27,7 +27,7 @@ from .geometry import (
     quaternion_gradient_identity_residual,
     w0_act,
 )
-from .numerics import SplitMix64, gauss_legendre, richardson_limit, unit_floats
+from .numerics import SplitMix64, gauss_legendre, unit_floats
 from .operators import DecayCertificate
 from .quadrature import hyperbolic_oscillatory
 from .report import make_check
@@ -66,12 +66,14 @@ class SuiteConfig:
             if len(set(vals)) < len(vals):
                 raise ValueError(f"{name} values must not repeat")
         # the mellin_ratio end-to-end calibration at the first rho and R
-        # misses its 2e-3 tolerance from |rho| = 0.18 and 2.16 outward (at
-        # R = 0.4); rho = 0 is excluded with them
+        # misses its 5e-4 tolerance from |rho| = 0.053 (at R = 0.4) and
+        # 2.56 (at R = 4) outward; rho = 0 is excluded with them
         if not all(0.2 <= abs(rho) <= 2.0 for rho in self.rho_list):
             raise ValueError("|rho| values must lie in [0.2, 2]")
-        # the mellin_ratio end-to-end grid (ray table on s in [1e-3, 400])
-        # misses its 5e-3 tolerance from R = 0.35 and R = 6 outward
+        # the mellin_ratio end-to-end checks (ray table on s in [1e-3, 400])
+        # miss their tolerances from R = 0.235 and 4.6 outward (the
+        # calibration's 5e-4, R first in the list) and from R = 0.215 and
+        # 4.95 (the grid's 1e-3)
         if not all(0.4 <= R <= 4.0 for R in self.R_list):
             raise ValueError("R values must lie in [0.4, 4]")
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
@@ -673,6 +675,12 @@ def suite_operators(cfg: SuiteConfig):
 # --------------------------------------------------------------- mellin
 
 
+# Tail terms (at 0, at infinity) of the per-theta chain integrands, the
+# Phi0+ s^(1/2) (a - b s) / (1 + c s)^3 and the Psi0 (1 + b s^(1/2))^-3 + ...
+_PER_THETA_PL_TAILS = ((0.5, 1.5, 2.5), (-1.5, -2.5, -3.5))
+_PER_THETA_FC_TAILS = ((0, 0.5, 1, 1.5), (-1.5, -2, -2.5, -3))
+
+
 def suite_mellin_ratio(cfg: SuiteConfig):
     checks = []
     parities = cfg.parities()
@@ -686,15 +694,13 @@ def suite_mellin_ratio(cfg: SuiteConfig):
                     mellin.closed_form_ratio(rho, R, e),
                     mellin.reference_ratio(rho, R, e), 1e-8, kind="rel"))
     # end-to-end grid with single-constant calibration at the first point
-    # (divided as Python complex; the grid's numpy ratios divide as numpy)
     table = mellin.RayTable(parities, cfg.R_list)
     rho0, R0 = cfg.rho_list[0], cfg.R_list[0]
     for e in parities:
-        calib = (complex(table.ratio(rho0, R0, e))
-                 / mellin.reference_ratio(rho0, R0, e))
+        calib = table.ratio(rho0, R0, e) / mellin.reference_ratio(rho0, R0, e)
         checks.append(make_check(
             f"ratio.e2e_calibration.e{e}", "S6.ratio-e2e",
-            {"rho0": rho0, "R0": R0, "eps": e}, calib, 1.0, 2e-3,
+            {"rho0": rho0, "R0": R0, "eps": e}, calib, 1.0, 5e-4,
             kind="rel"))
         for rho in cfg.rho_list:
             for R in cfg.R_list:
@@ -702,7 +708,7 @@ def suite_mellin_ratio(cfg: SuiteConfig):
                     f"ratio.e2e.e{e}.rho{rho}.R{R}", "S6.ratio-e2e",
                     {"rho": rho, "R": R, "eps": e},
                     table.ratio(rho, R, e) / calib,
-                    mellin.reference_ratio(rho, R, e), 5e-3, kind="rel"))
+                    mellin.reference_ratio(rho, R, e), 1e-3, kind="rel"))
     # intermediate Gamma/trig identities at random rho
     rhos = SplitMix64(cfg.seed + 6).uniforms(10, 0.05, 3.0)
     for i, rho in enumerate(rhos.tolist()):
@@ -713,24 +719,23 @@ def suite_mellin_ratio(cfg: SuiteConfig):
                     f"gamma_chain.{name}.e{e}.{i:02d}", "S6.gamma-chain",
                     {"rho": rho, "eps": e}, val, 0.0, 1e-10))
     # per-theta closed forms against numerical Mellin of the chain
-    # integrands, all by one rule
+    # integrands: one transform of each chain at every (parity, theta)
     rho, R = 0.7, 1.3
-    rule = mellin.MellinRule(rho, s_lo=1e-10, s_hi=1e14)
-    for e in parities:
-        for theta in (0.0, 0.8):
-            m_pl, m_fc = mellin.per_theta_mellin_closed_forms(rho, R, theta, e)
-            num_pl = rule(
-                lambda s: operators.chain_pl_theta_integrand(theta, s, R, e)).value
-            num_fc = rule(
-                lambda s: operators.chain_fc_theta_integrand(theta, s, e)).value
-            checks.append(make_check(
-                f"mellin.per_theta_pl.e{e}.th{theta}", "S6.plhat-mellin",
-                {"theta": theta, "rho": rho, "R": R}, num_pl, m_pl,
-                1e-6, kind="rel"))
-            checks.append(make_check(
-                f"mellin.per_theta_fc.e{e}.th{theta}", "S6.fc-mellin",
-                {"theta": theta, "rho": rho}, num_fc, m_fc, 1e-6,
-                kind="rel"))
+    cases = [(e, theta) for e in parities for theta in (0.0, 0.8)]
+    num_pl = mellin.mellin(lambda s: np.array([
+        operators.chain_pl_theta_integrand(theta, s, R, e) for e, theta in cases]),
+        rho, *_PER_THETA_PL_TAILS).value
+    num_fc = mellin.mellin(lambda s: np.array([
+        operators.chain_fc_theta_integrand(theta, s, e) for e, theta in cases]),
+        rho, *_PER_THETA_FC_TAILS).value
+    for (e, theta), v_pl, v_fc in zip(cases, num_pl.tolist(), num_fc.tolist()):
+        m_pl, m_fc = mellin.per_theta_mellin_closed_forms(rho, R, theta, e)
+        checks.append(make_check(
+            f"mellin.per_theta_pl.e{e}.th{theta}", "S6.plhat-mellin",
+            {"theta": theta, "rho": rho, "R": R}, v_pl, m_pl, 1e-10, kind="rel"))
+        checks.append(make_check(
+            f"mellin.per_theta_fc.e{e}.th{theta}", "S6.fc-mellin",
+            {"theta": theta, "rho": rho}, v_fc, m_fc, 1e-10, kind="rel"))
     # theta-independence of the closed-form ratio
     for e in parities:
         vals = []
@@ -743,16 +748,18 @@ def suite_mellin_ratio(cfg: SuiteConfig):
             0.0, 1e-12))
     # basic Mellin identities
     g = special.gamma_complex
-    r = mellin.mellin(lambda s: np.exp(-1.7 * s), 0.8)
+    # f analytic at 0 (terms 1, s, s^2) and, for exp(-a s), with no upper tail
+    r = mellin.mellin(lambda s: np.exp(-1.7 * s), 0.8, (0, 1, 2), ())
     checks.append(make_check(
         "mellin.exponential", "S6.mellin", {"a": 1.7, "rho": 0.8}, r.value,
         1.7 ** -(1 - 0.8j) * g(1 - 0.8j), 1e-7, kind="rel"))
-    r = mellin.mellin(lambda s: (1 + 0.9 * s) ** -2.5, 0.6)
+    r = mellin.mellin(lambda s: (1 + 0.9 * s) ** -2.5, 0.6, (0, 1, 2),
+                      (-2.5, -3.5, -4.5))
     ref = 0.9 ** -(1 - 0.6j) * g(1 - 0.6j) * g(2.5 - 1 + 0.6j) / g(2.5)
     checks.append(make_check(
         "mellin.gr8384", "S6.gr8384", {"a": 0.9, "nu": 2.5, "rho": 0.6},
         r.value, ref, 1e-7, kind="rel"))
-    r = mellin.mellin(lambda s: np.exp(-s), 0.0)
+    r = mellin.mellin(lambda s: np.exp(-s), 0.0, (0, 1, 2), ())
     checks.append(make_check(
         "mellin.rho_zero", "S6.mellin", {}, r.value, 1.0, 1e-8))
     # tabulated definite integrals
@@ -1083,14 +1090,15 @@ def _shell_oracle_ratio(r0, width=0.1):
             w1 = 0.5 * (b - a) * wg
             acc += wv * g(rv) * rv * np.dot(g(r1) * r1, w1)
         shell_vals.append((2.0 * math.pi) ** 2 * acc / h)
-    # expansion is even in h; halving h quarters the leading error term
-    shell, _ = richardson_limit(shell_vals, ratio=4.0, order=2)
+    # the expansion is even in h: the quadratic in h^2 through the three
+    # values, at h = 0
+    shell = np.polynomial.polynomial.polyfit(np.square(hs), shell_vals, 2)[0]
     rq = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
     wq = 0.5 * (hi - lo) * wg
     claimed = (2.0 * math.pi) ** 2 * np.dot(
         g(rq) ** 2 * np.array([cone_measure_weight(ConePoint(v, 0, 0)) for v in rq]),
         wq)
-    return float(shell.real) / float(claimed)
+    return float(shell) / float(claimed)
 
 
 SUITE_BUILDERS = {

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitcone import mellin as mellin_module
 from splitcone.mellin import (
     MellinRule,
     RayTable,
@@ -19,13 +20,19 @@ from splitcone.mellin import (
 )
 from splitcone.operators import chain_fc_theta_integrand, chain_pl_theta_integrand
 from splitcone.special import gamma_complex
+from splitcone.suites import _PER_THETA_FC_TAILS, _PER_THETA_PL_TAILS
+
+
+# tail terms (at 0, at infinity) of f analytic at 0 that decays faster
+# than any power
+ANALYTIC = ((0, 1, 2), ())
 
 
 def test_mellin_exponential():
     for a, rho in ((1.0, 0.0), (1.7, 0.8), (0.4, 2.0)):
-        r = mellin(lambda s: np.exp(-a * s), rho)
+        r = mellin(lambda s: np.exp(-a * s), rho, *ANALYTIC)
         ref = a ** -(1 - 1j * rho) * gamma_complex(1 - 1j * rho)
-        assert abs(r.value - ref) < 1e-7 * abs(ref)
+        assert abs(r.value - ref) < 1e-13 * abs(ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -35,13 +42,14 @@ def test_mellin_error_estimate_bounds_error(rho):
     # int_0^inf e^-s^2 s^-i rho ds = Gamma((1 - i rho)/2) / 2
     for f, ref in ((lambda s: np.exp(-s), mpmath.gamma(1 - 1j * rho)),
                    (lambda s: np.exp(-s * s), 0.5 * mpmath.gamma(0.5 - 0.5j * rho))):
-        r = mellin(f, rho)
+        r = mellin(f, rho, *ANALYTIC)
         assert abs(r.value - complex(ref)) <= r.error_estimate
 
 
-BAD_WINDOWS = ({"s_lo": 1e3, "s_hi": 1e-3}, {"s_lo": 1.0, "s_hi": 1.0},
-               {"s_hi": math.inf}, {"s_hi": math.nan}, {"s_lo": 0.0},
-               {"s_lo": -1e-8}, {"s_lo": math.nan})
+BAD_WINDOWS = ((1e3, 1e-3, 0.65), (1.0, 1.0, 0.65), (1e-3, math.inf, 0.65),
+               (1e-3, math.nan, 0.65), (0.0, 1e3, 0.65), (-1e-8, 1e3, 0.65),
+               (math.nan, 1e3, 0.65), (1e-3, 1e3, 0.0), (1e-3, 1e3, -1.0),
+               (1e-3, 1e3, math.inf), (1e-3, 1e3, math.nan))
 BAD_RHOS = (math.nan, math.inf, -math.inf)
 
 
@@ -49,42 +57,83 @@ def test_mellin_window_and_rho_range():
     def f(s):
         return np.exp(-s)
 
-    for kw in BAD_WINDOWS:
+    for window in BAD_WINDOWS:
         with pytest.raises(ValueError):
-            mellin(f, 0.5, **kw)
+            MellinRule(*ANALYTIC, *window)
+    rule = MellinRule(*ANALYTIC, 1e-3, 1e3, 0.65)
     for rho in BAD_RHOS:
         with pytest.raises(ValueError):
-            mellin(f, rho)
-    assert mellin(f, 0.0).value == pytest.approx(1.0, rel=1e-7)
+            mellin(f, rho, *ANALYTIC)
+        with pytest.raises(ValueError):
+            rule(f(rule.s), rho)
+    assert mellin(f, 0.0, *ANALYTIC).value == pytest.approx(1.0, rel=1e-14)
+    # a tail term that diverges on its side has no value
+    for lower, upper in (((-1, 0), ()), ((0,), (-1,)), ((0,), (-0.5,))):
+        with pytest.raises(ValueError):
+            MellinRule(lower, upper, 1e-3, 1e3, 0.65)(f(rule.s), 0.5)
+
+
+PT_CASES = [(e, theta) for e in (0, 1) for theta in (0.0, 0.8)]
+
+
+def _per_theta(kind, cases=PT_CASES, rho=0.7, R=1.3):
+    """(integrand rows, tail terms, closed forms) of the suite's per-theta
+    checks of one chain, one row per (parity, theta) of cases."""
+    refs = np.array([per_theta_mellin_closed_forms(rho, R, theta, e)[kind == "fc"]
+                     for e, theta in cases])
+    if kind == "pl":
+        return (lambda s: np.array([chain_pl_theta_integrand(theta, s, R, e)
+                                    for e, theta in cases]), _PER_THETA_PL_TAILS, refs)
+    return (lambda s: np.array([chain_fc_theta_integrand(theta, s, e)
+                                for e, theta in cases]), _PER_THETA_FC_TAILS, refs)
 
 
 def test_mellin_rule_matches_mellin_bitwise():
-    # the 8 per-theta chain integrands of the mellin_ratio suite through
-    # one rule, each against a lone mellin call
-    rho, R, window = 0.7, 1.3, {"s_lo": 1e-10, "s_hi": 1e14}
-    rule = MellinRule(rho, **window)
-    for e in (0, 1):
-        for theta in (0.0, 0.8):
-            for f in (lambda s: chain_pl_theta_integrand(theta, s, R, e),
-                      lambda s: chain_fc_theta_integrand(theta, s, e)):
-                got, alone = rule(f), mellin(f, rho, **window)
-                assert got.value == alone.value
-                assert got.error_estimate == alone.error_estimate
-                assert got.rho == alone.rho
-    for kw in BAD_WINDOWS:
-        with pytest.raises(ValueError):
-            MellinRule(0.5, **kw)
-    for rho in BAD_RHOS:
-        with pytest.raises(ValueError):
-            MellinRule(rho)
+    # the per-theta chain integrands, all rows at once and one at a time:
+    # mellin is the rule on [1e-6, 1e6] at panels of 0.65 in log s, and
+    # its estimate adds the gap to the same rule at 1.3
+    rho = 0.7
+    for kind in ("pl", "fc"):
+        for cases in [PT_CASES] + [[case] for case in PT_CASES]:
+            f, tails, _ = _per_theta(kind, cases)
+            full, half = (rule(f(rule.s), rho) for rule in (
+                MellinRule(*tails, 1e-6, 1e6, step) for step in (0.65, 1.3)))
+            got = mellin(f, rho, *tails)
+            assert np.array_equal(got.value, full.value)
+            assert np.array_equal(
+                got.error_estimate, abs(full.value - half.value) + full.error_estimate)
+            assert got.rho == full.rho == rho
+
+
+@pytest.mark.parametrize("kind", ["pl", "fc"])
+def test_mellin_estimate_bounds_the_suite_errors(kind):
+    # the suite's call, all (parity, theta) rows at once, and each row alone
+    f, tails, refs = _per_theta(kind)
+    r = mellin(f, 0.7, *tails)
+    assert (abs(r.value - refs) <= r.error_estimate).all()
+    for case, ref in zip(PT_CASES, refs):
+        f, tails, _ = _per_theta(kind, [case])
+        r = mellin(f, 0.7, *tails)
+        assert (abs(r.value - ref) <= r.error_estimate).all()
+
+
+def test_mellin_estimate_bounds_the_basic_suite_errors():
+    g = gamma_complex
+    for f, rho, tails, ref in (
+            (lambda s: np.exp(-1.7 * s), 0.8, ANALYTIC, 1.7 ** -(1 - 0.8j) * g(1 - 0.8j)),
+            (lambda s: (1 + 0.9 * s) ** -2.5, 0.6, ((0, 1, 2), (-2.5, -3.5, -4.5)),
+             0.9 ** -(1 - 0.6j) * g(1 - 0.6j) * g(1.5 + 0.6j) / g(2.5)),
+            (lambda s: np.exp(-s), 0.0, ANALYTIC, 1.0)):
+        r = mellin(f, rho, *tails)
+        assert abs(r.value - ref) <= r.error_estimate
 
 
 def test_mellin_rational():
     a, nu, rho = 0.9, 2.5, 0.6
-    r = mellin(lambda s: (1 + a * s) ** -nu, rho)
+    r = mellin(lambda s: (1 + a * s) ** -nu, rho, (0, 1, 2), (-2.5, -3.5, -4.5))
     ref = a ** -(1 - 1j * rho) * gamma_complex(1 - 1j * rho) * gamma_complex(
         nu - 1 + 1j * rho) / gamma_complex(nu)
-    assert abs(r.value - ref) < 1e-7 * abs(ref)
+    assert abs(r.value - ref) < 1e-13 * abs(ref)
 
 
 def test_mellin_power_tail():
@@ -99,12 +148,23 @@ def test_mellin_power_tail():
                               [400, mpmath.inf]))
     tail = mellin_power_tail(c, -2.5, rho, 400.0, "upper")
     assert abs(tail - ref) < 1e-12 * abs(ref)
+    # the terms s^p log s, on both sides
+    for p, edge, side, span in ((0.0, 1e-3, "lower", [0, 1e-3]),
+                                (1.0, 1e-3, "lower", [0, 1e-3]),
+                                (-2.0, 400.0, "upper", [400, mpmath.inf])):
+        ref = complex(mpmath.quad(
+            lambda t: c * t ** (p - 1j * rho) * mpmath.log(t), span))
+        tail = mellin_power_tail(c, p, rho, edge, side, 1)
+        assert abs(tail - ref) < 1e-13 * abs(ref)
 
 
 def test_mellin_power_tail_rejects_what_it_cannot_give():
     for side in ("uper", "Lower", "", None):
         with pytest.raises(ValueError):
             mellin_power_tail(1.0, -2.0, 0.7, 400.0, side)
+    for logs in (-1, 2, 0.5):
+        with pytest.raises(ValueError):
+            mellin_power_tail(1.0, -2.0, 0.7, 400.0, "upper", logs)
     # powers whose tails converge on that side, so only the edge is wrong
     for power, side in ((-0.5, "lower"), (-2.5, "upper")):
         for edge in (0.0, -1.0, math.inf, math.nan):
@@ -141,18 +201,9 @@ def test_gamma_chain_identities():
 
 
 def test_per_theta_closed_forms_vs_numerical_mellin():
-    rho, R = 0.7, 1.3
-    for e in (0, 1):
-        for theta in (0.0, 0.8):
-            m_pl, m_fc = per_theta_mellin_closed_forms(rho, R, theta, e)
-            num_pl = mellin(
-                lambda s: chain_pl_theta_integrand(theta, s, R, e), rho,
-                s_lo=1e-10, s_hi=1e14).value
-            num_fc = mellin(
-                lambda s: chain_fc_theta_integrand(theta, s, e), rho,
-                s_lo=1e-10, s_hi=1e14).value
-            assert abs(num_pl - m_pl) < 1e-6 * abs(m_pl)
-            assert abs(num_fc - m_fc) < 1e-6 * abs(m_fc)
+    for kind in ("pl", "fc"):
+        f, tails, refs = _per_theta(kind)
+        assert (abs(mellin(f, 0.7, *tails).value - refs) < 1e-12 * abs(refs)).all()
     with pytest.raises(ValueError):
         per_theta_mellin_closed_forms(0.0, 1.0, 0.0, 0)
 
@@ -188,9 +239,32 @@ def test_theta_independence():
 def test_end_to_end_ratio():
     table = RayTable((0,), [1.0])
     calib = complex(table.ratio(0.7, 1.0, 0)) / reference_ratio(0.7, 1.0, 0)
-    assert abs(calib - 1.0) < 2e-3
+    assert abs(calib - 1.0) < 5e-5
     ref = reference_ratio(1.0, 1.0, 0)
-    assert abs(table.ratio(1.0, 1.0, 0) / calib - ref) < 5e-3 * abs(ref)
+    assert abs(table.ratio(1.0, 1.0, 0) / calib - ref) < 5e-5 * abs(ref)
+
+
+def _worst_ratio_error(table, rhos, Rs):
+    """Largest relative error of the uncalibrated ratio over the grid."""
+    return max(abs(table.ratio(rho, R, e) / reference_ratio(rho, R, e) - 1.0)
+               for e in (0, 1) for rho in rhos for R in Rs)
+
+
+def test_ray_table_ratio_uncalibrated():
+    # the suite's default grid, and the corners of the supported |rho| in
+    # [0.2, 2] and R in [0.4, 4]
+    table = RayTable((0, 1), [0.4, 0.5, 1.0, 2.0, 4.0])
+    assert _worst_ratio_error(table, (0.3, 0.7, 1.0, 2.0), (0.5, 1.0, 2.0)) < 5e-5
+    assert _worst_ratio_error(table, (0.2, -0.2, 2.0, -2.0), (0.4, 4.0)) < 3e-4
+
+
+def test_ray_table_needs_the_rows_own_tails(monkeypatch):
+    # the J0 rows' terms at 0 of the trial fit, 1, s^(1/2) and s: the rows
+    # have no s^(1/2), and the corners miss their 3e-4
+    upper = mellin_module._PL_ROW_TAILS[1]
+    monkeypatch.setattr(mellin_module, "_PL_ROW_TAILS", ((0, 0.5, 1), upper))
+    table = RayTable((0, 1), [0.4, 4.0])
+    assert _worst_ratio_error(table, (0.2, -0.2, 2.0, -2.0), (0.4, 4.0)) > 3e-4
 
 
 def test_two_parity_table_gives_the_one_parity_tables():
@@ -198,9 +272,9 @@ def test_two_parity_table_gives_the_one_parity_tables():
     both = RayTable((0, 1), R_list)
     for e in (0, 1):
         alone = RayTable((e,), R_list)
-        assert (both.fc[e][0] == alone.fc[e][0]).all()
+        assert np.array_equal(both.fc[e], alone.fc[e])
         for R in R_list:
-            assert (both.pl[e, R][0] == alone.pl[e, R][0]).all()
+            assert np.array_equal(both.pl[e, R], alone.pl[e, R])
             for rho in (0.3, 2.0):
                 assert both.ratio(rho, R, e) == alone.ratio(rho, R, e)
 
@@ -210,10 +284,10 @@ def test_ray_table_ratio_pinned():
     # the shared x grid (checked against closed forms in test_operators)
     table = RayTable((0, 1), [0.5, 2.0])
     for rho, R, e, re, im in (
-            (0.3, 0.5, 0, "0x1.88a55d281bfccp+2", "-0x1.aef68d65be213p+2"),
-            (2.0, 2.0, 0, "0x1.00fc29c091813p-2", "0x1.34598e0b18d83p-17"),
-            (-0.7, 0.5, 1, "0x1.285136340b4acp+0", "-0x1.7df3b2eae07f5p+1"),
-            (1.3, 2.0, 1, "0x1.ef09306273004p-3", "0x1.117a220124950p-17")):
+            (0.3, 0.5, 0, "0x1.889b9b4906379p+2", "-0x1.aed4eb70e2fa1p+2"),
+            (2.0, 2.0, 0, "0x1.00f50897301c7p-2", "-0x1.10ebea063c2f4p-19"),
+            (-0.7, 0.5, 1, "0x1.28601f0f1b256p+0", "-0x1.7e0ad5fc09e7dp+1"),
+            (1.3, 2.0, 1, "0x1.ef0ab60469b8dp-3", "-0x1.565f4516a2a5ap-24")):
         got = table.ratio(rho, R, e)
         assert (got.real.hex(), got.imag.hex()) == (re, im)
 

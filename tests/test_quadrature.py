@@ -6,7 +6,7 @@ import pytest
 from scipy import special as sp
 
 from splitcone import quadrature
-from splitcone.numerics import SplitMix64, richardson_limit
+from splitcone.numerics import SplitMix64
 from splitcone.quadrature import QuadratureError, hyperbolic_oscillatory
 
 
@@ -30,16 +30,6 @@ def test_splitmix_determinism():
     assert np.array_equal(
         SplitMix64(9).uniforms((3, 2), lo, hi),
         lo + (hi - lo) * (SplitMix64(9).words((3, 2)) >> np.uint64(11)) * 2.0**-53)
-
-
-def test_richardson_limit():
-    # f(eps) = 3 + 2 eps + eps^2 on a ratio-2 ladder
-    eps = [0.2 / 2**k for k in range(5)]
-    vals = [3 + 2 * e + e * e for e in eps]
-    lim, err = richardson_limit(vals, 2.0, 2)
-    assert abs(lim - 3.0) < 1e-12
-    # the estimate is the last level difference: conservative but finite
-    assert 0 < err < 1e-2
 
 
 def test_h_matches_bessel_identities():

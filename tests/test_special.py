@@ -53,6 +53,28 @@ def test_kn_edge_values():
     assert np.max(np.abs(got[finite] - want[finite]) / want[finite]) < 2e-15
 
 
+def test_ktilde_negative_orders_at_tiny_x():
+    # Kt_-m(x) = 2^-m x^m K_m(x) -> Gamma(m)/2: finite and accurate where
+    # x^m underflows and K_m overflows, with no warning, as a row too
+    xs = np.array([1e-300, 1e-160, 1e-100, 1e-30])
+    orders = (-1, -2, -3, -8, -12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = special.ktilde(orders, xs)
+        singles = [[special.ktilde(n, x) for x in xs] for n in orders]
+        derivs = [special.ktilde_deriv_2r(n - 1, x / 2) for n in orders for x in xs]
+    assert rows.tolist() == singles
+    with mpmath.workdps(30):
+        want = np.array([[float(2**n * mpmath.mpf(x) ** -n * mpmath.besselk(-n, x))
+                          for x in xs] for n in orders])
+    assert np.max(np.abs(rows - want) / want) < 1e-15
+    assert derivs == (-xs * rows).ravel().tolist()
+    # where the product is finite, it is the value: a row is unchanged
+    x = np.array([1e-3, 0.5, 7.0])
+    product = 2.0**-3 * x**3 * special.bessel_kn(3, x)
+    assert special.ktilde(-3, x).tolist() == product.tolist()
+
+
 def test_verify_bessel_catches_a_broken_k_table(monkeypatch):
     # the table's step with m + 1 in place of m must fail the shipped suite
     from scipy import special as sp

@@ -41,7 +41,10 @@ Kt_n(2 r_2) M1 M2 (r_1-extension for P3, P4), restricted to cone points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import namedtuple
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,9 +67,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaussianInt:
-    """Exact Gaussian integer re + i im."""
+class GaussianInt(NamedTuple):
+    """Exact Gaussian integer re + i im.  A tuple, so hashing, equality and
+    ordering are those of (re, im); + and * are Gaussian arithmetic, not
+    tuple concatenation and repetition."""
 
     re: int = 0
     im: int = 0
@@ -104,6 +108,7 @@ class GaussianInt:
 
 I_G = GaussianInt(0, 1)
 ONE_G = GaussianInt(1, 0)
+_ZERO_G = GaussianInt(0, 0)
 
 
 def _as_gauss(x):
@@ -114,9 +119,9 @@ def _as_gauss(x):
     raise TypeError(f"exact coefficients only (got {type(x).__name__})")
 
 
-@dataclass(frozen=True, order=True)
-class KBasisElement:
-    """Basis label (n, a, b); see the module docstring for the function."""
+class KBasisElement(NamedTuple):
+    """Basis label (n, a, b); see the module docstring for the function.
+    A tuple, so hashing, equality and ordering are those of (n, a, b)."""
 
     n: int
     a: int
@@ -178,13 +183,13 @@ class KVector:
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, GaussianInt()) + c
+            out[key] = out.get(key, _ZERO_G) + c
         return KVector(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out.get(key, GaussianInt()) - c
+            out[key] = out.get(key, _ZERO_G) - c
         return KVector(out)
 
     def scaled(self, coeff):
@@ -204,32 +209,30 @@ class KVector:
         return "KVector(" + " + ".join(bits) + ")"
 
     def evaluate(self, r, th1, th2):
-        """Sum of the terms' values, bit for bit the sum of
-        KBasisElement.evaluate: one Kt call for all orders, one array
-        expression for all terms, summed along the term axis."""
+        """Sum of the terms' values: one Kt call for all orders, one array
+        expression for all terms, summed along the term axis in order.  Each
+        Kt row is bit for bit the single-order `special.ktilde`; r^(|a|+|b|)
+        is numpy's power with an array of exponents, which on some points
+        differs in the last bit from the scalar power of
+        KBasisElement.evaluate."""
         r = np.asarray(r, dtype=float)
         shape = np.broadcast(r, th1, th2).shape
         if not self.terms:
             return np.zeros(shape, dtype=complex)
-        keys = list(self.terms)
-        lead = (len(keys),) + (1,) * len(shape)
-        coeffs = np.array([complex(c) for c in self.terms.values()]).reshape(lead)
-        a = np.array([key.a for key in keys]).reshape(lead)
-        b = np.array([key.b for key in keys]).reshape(lead)
-        p = np.array([key.l + key.k for key in keys]).reshape(lead)
-        kts = special.ktilde([key.n for key in keys], 2.0 * r)
+        size = len(self.terms)
+        lead = (size,) + (1,) * len(shape)
+        labels = np.fromiter(chain.from_iterable(self.terms), int, 3 * size)
+        n, a, b = labels.reshape(size, 3).T.reshape((3,) + lead)
+        coeffs = np.fromiter(chain.from_iterable(self.terms.values()), float,
+                             2 * size).view(complex).reshape(lead)
+        kts = special.ktilde(labels[::3].tolist(), 2.0 * r)
         phases = np.exp(1j * (a * np.asarray(th1) + b * np.asarray(th2)))
-        return np.sum(coeffs * (r**p * kts * phases), axis=0)
+        return np.sum(coeffs * (r ** (abs(a) + abs(b)) * kts * phases), axis=0)
 
 
-def _shift_plane(key, plane, d):
-    if plane == 1:
-        return KBasisElement(key.n, key.a + d, key.b)
-    return KBasisElement(key.n, key.a, key.b + d)
-
-
-def _plane_index(key, plane):
-    return key.a if plane == 1 else key.b
+def _shift_plane(n, a, b, plane, d):
+    """The label (n, a, b) with the given plane's index shifted by d."""
+    return KBasisElement(n, a + d, b) if plane == 1 else KBasisElement(n, a, b + d)
 
 
 def apply_plane_mult(v: KVector, plane, direction, use_krel=True):
@@ -244,11 +247,11 @@ def apply_plane_mult(v: KVector, plane, direction, use_krel=True):
         raise ValueError("plane in {1,2}, direction +-1")
     out = {}
     for key, c in v.terms.items():
-        idx = _plane_index(key, plane)
-        tgt = _shift_plane(key, plane, direction)
+        idx = key.a if plane == 1 else key.b
+        tgt = _shift_plane(*key, plane, direction)
         rpow = 0 if idx * direction >= 0 else 1
         slot = (tgt, rpow)
-        out[slot] = out.get(slot, GaussianInt()) + c
+        out[slot] = out.get(slot, _ZERO_G) + c
     return reduce_symbolic_r2(out) if use_krel else out
 
 
@@ -261,13 +264,13 @@ def reduce_symbolic_r2(raw):
         if c.is_zero():
             continue
         if rpow == 0:
-            done[key] = done.get(key, GaussianInt()) + c
+            done[key] = done.get(key, _ZERO_G) + c
             continue
         n = key.n
         k1 = (KBasisElement(n - 1, key.a, key.b), rpow - 1)
         k2 = (KBasisElement(n - 2, key.a, key.b), rpow - 1)
-        work[k1] = work.get(k1, GaussianInt()) + GaussianInt(n - 1, 0) * c
-        work[k2] = work.get(k2, GaussianInt()) + c
+        work[k1] = work.get(k1, _ZERO_G) + GaussianInt(n - 1, 0) * c
+        work[k2] = work.get(k2, _ZERO_G) + c
     return KVector(done)
 
 
@@ -287,9 +290,10 @@ def apply_mult_xi(j, v: KVector):
 
 def _p_one_basis(key: KBasisElement, plane):
     """P1 (plane 1) or P3 (plane 2) on a single basis element, as
-    (target, integer coefficient) pairs with distinct targets."""
-    n = key.n
-    idx, k = (key.a, key.k) if plane == 1 else (key.b, key.l)
+    (target, shift of the plane's index, integer coefficient) triples with
+    distinct targets."""
+    n, a, b = key
+    idx, k = (a, abs(b)) if plane == 1 else (b, abs(a))
     l = abs(idx)
     if idx == 0:
         rows = [(n + 1, d, 2 * (k - n)) for d in (1, -1)]
@@ -299,8 +303,7 @@ def _p_one_basis(key: KBasisElement, plane):
         rows = [(n + 1, up, 2 * (k - n)), (n, up, -2),
                 (n, -up, 2 * (n - l) * (l + k - n)),
                 (n - 1, -up, 2 * (2 * l + k - 2 * n + 1)), (n - 2, -up, -2)]
-    return [(_shift_plane(KBasisElement(nn, key.a, key.b), plane, d), coeff)
-            for nn, d, coeff in rows]
+    return [(_shift_plane(nn, a, b, plane, d), d, coeff) for nn, d, coeff in rows]
 
 
 def apply_P(j, v: KVector):
@@ -311,14 +314,13 @@ def apply_P(j, v: KVector):
         raise ValueError("j must be 1..4")
     plane = 1 if j <= 2 else 2
     out = {}
-    for key, c in v.terms.items():
-        idx = _plane_index(key, plane)
-        for t, tc in _p_one_basis(key, plane):
-            if j % 2:
-                coeff = GaussianInt(tc, 0)
-            else:
-                coeff = GaussianInt(0, (idx - _plane_index(t, plane)) * tc)
-            out[t] = out.get(t, GaussianInt()) + coeff * c
+    for key, (re, im) in v.terms.items():
+        for t, d, tc in _p_one_basis(key, plane):
+            # (re + i im) tc, or for P2 (P4) (re + i im)(-i d tc)
+            w = (GaussianInt(tc * re, tc * im) if j % 2
+                 else GaussianInt(d * tc * im, -d * tc * re))
+            prev = out.get(t)
+            out[t] = w if prev is None else prev + w
     return KVector(out)
 
 
@@ -353,7 +355,7 @@ def apply_raise_lower(sign_op, v: KVector, plane=1, composite=False):
         for key, c in v.terms.items():
             for label, coeff in _ladder_terms(key.n, key.a, key.b, plane, sign_op):
                 kk = KBasisElement(*label)
-                out[kk] = out.get(kk, GaussianInt()) + GaussianInt(coeff, 0) * c
+                out[kk] = out.get(kk, _ZERO_G) + GaussianInt(coeff, 0) * c
         return KVector(out)
     mult = apply_plane_mult(v, plane, sign_op).scaled(2)
     j = 2 * plane - 1
@@ -430,9 +432,9 @@ def orbit_labels(elem: KBasisElement):
 
 def kfinite_certificate(elem):
     """True iff n <= min(l, k); when true the ladder orbit is verified
-    finite by explicit closure search."""
-    if isinstance(elem, tuple):
-        elem = KBasisElement(*elem)
+    finite by explicit closure search.  elem is a label or an (n, a, b)
+    tuple."""
+    elem = KBasisElement(*elem)
     if not elem.in_l2_lattice():
         return False
     orbit_closure(elem)
@@ -442,11 +444,31 @@ def kfinite_certificate(elem):
 # ----- ambient extension and numerical oracle -----
 
 
+# Supported range of _ktilde_derivs: orders n in [-8, 4] and x from
+# 10^_DERIVS_LOG10_X_MIN[n] to _DERIVS_X_MAX, where Kt_n, Kt_n' and Kt_n''
+# are all within 1e-10 (relative) of mpmath.  Below the edge a negative
+# order loses its digits to cancellation in 2^n (-n x^(-n-1) K_n + x^-n K_n')
+# and its x-derivative, whose terms are O(1/x) and O(1/x^2) larger than the
+# result; a nonnegative order overflows.  Past x = 700 the values are
+# subnormal.  Measured on 350 log-spaced x a decade: for n < 0 the edge is
+# the first quarter decade at least 1.5 times above the last x off by more
+# than 1e-10, for n >= 0 the last half decade before an overflow.
+_DERIVS_LOG10_X_MIN = {-8: -1.0, -7: -1.0, -6: -1.0, -5: -1.25, -4: -1.25,
+                       -3: -1.5, -2: -2.0, -1: -2.75, 0: -153.5, 1: -76.5,
+                       2: -51.0, 3: -38.0, 4: -30.0}
+_DERIVS_X_MAX = 690.0
+
+
 def _ktilde_derivs(n, x):
-    """Kt_n(x), Kt_n'(x), Kt_n''(x) from K_(n-2..n+2)."""
+    """Kt_n(x), Kt_n'(x), Kt_n''(x) from K_(n-2..n+2), in the supported
+    range above; ValueError outside it."""
     x = np.asarray(x, dtype=float)
-    orders = (n + np.arange(-2, 3)).reshape((5,) + (1,) * x.ndim)
-    km2, km1, k0, kp1, kp2 = special.bessel_kn(orders, x)
+    lo = 10.0 ** _DERIVS_LOG10_X_MIN.get(n, math.inf)
+    if not (lo <= x.min(initial=lo) and x.max(initial=lo) <= _DERIVS_X_MAX):
+        raise ValueError(f"Kt_n derivatives need n in [-8, 4] and x in "
+                         f"[{lo:.3g}, {_DERIVS_X_MAX:g}] (n = {n})")
+    table = special._k_table(max(abs(n - 2), abs(n + 2)), x)
+    km2, km1, k0, kp1, kp2 = (table[abs(m)] for m in range(n - 2, n + 3))
     kp = -0.5 * (km1 + kp1)
     kpp = 0.25 * (km2 + 2.0 * k0 + kp2)
     c = 2.0**n
@@ -458,6 +480,14 @@ def _ktilde_derivs(n, x):
     return kt, ktp, ktpp
 
 
+# The arrays every ambient closed form of one element is built from, each
+# computed once: the coordinates, the extension's radius rad, Kt_n(2 rad)
+# and its first two derivatives, the monomials m1 = z1^l and m2 = z2^k
+# (z1 = x1 + i s1 x2, z2 = x3 + i s2 x4) and their derivatives
+# m1d = l z1^(l-1) and m2d = k z2^(k-1).
+_Pieces = namedtuple("_Pieces", "x1 x2 x3 x4 rad kt ktp ktpp m1 m2 m1d m2d")
+
+
 class AmbientBasis:
     """Closed-form ambient extension of one basis element and its derivatives.
 
@@ -465,7 +495,8 @@ class AmbientBasis:
     reproduces the derivations behind P1/P2, "r1" the mirrored ones behind
     P3/P4; restrictions to the cone agree, and the second-order operators
     are tangential, so oracle values on cone points are extension-free.
-    Points are arrays of shape (..., 4).
+    Points are arrays of shape (..., 4).  The radial factor's order must be
+    in the range of `_ktilde_derivs`, at x = 2 rad.
     """
 
     def __init__(self, elem: KBasisElement, extend_along="r2"):
@@ -476,53 +507,45 @@ class AmbientBasis:
 
     def _pieces(self, pts):
         e = self.elem
-        pts = np.asarray(pts, dtype=float)
         x1, x2, x3, x4 = (pts[..., i] for i in range(4))
-        r1 = np.hypot(x1, x2)
-        r2 = np.hypot(x3, x4)
-        rad = r2 if self.extend_along == "r2" else r1
+        rad = np.hypot(x3, x4) if self.extend_along == "r2" else np.hypot(x1, x2)
         kt, ktp, ktpp = _ktilde_derivs(e.n, 2.0 * rad)
         z1 = x1 + 1j * e.s1 * x2
         z2 = x3 + 1j * e.s2 * x4
-        m1 = z1**e.l
-        m2 = z2**e.k
-        return x1, x2, x3, x4, r1, r2, rad, kt, ktp, ktpp, z1, z2, m1, m2
+        m1d = e.l * z1 ** (e.l - 1) if e.l > 0 else np.zeros_like(z1)
+        m2d = e.k * z2 ** (e.k - 1) if e.k > 0 else np.zeros_like(z2)
+        return _Pieces(x1, x2, x3, x4, rad, kt, ktp, ktpp,
+                       z1**e.l, z2**e.k, m1d, m2d)
 
     def value(self, pts):
-        p = self._pieces(pts)
-        return p[7] * p[12] * p[13]  # kt * m1 * m2
+        p = self._pieces(np.asarray(pts, dtype=float))
+        return p.kt * p.m1 * p.m2
 
-    def _product_partial(self, j, pieces, G, Gp):
+    def _product_partial(self, j, p, G, Gp):
         """d_j of G(rad) m1 m2, given the radial factor and its derivative
         with respect to rad."""
         e = self.elem
-        x1, x2, x3, x4, r1, r2, rad, _kt, _ktp, _ktpp, z1, z2, m1, m2 = pieces
+        m1, m2, m1d, m2d = p.m1, p.m2, p.m1d, p.m2d
         if j <= 2:
-            m1d = e.l * z1 ** (e.l - 1) if e.l > 0 else np.zeros_like(z1)
             if self.extend_along == "r2":
                 return G * m1d * m2 if j == 1 else 1j * e.s1 * G * m1d * m2
             if j == 1:
-                return Gp * (x1 / r1) * m1 * m2 + G * m1d * m2
-            return Gp * (x2 / r1) * m1 * m2 + G * 1j * e.s1 * m1d * m2
-        m2d = e.k * z2 ** (e.k - 1) if e.k > 0 else np.zeros_like(z2)
+                return Gp * (p.x1 / p.rad) * m1 * m2 + G * m1d * m2
+            return Gp * (p.x2 / p.rad) * m1 * m2 + G * 1j * e.s1 * m1d * m2
         if self.extend_along == "r1":
             return G * m1 * m2d if j == 3 else G * m1 * 1j * e.s2 * m2d
         if j == 3:
-            return Gp * (x3 / r2) * m1 * m2 + G * m1 * m2d
-        return Gp * (x4 / r2) * m1 * m2 + G * m1 * 1j * e.s2 * m2d
+            return Gp * (p.x3 / p.rad) * m1 * m2 + G * m1 * m2d
+        return Gp * (p.x4 / p.rad) * m1 * m2 + G * m1 * 1j * e.s2 * m2d
 
     def box22(self, pts):
         """(d11 + d22 - d33 - d44) F in closed form."""
-        return self._box22(self._pieces(pts))
+        return self._box22(self._pieces(np.asarray(pts, dtype=float)))
 
-    def _box22(self, pieces):
-        e = self.elem
-        x1, x2, x3, x4, r1, r2, rad, kt, ktp, ktpp, z1, z2, m1, m2 = pieces
-        if self.extend_along == "r2":
-            lap2 = (4.0 * ktpp + (2.0 + 4.0 * e.k) * ktp / r2) * m1 * m2
-            return -lap2
-        lap1 = (4.0 * ktpp + (2.0 + 4.0 * e.l) * ktp / r1) * m1 * m2
-        return lap1
+    def _box22(self, p):
+        deg = self.elem.k if self.extend_along == "r2" else self.elem.l
+        lap = (4.0 * p.ktpp + (2.0 + 4.0 * deg) * p.ktp / p.rad) * p.m1 * p.m2
+        return -lap if self.extend_along == "r2" else lap
 
     def p_j(self, j, pts):
         """P_j = eps_j xi_j box - 2 deg(d_j .) on the ambient extension.
@@ -536,16 +559,14 @@ class AmbientBasis:
         e = self.elem
         pts = np.asarray(pts, dtype=float)
         eps = 1.0 if j in (1, 2) else -1.0
-        xj = pts[..., j - 1]
         p = self._pieces(pts)
-        box = self._box22(p)
-        rad, kt, ktp, ktpp = p[6], p[7], p[8], p[9]
-        g = self._product_partial(j, p, kt, 2.0 * ktp)
+        g = self._product_partial(j, p, p.kt, 2.0 * p.ktp)
         # H = G2(rad) m1 m2 with G2 = 2 rad Kt'(2 rad);
         # G2' = 2 Kt'(2 rad) + 4 rad Kt''(2 rad)
-        dH = self._product_partial(j, p, 2.0 * rad * ktp, 2.0 * ktp + 4.0 * rad * ktpp)
+        dH = self._product_partial(j, p, 2.0 * p.rad * p.ktp,
+                                   2.0 * p.ktp + 4.0 * p.rad * p.ktpp)
         deg_g = (e.l + e.k) * g + dH
-        return eps * xj * box - 2.0 * deg_g
+        return eps * pts[..., j - 1] * self._box22(p) - 2.0 * deg_g
 
     def x_jk(self, j, k, pts):
         """First-order rotation/boost generators on the ambient extension."""
@@ -553,7 +574,7 @@ class AmbientBasis:
             raise ValueError("need 1 <= j < k <= 4")
         pts = np.asarray(pts, dtype=float)
         p = self._pieces(pts)
-        dj, dk = (self._product_partial(i, p, p[7], 2.0 * p[8]) for i in (j, k))
+        dj, dk = (self._product_partial(i, p, p.kt, 2.0 * p.ktp) for i in (j, k))
         ej = 1.0 if j in (1, 2) else -1.0
         ek = 1.0 if k in (1, 2) else -1.0
         xj = pts[..., j - 1]

@@ -295,11 +295,16 @@ class RayTable:
                 self.pl[e, R] = ray_values(f, "pl", s, R, [row])
 
     def ratio(self, rho, R, parity_eps):
-        """M Pl / M FC at (rho, R, parity) from the table's values."""
-        _check_rho_R(rho, R)
+        """M Pl / M FC at (rho, R, parity) from the table's values.  For a
+        sequence of R, a list of the ratios at each, over one "fc" sum."""
+        Rs = list(R) if np.ndim(R) else [R]
+        for each in Rs:
+            _check_rho_R(rho, each)
         if parity_eps not in self.fc:
             raise ValueError(f"ray table has no parity {parity_eps}")
-        if (parity_eps, R) not in self.pl:
-            raise ValueError(f"ray table has no values at R = {R}")
-        return (self._pl_rule(self.pl[parity_eps, R], rho).value
-                / self._fc_rule(self.fc[parity_eps], rho).value)
+        for each in Rs:
+            if (parity_eps, each) not in self.pl:
+                raise ValueError(f"ray table has no values at R = {each}")
+        fc = self._fc_rule(self.fc[parity_eps], rho).value
+        out = [self._pl_rule(self.pl[parity_eps, each], rho).value / fc for each in Rs]
+        return out if np.ndim(R) else out[0]

@@ -40,10 +40,12 @@ with a worst error/estimate of 0.42.
 Batches: `hyperbolic_oscillatory` broadcasts p, q and delta and returns
 the pair (H, error estimate) from one pass of the rule, each an array of
 the broadcast shape; scalar input returns a Python complex and a float,
-by the same code path.  Rows are evaluated _BLOCK elements at a time, so
-memory stays flat, and each row is summed in a fixed order on its own:
-an element's value and estimate are bit for bit the same in any batch,
-and results do not depend on worker count.
+by the same code path.  The rule runs once per distinct (|p|, +-q, delta),
+exact bits, so a conjugate pair or a repeated element costs one row.
+Rows are evaluated _BLOCK elements at a time, so memory stays flat, and
+each row is summed in a fixed order on its own: an element's value and
+estimate are bit for bit the same in any batch, and results do not
+depend on worker count.
 
 The settings are module constants read at call time: the rule's _N, its
 decay cut-off _CUT, its _ERROR_BUDGET and the _BLOCK size.  One element
@@ -139,7 +141,16 @@ def hyperbolic_oscillatory(p, q, delta=0.0):
         raise ValueError("hyperbolic_oscillatory requires p*q != 0")
     if np.any(delta < 0.0):
         raise ValueError("delta must be nonnegative")
-    h, est = _contour_rule(p, q, delta)
+    # H(p, q, delta) = conj H(-p, -q, delta): one rule pass for each exact
+    # bit pattern of (|p|, +-q, delta), on its first element, conjugated
+    # for the elements whose sign of p differs from that one's
+    flip = p < 0.0
+    rows = np.stack([np.abs(p), np.where(flip, -q, q), delta], axis=-1)
+    _, first, inverse = np.unique(rows.view(np.int64), axis=0,
+                                  return_index=True, return_inverse=True)
+    h, est = _contour_rule(p[first], q[first], delta[first])
+    h, est = h[inverse], est[inverse]
+    h = np.where(flip != flip[first][inverse], np.conj(h), h)
     # a NaN estimate fails too
     if not np.all(est <= _ERROR_BUDGET):
         raise QuadratureError(

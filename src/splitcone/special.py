@@ -116,15 +116,30 @@ def ktilde(n, r):
     r^2 Kt_{n+1}(2r) = n Kt_n(2r) + Kt_{n-1}(2r) holds across n = 0.
 
     A sequence of orders gives one row per order, each bit for bit the
-    single-order value, from one K table.
+    single-order value: one K table, its rows stacked once and scaled by
+    2^n x^-n in one product.  Each x^-n stays a power with a scalar
+    exponent (numpy's array-exponent power differs in the last bit from
+    its scalar paths for exponents 2 and -1); a row that is not finite is
+    recomputed by the single-order rule, with its warnings.
     """
     x = _as_positive_array(r, "ktilde")
-    if np.ndim(n):
+    try:
         ns = [int(m) for m in n]
-        table = _k_table(max(abs(m) for m in ns), x)
-        return np.stack([_ktilde(m, x, table) for m in ns])
-    n = int(n)
-    return _ktilde(n, x, _k_table(abs(n), x))
+    except TypeError:  # a single order
+        n = int(n)
+        return _ktilde(n, x, _k_table(abs(n), x))
+    table = _k_table(max(abs(m) for m in ns), x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.array([2.0**m for m in ns]).reshape(
+            (len(ns),) + (1,) * x.ndim)
+        rows = (scale * np.array([x ** (-float(m)) for m in ns])
+                * np.array([table[abs(m)] for m in ns]))
+        total = rows.sum()
+    if not math.isfinite(total):
+        for i, m in enumerate(ns):
+            if not np.isfinite(rows[i]).all():
+                rows[i] = _ktilde(m, x, table)
+    return rows
 
 
 def ktilde_deriv_2r(n, r):

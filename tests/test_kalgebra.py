@@ -1,6 +1,10 @@
 import json
 import math
 import pathlib
+import random
+import warnings
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from splitcone.kalgebra import (
     orbit_labels,
     reduce_symbolic_r2,
 )
+from splitcone.kalgebra import _DERIVS_LOG10_X_MIN, _DERIVS_X_MAX, _ktilde_derivs
 from splitcone.numerics import SplitMix64
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "orbit_dims.json"
@@ -328,3 +333,47 @@ def test_ambient_p_j_single_partials_pinned():
     for (key, ext, j), want in cases.items():
         z = AmbientBasis(KBasisElement(*key), ext).p_j(j, pt)[0]
         assert (z.real.hex(), z.imag.hex()) == want, (key, ext, j)
+
+
+def test_labels_hash_and_sort_as_their_tuples():
+    labels = [KBasisElement(n, a, b) for n in (-2, 0, 1) for a in (-1, 0, 2)
+              for b in (3, -3)]
+    for key in labels:
+        assert hash(key) == hash((key.n, key.a, key.b))
+    for c in (GaussianInt(2, -5), GaussianInt(), ONE_G):
+        assert hash(c) == hash((c.re, c.im))
+    shuffled = labels[:]
+    random.Random(5).shuffle(shuffled)
+    assert [tuple(key) for key in sorted(shuffled)] == sorted(
+        (key.n, key.a, key.b) for key in labels)
+    # + and * are Gaussian arithmetic, not tuple concatenation or repetition
+    assert GaussianInt(1, 2) + GaussianInt(3, 4) == GaussianInt(4, 6)
+    assert 3 * GaussianInt(1, 2) == GaussianInt(1, 2) * 3 == GaussianInt(3, 6)
+
+
+def _mp_ktilde_derivs(n, x):
+    # Kt_n' = -(x/2) Kt_(n+1) (DLMF 10.29.4), so
+    # Kt_n'' = -Kt_(n+1)/2 + (x^2/4) Kt_(n+2)
+    def kt(m):
+        return mpmath.mpf(2) ** m * x ** -m * mpmath.besselk(abs(m), x)
+    return kt(n), -x / 2 * kt(n + 1), -kt(n + 1) / 2 + x * x / 4 * kt(n + 2)
+
+
+def test_ktilde_derivs_supported_range():
+    # below the edge the K-row form cancels (negative n) or overflows
+    for n, x in ((-3, 1e-30), (-1, 1e-30), (-8, 0.09), (0, 1e-160),
+                 (-9, 1.0), (5, 1.0), (0, 700.0), (0, math.nan)):
+        with pytest.raises(ValueError):
+            _ktilde_derivs(n, np.array([0.5, x]))
+    # from just above the edge to the top, within 1e-10 of mpmath, quietly
+    for n, e in _DERIVS_LOG10_X_MIN.items():
+        lo = 10.0 ** e
+        xs = np.array([lo, lo * (1 + 1e-9), 2 * lo, 5 * lo, 0.4, 3.0, _DERIVS_X_MAX])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _ktilde_derivs(n, xs)
+        with mpmath.workdps(40):
+            for i, x in enumerate(xs.tolist()):
+                for g, want in zip(got, _mp_ktilde_derivs(n, mpmath.mpf(x))):
+                    assert abs(g[i] - want) <= 1e-10 * abs(want), (n, x)
+

@@ -292,6 +292,19 @@ def test_ray_table_ratio_pinned():
         assert (got.real.hex(), got.imag.hex()) == (re, im)
 
 
+def test_ray_table_ratio_over_a_sequence_of_R():
+    # one "fc" Mellin sum for all R, each ratio bit for bit the lone call's
+    table = RayTable((0, 1), [0.5, 1.0, 2.0])
+    lone = [table.ratio(0.7, R, 1) for R in (2.0, 0.5)]
+    fc_sums = []
+    rule = table._fc_rule
+    table._fc_rule = lambda *args: fc_sums.append(args) or rule(*args)
+    assert table.ratio(0.7, [2.0, 0.5], 1) == lone
+    assert len(fc_sums) == 1
+    with pytest.raises(ValueError, match="R = 3.0"):
+        table.ratio(0.7, [0.5, 3.0], 1)
+
+
 def test_ray_table_rejects_bad_R():
     for R in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(ValueError):

@@ -116,6 +116,28 @@ def test_h_batch_matches_scalar_calls_bit_for_bit():
     assert bound.tobytes() == single.tobytes()
 
 
+def test_h_conjugate_pairs_and_duplicates_match_lone_calls(monkeypatch):
+    # H(-p, -q, delta) = conj H(p, q, delta) and a repeated element share
+    # one rule row; delta = 0.0 and -0.0 differ in their bits, so not theirs
+    p = np.array([0.8, -0.8, 0.8, 1.3, -1.3, -1.3, 2.0, -2.0, 2.0, 0.5])
+    q = np.array([0.5, -0.5, 0.5, -2.1, 2.1, 2.1, -0.3, 0.3, -0.3, 4.0])
+    d = np.array([0.1, 0.1, 0.1, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0])
+    single = [hyperbolic_oscillatory(*args) for args in zip(p, q, d)]
+    rows = []
+    rule = quadrature._contour_rule
+
+    def record(*args):
+        rows.append(len(args[0]))
+        return rule(*args)
+
+    monkeypatch.setattr(quadrature, "_contour_rule", record)
+    for order in (np.arange(10), np.array([9, 4, 1, 7, 0, 5, 8, 2, 6, 3])):
+        batch, est = hyperbolic_oscillatory(p[order], q[order], d[order])
+        assert batch.tobytes() == np.array([single[i][0] for i in order]).tobytes()
+        assert est.tobytes() == np.array([single[i][1] for i in order]).tobytes()
+    assert rows == [6, 6]
+
+
 def test_h_broadcasts():
     out, est = hyperbolic_oscillatory(np.full((3, 1), 1.3), np.array([-2.1, 0.4]), 0.0)
     assert out.shape == est.shape == (3, 2)

@@ -4,6 +4,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitcone import oracles, special
 from splitcone.numerics import SplitMix64
@@ -116,6 +118,23 @@ def test_ktilde_rows_match_single_orders():
         assert row.tolist() == special.ktilde(n, xs).tolist()
     assert special.ktilde([1, -1], 0.7).tolist() == [
         special.ktilde(1, 0.7), special.ktilde(-1, 0.7)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_ktilde_rows_are_the_single_order_values_bitwise(orders, seed):
+    # at least 128 points, from x = 1e-300 (overflowing K_m, underflowing
+    # x^m) to 60: numpy's power with an array of exponents differs in the
+    # last bit from its scalar paths (exponents 2 and -1) on long arrays
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([10.0 ** rng.uniform(-300, 0, 64), rng.uniform(0, 60, 96)])
+    with np.errstate(all="ignore"):
+        rows = special.ktilde(orders, xs)
+        singles = [special.ktilde(n, xs) for n in orders]
+    assert rows.shape == (len(orders), len(xs))
+    for row, single in zip(rows, singles):
+        assert row.tobytes() == single.tobytes()
 
 
 def test_domain_rejections():

@@ -76,11 +76,14 @@ def cone_embed(p):
     """
     if isinstance(p, ConePoint):
         p = (p.r, p.theta1, p.theta2)
-    r, t1, t2 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    p = np.asarray(p, dtype=float)
+    r, t1, t2 = p[..., 0], p[..., 1], p[..., 2]
     if not np.all(r > 0):
         raise ValueError("cone chart requires r > 0")
-    return np.stack([r * np.cos(t1), r * np.sin(t1),
-                     r * np.cos(t2), r * np.sin(t2)], axis=-1)
+    out = np.empty(p.shape[:-1] + (4,))
+    out[..., 0], out[..., 1] = r * np.cos(t1), r * np.sin(t1)
+    out[..., 2], out[..., 3] = r * np.cos(t2), r * np.sin(t2)
+    return out
 
 
 def cone_measure_weight(p) -> float:

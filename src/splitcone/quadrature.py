@@ -41,11 +41,13 @@ Batches: `hyperbolic_oscillatory` broadcasts p, q and delta and returns
 the pair (H, error estimate) from one pass of the rule, each an array of
 the broadcast shape; scalar input returns a Python complex and a float,
 by the same code path.  The rule runs once per distinct (|p|, +-q, delta),
-exact bits, so a conjugate pair or a repeated element costs one row.
-Rows are evaluated _BLOCK elements at a time, so memory stays flat, and
-each row is summed in a fixed order on its own: an element's value and
-estimate are bit for bit the same in any batch, and results do not
-depend on worker count.
+found on one 24-byte key of the three floats' exact bits, so a conjugate
+pair or a repeated element costs one row and delta = -0.0 and 0.0 stay
+apart.  Rows are evaluated _BLOCK at a time, so a suite's batch (the
+`fourier` suite's is about 110 rows) is one block and memory stays flat
+for any batch; each row is summed in a fixed order on its own, so an
+element's value and estimate are bit for bit the same in any batch and
+block, and results do not depend on worker count.
 
 The settings are module constants read at call time: the rule's _N, its
 decay cut-off _CUT, its _ERROR_BUDGET and the _BLOCK size.  One element
@@ -67,9 +69,10 @@ _N = 48
 _CUT = 40.0
 # Largest error estimate H accepts.
 _ERROR_BUDGET = 1e-6
-# Elements evaluated at a time.
-_BLOCK = 32
+# Distinct rows evaluated at a time: a suite's batch is one block.
+_BLOCK = 256
 _EPS = np.finfo(float).eps
+_ROW_KEY = np.dtype((np.void, 3 * 8))  # a row's three floats as one key
 
 
 class QuadratureError(RuntimeError):
@@ -134,25 +137,27 @@ def hyperbolic_oscillatory(p, q, delta=0.0):
     element's value and estimate do not depend on the rest of its batch.
     """
     (p, q, delta), shape = _as_batch(p, q, delta)
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))
-            and np.all(np.isfinite(delta))):
+    if not (np.isfinite(p).all() and np.isfinite(q).all()
+            and np.isfinite(delta).all()):
         raise ValueError("hyperbolic_oscillatory requires finite p, q, delta")
-    if np.any(p == 0.0) or np.any(q == 0.0):
+    if (p == 0.0).any() or (q == 0.0).any():
         raise ValueError("hyperbolic_oscillatory requires p*q != 0")
-    if np.any(delta < 0.0):
+    if (delta < 0.0).any():
         raise ValueError("delta must be nonnegative")
     # H(p, q, delta) = conj H(-p, -q, delta): one rule pass for each exact
     # bit pattern of (|p|, +-q, delta), on its first element, conjugated
-    # for the elements whose sign of p differs from that one's
+    # for the elements whose sign of p differs from that one's; a row's key
+    # is its 24 bytes, so -0.0 and 0.0 differ
     flip = p < 0.0
-    rows = np.stack([np.abs(p), np.where(flip, -q, q), delta], axis=-1)
-    _, first, inverse = np.unique(rows.view(np.int64), axis=0,
+    rows = np.empty((len(p), 3))
+    rows[:, 0], rows[:, 1], rows[:, 2] = np.abs(p), np.where(flip, -q, q), delta
+    _, first, inverse = np.unique(rows.view(_ROW_KEY).ravel(),
                                   return_index=True, return_inverse=True)
     h, est = _contour_rule(p[first], q[first], delta[first])
     h, est = h[inverse], est[inverse]
     h = np.where(flip != flip[first][inverse], np.conj(h), h)
     # a NaN estimate fails too
-    if not np.all(est <= _ERROR_BUDGET):
+    if not (est <= _ERROR_BUDGET).all():
         raise QuadratureError(
             f"hyperbolic_oscillatory error estimate {est.max():.2e} above budget"
         )

@@ -23,7 +23,7 @@ from operator import attrgetter
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CheckResult:
     check_id: str
     paper_anchor: str
@@ -35,6 +35,9 @@ class CheckResult:
     rel_error: float = field(default=None)
     passed: bool = field(default=None)
     kind: str = "abs"  # which error the tolerance bounds: "abs" | "rel"
+    # the error estimate of the routine that computed the value, if it has
+    # one; not part of the v1 report layout
+    estimate: float = None
 
     def __post_init__(self):
         computed, reference = complex(self.computed), complex(self.reference)
@@ -52,24 +55,19 @@ class CheckResult:
             a = abs(computed - reference)
             r = a / max(abs(computed), abs(reference))
             a *= 4.0
-        object.__setattr__(self, "abs_error", a)
-        object.__setattr__(self, "rel_error", r)
+        self.abs_error = a
+        self.rel_error = r
         err = a if self.kind == "abs" else r
         # bool: against a numpy tolerance the comparison gives a numpy bool,
         # which json does not write
-        object.__setattr__(self, "passed", bool(err <= self.tolerance))
+        self.passed = bool(err <= self.tolerance)
 
 
-def make_check(check_id, anchor, params, computed, reference, tol, kind="abs"):
-    return CheckResult(
-        check_id=check_id,
-        paper_anchor=anchor,
-        parameters=dict(params),
-        computed=complex(computed),
-        reference=complex(reference),
-        tolerance=float(tol),
-        kind=kind,
-    )
+def make_check(check_id, anchor, params, computed, reference, tol, kind="abs",
+               estimate=None):
+    return CheckResult(check_id, anchor, dict(params), complex(computed),
+                       complex(reference), float(tol), kind=kind,
+                       estimate=None if estimate is None else float(estimate))
 
 
 @dataclass

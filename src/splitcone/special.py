@@ -92,20 +92,9 @@ def _ktilde(n, x, table):
 
 
 def bessel_kn(n, u):
-    """K_n for integer n of either sign (K_{-n} = K_n).  An integer array of
-    orders broadcasts against u as a column: its last u.ndim axes have
-    length 1, and each order takes its row of the one K table."""
+    """K_n for integer n of either sign (K_{-n} = K_n)."""
     x = _as_positive_array(u, "bessel_kn")
-    orders = np.abs(np.asarray(n, dtype=int))
-    if not orders.ndim:
-        return _like_input(_k_table(int(orders), x)[-1])
-    lead = orders.ndim - x.ndim
-    if lead < 1 or math.prod(orders.shape[lead:]) != 1:
-        raise ValueError("bessel_kn takes an array of orders of shape "
-                         "(..., 1, ..., 1), with one axis of length 1 per axis of u")
-    table = _k_table(int(orders.max(initial=0)), x)
-    return np.array([table[m] for m in orders.ravel().tolist()]).reshape(
-        orders.shape[:lead] + x.shape)
+    return _like_input(_k_table(abs(int(n)), x)[-1])
 
 
 def ktilde(n, r):

@@ -12,7 +12,6 @@ import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kalgebra, kernels, mellin, operators, oracles, special
 from .geometry import (
@@ -109,12 +108,29 @@ def _sample_offcone_dual(rng, n):
     return R, xi, q
 
 
+# ranges of a cone chart's (r, theta1, theta2) draws
+_CHART_LO, _CHART_HI = np.array([(0.3, 2.0), (0.0, 2 * math.pi), (0.0, 2 * math.pi)]).T
+
+
 def _cone_pair_block(u):
     """Chart coordinates (..., 2, 3) of cone pairs from unit draws (..., 6),
     each pair's two (r, theta1, theta2) in stream order; draws (..., 3)
     give single points (..., 1, 3)."""
-    lo, hi = np.array([(0.3, 2.0), (0.0, 2 * math.pi), (0.0, 2 * math.pi)]).T
-    return lo + (hi - lo) * u.reshape(u.shape[:-1] + (-1, 3))
+    return _CHART_LO + (_CHART_HI - _CHART_LO) * u.reshape(u.shape[:-1] + (-1, 3))
+
+
+def _window_embeddings(u):
+    """`cone_embed` of the chart of every 3-draw window of u, (len(u) - 2,
+    4): each draw scaled as an r and as an angle once, and each angle's
+    cos and sin taken once, for the two windows that read it."""
+    m = len(u) - 2
+    r = _CHART_LO[0] + (_CHART_HI[0] - _CHART_LO[0]) * u[:m]
+    angle = _CHART_LO[1] + (_CHART_HI[1] - _CHART_LO[1]) * u[1:]
+    cos, sin = np.cos(angle), np.sin(angle)
+    e = np.empty((m, 4))
+    e[:, 0], e[:, 1] = r * cos[:-1], r * sin[:-1]
+    e[:, 2], e[:, 3] = r * cos[1:], r * sin[1:]
+    return e
 
 
 def _pick_pairs(rng, n, accept, size=6, extra=0):
@@ -129,12 +145,12 @@ def _pick_pairs(rng, n, accept, size=6, extra=0):
         u = np.r_[u, rng.uniforms(4 * n * (size + extra))]
         # each 3-draw chart window embedded once: the candidate at offset i
         # pairs rows i and i + 3
-        e = cone_embed(_cone_pair_block(sliding_window_view(u, 3))[:, 0])
+        e = _window_embeddings(u)
         xi, xi2 = e[:-3], e[3:]
         r1, r2 = kernels._polar_radii(xi - xi2)
         gap = np.where(np.minimum(r1, r2) > 0,
                        np.abs(r1 - r2) / np.maximum(r1, r2), 0.0)
-        ok = accept(pair(xi, xi2), gap)
+        ok = accept(pair(xi, xi2), gap).tolist()
         picked, i = [], 0
         while len(picked) < n and i + size + extra <= len(u):
             if ok[i]:
@@ -396,6 +412,10 @@ def suite_kernels(cfg: SuiteConfig):
 # --------------------------------------------------------------- fourier
 
 
+# the check ID part of each (sign_R2, sign_eps), in check order
+_FT_SIGN_IDS = [f".sR{sR:+d}.se{se:+d}" for sR in (-1, 1) for se in (-1, 1)]
+
+
 def suite_fourier(cfg: SuiteConfig):
     R, xi, q = _sample_offcone_dual(SplitMix64(cfg.seed), 50)
     # conjugation symmetry and real spacelike branches on a subsample
@@ -407,8 +427,8 @@ def suite_fourier(cfg: SuiteConfig):
     for R_i, xi_i, q_i in zip(*subsample):
         sR = 1 if q_i > 0 else -1  # K-branch (purely real) for this q
         batch += [(R_i, xi_i, -1, +1), (R_i, xi_i, -1, -1), (R_i, xi_i, sR, +1)]
-    values = iter(kernels.ft_regularized(
-        *(np.array(column) for column in zip(*batch))).value)
+    ft = kernels.ft_regularized(*(np.array(column) for column in zip(*batch)))
+    values, estimates = iter(ft.value.tolist()), iter(ft.error_estimate.tolist())
     # the 200 closed-form references are one more batch, in check order
     signs = np.array([-1, 1])
     refs = iter(kernels.ft_closed_form(
@@ -416,13 +436,12 @@ def suite_fourier(cfg: SuiteConfig):
 
     checks = []
     for i, (R_i, q_i) in enumerate(zip(R.tolist(), q.tolist())):
-        for sR in (-1, 1):
-            for se in (-1, 1):
-                ref = next(refs)
-                tol = max(1e-4 * abs(ref), 1e-5)
-                checks.append(make_check(
-                    f"ft.closed_form.{i:02d}.sR{sR:+d}.se{se:+d}",
-                    "S5.prop-ft", {"R": R_i, "q": q_i}, next(values), ref, tol))
+        for signs in _FT_SIGN_IDS:
+            ref = next(refs)
+            tol = max(1e-4 * abs(ref), 1e-5)
+            checks.append(make_check(
+                f"ft.closed_form.{i:02d}{signs}", "S5.prop-ft", {"R": R_i, "q": q_i},
+                next(values), ref, tol, estimate=next(estimates)))
     for i, (R_i, _, q_i) in enumerate(zip(*(v.tolist() for v in subsample))):
         plus, minus, val = next(values), next(values), next(values)
         checks.append(make_check(
@@ -727,18 +746,22 @@ def suite_mellin_ratio(cfg: SuiteConfig):
     cases = [(e, theta) for e in parities for theta in (0.0, 0.8)]
     num_pl = mellin.mellin(lambda s: np.array([
         operators.chain_pl_theta_integrand(theta, s, R, e) for e, theta in cases]),
-        rho, *_PER_THETA_PL_TAILS).value
+        rho, *_PER_THETA_PL_TAILS)
     num_fc = mellin.mellin(lambda s: np.array([
         operators.chain_fc_theta_integrand(theta, s, e) for e, theta in cases]),
-        rho, *_PER_THETA_FC_TAILS).value
-    for (e, theta), v_pl, v_fc in zip(cases, num_pl.tolist(), num_fc.tolist()):
+        rho, *_PER_THETA_FC_TAILS)
+    for (e, theta), v_pl, est_pl, v_fc, est_fc in zip(
+            cases, num_pl.value.tolist(), num_pl.error_estimate.tolist(),
+            num_fc.value.tolist(), num_fc.error_estimate.tolist()):
         m_pl, m_fc = mellin.per_theta_mellin_closed_forms(rho, R, theta, e)
         checks.append(make_check(
             f"mellin.per_theta_pl.e{e}.th{theta}", "S6.plhat-mellin",
-            {"theta": theta, "rho": rho, "R": R}, v_pl, m_pl, 1e-10, kind="rel"))
+            {"theta": theta, "rho": rho, "R": R}, v_pl, m_pl, 1e-10, kind="rel",
+            estimate=est_pl))
         checks.append(make_check(
             f"mellin.per_theta_fc.e{e}.th{theta}", "S6.fc-mellin",
-            {"theta": theta, "rho": rho}, v_fc, m_fc, 1e-10, kind="rel"))
+            {"theta": theta, "rho": rho}, v_fc, m_fc, 1e-10, kind="rel",
+            estimate=est_fc))
     # theta-independence of the closed-form ratio
     for e in parities:
         vals = []
@@ -755,16 +778,18 @@ def suite_mellin_ratio(cfg: SuiteConfig):
     r = mellin.mellin(lambda s: np.exp(-1.7 * s), 0.8, (0, 1, 2), ())
     checks.append(make_check(
         "mellin.exponential", "S6.mellin", {"a": 1.7, "rho": 0.8}, r.value,
-        1.7 ** -(1 - 0.8j) * g(1 - 0.8j), 1e-7, kind="rel"))
+        1.7 ** -(1 - 0.8j) * g(1 - 0.8j), 1e-7, kind="rel",
+        estimate=r.error_estimate))
     r = mellin.mellin(lambda s: (1 + 0.9 * s) ** -2.5, 0.6, (0, 1, 2),
                       (-2.5, -3.5, -4.5))
     ref = 0.9 ** -(1 - 0.6j) * g(1 - 0.6j) * g(2.5 - 1 + 0.6j) / g(2.5)
     checks.append(make_check(
         "mellin.gr8384", "S6.gr8384", {"a": 0.9, "nu": 2.5, "rho": 0.6},
-        r.value, ref, 1e-7, kind="rel"))
+        r.value, ref, 1e-7, kind="rel", estimate=r.error_estimate))
     r = mellin.mellin(lambda s: np.exp(-s), 0.0, (0, 1, 2), ())
     checks.append(make_check(
-        "mellin.rho_zero", "S6.mellin", {}, r.value, 1.0, 1e-8))
+        "mellin.rho_zero", "S6.mellin", {}, r.value, 1.0, 1e-8,
+        estimate=r.error_estimate))
     # tabulated definite integrals
     for i, (a, b, tol) in enumerate(((1.0, 0.0, 1e-12), (1.0, 1.0, 1e-12),
                                      (2.0, 1.0, 1e-10))):

@@ -22,6 +22,7 @@ from splitcone.suites import (
     _lemma_identity_points,
     _lemma_sine_points,
     _sample_offcone_dual,
+    _window_embeddings,
 )
 
 
@@ -82,6 +83,29 @@ def test_cone_embed_stacked_charts_and_block_draws():
             assert np.array_equal(stacked[k, j], cone_embed(ConePoint(*charts[k, j])))
     with pytest.raises(ValueError):
         cone_embed(np.array([[1.0, 0.2, 0.3], [0.0, 0.2, 0.3]]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)])
+def test_cone_embed_of_stacked_charts_is_the_cone_point_path_bitwise(shape):
+    charts = SplitMix64(17).uniforms(shape, (0.1, 0, 0), (5, 6.28, 6.28))
+    stacked = cone_embed(charts)
+    assert stacked.shape == shape[:-1] + (4,)
+    rows = [cone_embed(ConePoint(*chart)) for chart in charts.reshape(-1, 3)]
+    assert stacked.reshape(-1, 4).tobytes() == np.array(rows).tobytes()
+    for bad in (0.0, -1.0, math.nan):
+        broken = charts.copy()
+        broken[(0,) * (len(shape) - 1) + (0,)] = bad
+        with pytest.raises(ValueError):
+            cone_embed(broken)
+
+
+def test_window_embeddings_are_cone_embed_of_each_window():
+    # the candidate draws of the pair samplers: every 3-draw window's chart,
+    # embedded with each angle's cos and sin taken once, bit for bit
+    for n in (3, 4, 11, 560):
+        u = SplitMix64(n).uniforms(n)
+        windows = _cone_pair_block(np.lib.stride_tricks.sliding_window_view(u, 3))
+        assert _window_embeddings(u).tobytes() == cone_embed(windows[:, 0]).tobytes()
 
 
 def test_cone_point_rejects_bad_radius():

@@ -138,6 +138,25 @@ def test_h_conjugate_pairs_and_duplicates_match_lone_calls(monkeypatch):
     assert rows == [6, 6]
 
 
+def test_h_batch_of_several_blocks_matches_lone_calls():
+    # 320 distinct rows, more than one block, with every sign branch,
+    # damped and undamped, |g| from about 0.04 to 130: each element is
+    # bit for bit its lone call, whatever its block and place in it
+    assert 320 > quadrature._BLOCK
+    u = SplitMix64(31).uniforms((320, 3))
+    p = np.where(u[:, 0] < 0.5, -1.0, 1.0) * 10.0 ** (4.0 * u[:, 1] - 2.0)
+    q = np.where(u[:, 2] < 0.5, -1.0, 1.0) * 10.0 ** (4.0 * u[:, 1][::-1] - 2.0)
+    d = np.where(np.arange(320) % 3 == 0, 0.0, u[:, 2])
+    batch, est = hyperbolic_oscillatory(p, q, d)
+    single = [hyperbolic_oscillatory(*args) for args in zip(p, q, d)]
+    assert batch.tobytes() == np.array([v for v, _ in single]).tobytes()
+    assert est.tobytes() == np.array([e for _, e in single]).tobytes()
+    order = SplitMix64(32).words(320).argsort()
+    again, again_est = hyperbolic_oscillatory(p[order], q[order], d[order])
+    assert again.tobytes() == batch[order].tobytes()
+    assert again_est.tobytes() == est[order].tobytes()
+
+
 def test_h_broadcasts():
     out, est = hyperbolic_oscillatory(np.full((3, 1), 1.3), np.array([-2.1, 0.4]), 0.0)
     assert out.shape == est.shape == (3, 2)

@@ -139,11 +139,40 @@ def test_scale_tolerance_at_scale_one_returns_the_check():
 
 def test_scale_tolerance_recomputes_pass():
     # dataclasses.replace hands the old `passed` to __init__, and
-    # __post_init__ must overwrite it from the new tolerance
-    check = make_check("x", "S", {}, 1.0, 1.5, 1.0)
+    # __post_init__ must overwrite it from the new tolerance; a CheckResult
+    # can be assigned to, so the scaled check must be a new object and the
+    # old one keep its tolerance and verdict
+    check = make_check("x", "S", {}, 1.0, 1.5, 1.0, estimate=0.75)
     tight = suites._scale_tolerance(check, 0.25)
-    assert check.passed and tight.tolerance == 0.25 and not tight.passed
+    assert tight is not check
+    assert (check.tolerance, check.passed) == (1.0, True)
+    assert tight.tolerance == 0.25 and not tight.passed
+    assert tight.estimate == 0.75
     assert suites._scale_tolerance(tight, 4.0).passed
+
+
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_check_estimates_bound_their_errors(seed):
+    # every check that carries its routine's estimate is within it: the
+    # fourier closed forms (FtResult) and the Mellin checks (MellinResult)
+    carried = {}
+    for suite in ("fourier", "mellin_ratio"):
+        for c in cli.run(SuiteConfig(suite=suite, seed=seed)).checks:
+            if c.estimate is not None:
+                group = ".".join(c.check_id.split(".")[:2])
+                carried.setdefault(group, []).append(c)
+                assert c.abs_error <= c.estimate, c.check_id
+    assert {k: len(v) for k, v in carried.items()} == {
+        "ft.closed_form": 200, "mellin.per_theta_pl": 4, "mellin.per_theta_fc": 4,
+        "mellin.exponential": 1, "mellin.gr8384": 1, "mellin.rho_zero": 1}
+
+
+def test_estimate_is_not_in_the_v1_layout():
+    rep = VerificationReport("s", {}, [
+        make_check("a", "S", {}, 1.0, 1.0, 1e-3, estimate=1e-9)])
+    bare = VerificationReport("s", {}, [make_check("a", "S", {}, 1.0, 1.0, 1e-3)])
+    assert to_json(rep) == to_json(bare)
+    assert to_csv(rep) == to_csv(bare)
 
 
 def _json_dumps(rep, include_wall_time):

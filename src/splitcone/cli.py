@@ -58,15 +58,10 @@ def run(cfg: SuiteConfig) -> VerificationReport:
     t0 = time.perf_counter()
     checks = build_suite(cfg)
     wall = (time.perf_counter() - t0) * 1e3
-    echo = {
-        "suite": cfg.suite,
-        "rho_list": list(cfg.rho_list),
-        "R_list": list(cfg.R_list),
-        "eps_parity": cfg.eps_parity,
-        "tol_scale": cfg.tol_scale,
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-    }
+    # vars, not dataclasses.asdict: its deep copy takes 25 us, 3% of a
+    # 0.8 ms `lemma` run
+    echo = {**vars(cfg), "rho_list": list(cfg.rho_list),
+            "R_list": list(cfg.R_list)}
     return VerificationReport(suite=cfg.suite, config_echo=echo, checks=checks,
                               wall_ms=wall)
 

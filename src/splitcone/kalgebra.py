@@ -41,7 +41,6 @@ Kt_n(2 r_2) M1 M2 (r_1-extension for P3, P4), restricted to cone points.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from itertools import chain
 from typing import NamedTuple
@@ -444,40 +443,24 @@ def kfinite_certificate(elem):
 # ----- ambient extension and numerical oracle -----
 
 
-# Supported range of _ktilde_derivs: orders n in [-8, 4] and x from
-# 10^_DERIVS_LOG10_X_MIN[n] to _DERIVS_X_MAX, where Kt_n, Kt_n' and Kt_n''
-# are all within 1e-10 (relative) of mpmath.  Below the edge a negative
-# order loses its digits to cancellation in 2^n (-n x^(-n-1) K_n + x^-n K_n')
-# and its x-derivative, whose terms are O(1/x) and O(1/x^2) larger than the
-# result; a nonnegative order overflows.  Past x = 700 the values are
-# subnormal.  Measured on 350 log-spaced x a decade: for n < 0 the edge is
-# the first quarter decade at least 1.5 times above the last x off by more
-# than 1e-10, for n >= 0 the last half decade before an overflow.
-_DERIVS_LOG10_X_MIN = {-8: -1.0, -7: -1.0, -6: -1.0, -5: -1.25, -4: -1.25,
-                       -3: -1.5, -2: -2.0, -1: -2.75, 0: -153.5, 1: -76.5,
-                       2: -51.0, 3: -38.0, 4: -30.0}
+# Near x = 700 Kt_n and its derivatives become subnormal.
 _DERIVS_X_MAX = 690.0
 
 
 def _ktilde_derivs(n, x):
-    """Kt_n(x), Kt_n'(x), Kt_n''(x) from K_(n-2..n+2), in the supported
-    range above; ValueError outside it."""
+    """Kt_n(x), Kt_n'(x), Kt_n''(x) from Kt_n and Kt_(n+1):
+    Kt_n' = -(x/2) Kt_(n+1) (DLMF 10.29.4), and its derivative reduced by
+    the three-term recurrence, Kt_n'' = Kt_n + (n + 1/2) Kt_(n+1).
+    ValueError for x above 690 and wherever Kt_(n+1) overflows, which
+    covers Kt_n: a negative order is bounded, and at the tiny x where a
+    nonnegative order overflows Kt_(n+1) is the larger."""
     x = np.asarray(x, dtype=float)
-    lo = 10.0 ** _DERIVS_LOG10_X_MIN.get(n, math.inf)
-    if not (lo <= x.min(initial=lo) and x.max(initial=lo) <= _DERIVS_X_MAX):
-        raise ValueError(f"Kt_n derivatives need n in [-8, 4] and x in "
-                         f"[{lo:.3g}, {_DERIVS_X_MAX:g}] (n = {n})")
-    table = special._k_table(max(abs(n - 2), abs(n + 2)), x)
-    km2, km1, k0, kp1, kp2 = (table[abs(m)] for m in range(n - 2, n + 3))
-    kp = -0.5 * (km1 + kp1)
-    kpp = 0.25 * (km2 + 2.0 * k0 + kp2)
-    c = 2.0**n
-    xn = x ** (-float(n))
-    xn1 = xn / x
-    kt = c * xn * k0
-    ktp = c * (-n * xn1 * k0 + xn * kp)
-    ktpp = c * (n * (n + 1) * (xn1 / x) * k0 - 2.0 * n * xn1 * kp + xn * kpp)
-    return kt, ktp, ktpp
+    if not x.max(initial=0.0) <= _DERIVS_X_MAX:
+        raise ValueError(f"Kt_n derivatives need x <= {_DERIVS_X_MAX:g}")
+    kt, kt1 = special.ktilde((n, n + 1), x)
+    if not np.isfinite(kt1).all():
+        raise ValueError(f"Kt_{n + 1} overflows at this x")
+    return kt, -0.5 * x * kt1, kt + (n + 0.5) * kt1
 
 
 # The arrays every ambient closed form of one element is built from, each
@@ -495,8 +478,8 @@ class AmbientBasis:
     reproduces the derivations behind P1/P2, "r1" the mirrored ones behind
     P3/P4; restrictions to the cone agree, and the second-order operators
     are tangential, so oracle values on cone points are extension-free.
-    Points are arrays of shape (..., 4).  The radial factor's order must be
-    in the range of `_ktilde_derivs`, at x = 2 rad.
+    Points are arrays of shape (..., 4).  At x = 2 rad the radial factor's
+    Kt_n and Kt_(n+1) must be finite, and x at most 690 (`_ktilde_derivs`).
     """
 
     def __init__(self, elem: KBasisElement, extend_along="r2"):

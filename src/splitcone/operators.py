@@ -581,10 +581,14 @@ def _theta_integral(fn, s):
 
 
 def chain_pl(s, R, parity_eps):
-    """Theta-integrated reference chain for the Phi0+ operator on the ray."""
-    return _theta_integral(
-        lambda th: chain_pl_theta_integrand(th, s, R, parity_eps), s
-    )
+    """Theta-integrated reference chain for the Phi0+ operator on the ray,
+    in closed form: with a = 2 R^2 s, x = sinh(theta) turns the integral
+    of `chain_pl_theta_integrand` into (i/pi^2) 2 sqrt(a) times the integral
+    over x > 0 of 4 (1 + a + a x^2)^-3 - (1 + a + a x^2)^-2, which is
+    (i / 2 pi) (2 - a) / (1 + a)^(5/2)."""
+    a = 2.0 * R * R * s
+    sign = -1.0 if parity_eps else 1.0
+    return complex(0.0, sign * (2.0 - a) / (2.0 * math.pi * (1.0 + a) ** 2.5))
 
 
 def chain_fc(s, parity_eps):

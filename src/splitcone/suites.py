@@ -31,18 +31,6 @@ from .operators import DecayCertificate
 from .quadrature import hyperbolic_oscillatory
 from .report import make_check
 
-SUITE_NAMES = (
-    "bessel",
-    "kernels",
-    "fourier",
-    "corollary",
-    "lemma",
-    "operators",
-    "mellin_ratio",
-    "ktypes",
-)
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str = "all"
@@ -855,11 +843,13 @@ def suite_ktypes(cfg: SuiteConfig):
                 2 * pts[:, j - 1] * base_vals, w.evaluate(r, t1, t2), floor))
         amb2 = kalgebra.AmbientBasis(key, "r2")
         amb1 = kalgebra.AmbientBasis(key, "r1")
-        for j, amb in ((1, amb2), (2, amb2), (3, amb1), (4, amb1)):
+        oracle = {j: amb.p_j(j, pts)
+                  for j, amb in ((1, amb2), (2, amb2), (3, amb1), (4, amb1))}
+        for j in (1, 2, 3, 4):
             w = kalgebra.apply_P(j, v)
-            worst_p = max(worst_p, relerr(amb.p_j(j, pts),
-                                          w.evaluate(r, t1, t2), floor))
-        for plane, amb in ((1, amb2), (2, amb1)):
+            worst_p = max(worst_p, relerr(oracle[j], w.evaluate(r, t1, t2),
+                                          floor))
+        for plane in (1, 2):
             for sgn in (1, -1):
                 w = kalgebra.apply_raise_lower(sgn, v, plane)
                 comp = kalgebra.apply_raise_lower(sgn, v, plane, composite=True)
@@ -867,12 +857,9 @@ def suite_ktypes(cfg: SuiteConfig):
                     worst_ladder = max(worst_ladder, 1.0)
                 direct = w.evaluate(r, t1, t2)
                 # oracle: 2(xi +- i xi') + (1/2)(P +- i P') applied numerically
-                if plane == 1:
-                    mult = (pts[:, 0] + 1j * sgn * pts[:, 1]) * base_vals * 2.0
-                    pcmb = amb.p_j(1, pts) + 1j * sgn * amb.p_j(2, pts)
-                else:
-                    mult = (pts[:, 2] + 1j * sgn * pts[:, 3]) * base_vals * 2.0
-                    pcmb = amb.p_j(3, pts) + 1j * sgn * amb.p_j(4, pts)
+                j = 2 * plane - 1
+                mult = (pts[:, j - 1] + 1j * sgn * pts[:, j]) * base_vals * 2.0
+                pcmb = oracle[j] + 1j * sgn * oracle[j + 1]
                 # judge against the operand scale: the combination cancels
                 # its largest terms on lattice boundaries by design
                 op_scale = max(float(np.abs(mult).max()),
@@ -1139,6 +1126,7 @@ SUITE_BUILDERS = {
     "mellin_ratio": suite_mellin_ratio,
     "ktypes": suite_ktypes,
 }
+SUITE_NAMES = tuple(SUITE_BUILDERS)
 
 
 def build_suite(cfg: SuiteConfig):

@@ -29,7 +29,7 @@ from splitcone.kalgebra import (
     orbit_labels,
     reduce_symbolic_r2,
 )
-from splitcone.kalgebra import _DERIVS_LOG10_X_MIN, _DERIVS_X_MAX, _ktilde_derivs
+from splitcone.kalgebra import _DERIVS_X_MAX, _ktilde_derivs
 from splitcone.numerics import SplitMix64
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "orbit_dims.json"
@@ -327,7 +327,7 @@ def test_ambient_p_j_single_partials_pinned():
     cases = {
         ((0, 0, 3), "r2", 1): ("-0x1.52b0fe0a243edp-1", "-0x1.d7ee1a3d46c70p-1"),
         ((0, 2, 0), "r1", 3): ("0x1.79bf9f3cf578cp-4", "-0x1.a26ddbb5bd332p-4"),
-        ((-1, -2, 3), "r2", 4): ("-0x1.f099c66ba3140p-1", "0x1.c9fb8da8d844ep+0"),
+        ((-1, -2, 3), "r2", 4): ("-0x1.f099c66ba313cp-1", "0x1.c9fb8da8d844ep+0"),
         ((2, 3, -4), "r1", 2): ("-0x1.744ebe0d6c9d6p+0", "-0x1.09a107c002e8dp+1"),
     }
     for (key, ext, j), want in cases.items():
@@ -352,28 +352,32 @@ def test_labels_hash_and_sort_as_their_tuples():
 
 
 def _mp_ktilde_derivs(n, x):
-    # Kt_n' = -(x/2) Kt_(n+1) (DLMF 10.29.4), so
-    # Kt_n'' = -Kt_(n+1)/2 + (x^2/4) Kt_(n+2)
-    def kt(m):
-        return mpmath.mpf(2) ** m * x ** -m * mpmath.besselk(abs(m), x)
-    return kt(n), -x / 2 * kt(n + 1), -kt(n + 1) / 2 + x * x / 4 * kt(n + 2)
+    # Kt_n, Kt_n', Kt_n'' by mpmath's numerical differentiation, which
+    # shares no identity with _ktilde_derivs.  Its step, 2^-(prec + 10),
+    # must lie far below x: 40 digits for x = 1e-30, 20 from x = 1e-6.
+    def kt(t):
+        return mpmath.mpf(2) ** n * t ** -n * mpmath.besselk(abs(n), t)
+    with mpmath.workdps(40 if x < 1e-6 else 20):
+        return [mpmath.diff(kt, mpmath.mpf(x), k) for k in (0, 1, 2)]
 
 
 def test_ktilde_derivs_supported_range():
-    # below the edge the K-row form cancels (negative n) or overflows
-    for n, x in ((-3, 1e-30), (-1, 1e-30), (-8, 0.09), (0, 1e-160),
-                 (-9, 1.0), (5, 1.0), (0, 700.0), (0, math.nan)):
-        with pytest.raises(ValueError):
+    # x above 690 (subnormal values), NaN, x <= 0, and a nonnegative
+    # order's Kt_(n+1) overflowing (numpy's overflow warning comes first)
+    for n, x in ((0, 700.0), (-3, 691.0), (0, math.nan), (2, 0.0),
+                 (-1, -1.0), (0, 1e-160), (5, 1e-30)):
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
             _ktilde_derivs(n, np.array([0.5, x]))
-    # from just above the edge to the top, within 1e-10 of mpmath, quietly
-    for n, e in _DERIVS_LOG10_X_MIN.items():
-        lo = 10.0 ** e
-        xs = np.array([lo, lo * (1 + 1e-9), 2 * lo, 5 * lo, 0.4, 3.0, _DERIVS_X_MAX])
+    # within 1e-12 of mpmath up to x = 300 and 1e-10 at 690, quietly (the
+    # worst here: 2.6e-14, and 6.2e-11 where n = 4 is subnormal at 690);
+    # n = -9 and 5 at x = 1
+    cases = [(n, (1e-30, 1e-6, 0.09, 0.55, 3.0, 300.0, _DERIVS_X_MAX))
+             for n in range(-8, 5)] + [(-9, (1.0,)), (5, (1.0,))]
+    for n, xs in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _ktilde_derivs(n, xs)
-        with mpmath.workdps(40):
-            for i, x in enumerate(xs.tolist()):
-                for g, want in zip(got, _mp_ktilde_derivs(n, mpmath.mpf(x))):
-                    assert abs(g[i] - want) <= 1e-10 * abs(want), (n, x)
-
+            got = _ktilde_derivs(n, np.array(xs))
+        for i, x in enumerate(xs):
+            tol = 1e-12 if x <= 300 else 1e-10
+            for g, want in zip(got, _mp_ktilde_derivs(n, x)):
+                assert abs(g[i] - want) <= tol * abs(want), (n, x)

@@ -419,6 +419,18 @@ def test_chains_match_tabulated_integral_forms():
     assert abs(got_fc1 - (2.0 / math.pi**2) * (exp_closed - cos_closed)) < 1e-15
 
 
+def test_chain_pl_closed_form_is_the_theta_integral():
+    # absolute error: the chain (at most 1/pi) changes sign at 2 R^2 s = 2
+    worst = 0.0
+    for s in np.geomspace(1e-3, 400.0, 25):
+        for R in (0.5, 1.0, 1.7, 4.0):
+            for e in (0, 1):
+                quad = operators._theta_integral(
+                    lambda th: chain_pl_theta_integrand(th, s, R, e), s)
+                worst = max(worst, abs(chain_pl(s, R, e) - quad))
+    assert worst < 1e-15
+
+
 def test_scaling_covariance():
     gauss = ConeFunction(
         lambda r, t1, t2: np.exp(-np.asarray(r) ** 2 * (1.0 + 0 * t1))

@@ -443,23 +443,24 @@ def kfinite_certificate(elem):
 # ----- ambient extension and numerical oracle -----
 
 
-# Near x = 700 Kt_n and its derivatives become subnormal.
+# Near x = 700 Kt_n is subnormal at every order (at 690 from n = 3 on).
 _DERIVS_X_MAX = 690.0
+_TINY = np.finfo(float).tiny
 
 
 def _ktilde_derivs(n, x):
     """Kt_n(x), Kt_n'(x), Kt_n''(x) from Kt_n and Kt_(n+1):
     Kt_n' = -(x/2) Kt_(n+1) (DLMF 10.29.4), and its derivative reduced by
     the three-term recurrence, Kt_n'' = Kt_n + (n + 1/2) Kt_(n+1).
-    ValueError for x above 690 and wherever Kt_(n+1) overflows, which
-    covers Kt_n: a negative order is bounded, and at the tiny x where a
-    nonnegative order overflows Kt_(n+1) is the larger."""
+    ValueError for x above 690 and wherever Kt_(n+1) overflows or is
+    subnormal, which covers Kt_n: a negative order is bounded, and Kt_(n+1)
+    is the larger at tiny x, the smaller at large x."""
     x = np.asarray(x, dtype=float)
     if not x.max(initial=0.0) <= _DERIVS_X_MAX:
         raise ValueError(f"Kt_n derivatives need x <= {_DERIVS_X_MAX:g}")
     kt, kt1 = special.ktilde((n, n + 1), x)
-    if not np.isfinite(kt1).all():
-        raise ValueError(f"Kt_{n + 1} overflows at this x")
+    if not _TINY <= kt1.min(initial=1.0) <= kt1.max(initial=1.0) < np.inf:
+        raise ValueError(f"Kt_{n + 1} overflows or is subnormal at this x")
     return kt, -0.5 * x * kt1, kt + (n + 0.5) * kt1
 
 
@@ -479,7 +480,7 @@ class AmbientBasis:
     P3/P4; restrictions to the cone agree, and the second-order operators
     are tangential, so oracle values on cone points are extension-free.
     Points are arrays of shape (..., 4).  At x = 2 rad the radial factor's
-    Kt_n and Kt_(n+1) must be finite, and x at most 690 (`_ktilde_derivs`).
+    Kt_n and Kt_(n+1) must be finite and normal, x at most 690 (`_ktilde_derivs`).
     """
 
     def __init__(self, elem: KBasisElement, extend_along="r2"):

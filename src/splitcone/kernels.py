@@ -279,9 +279,9 @@ class DeltaResult:
         return abs(self.surface - self.volume) / scale
 
 
-# Volume route: +-i eps rungs of ratio 2, the last 7 fitted to eps -> 0;
-# at each nu node, 8 equal mu panels of 10 Gauss-Legendre nodes.
-_DELTA_LADDER = 0.2 / 2.0 ** np.arange(12)
+# Volume route: +-i eps rungs 0.2/2^k, k = 4..11; the fit to eps -> 0 takes
+# the last 7, its estimate the first 7; 8 mu panels of 10 nodes per nu node.
+_DELTA_LADDER = 0.2 / 2.0 ** np.arange(4, 12)
 _MU_PANELS = 8
 _MU_X, _MU_W = gauss_legendre(10)
 # inverse of V[j, k] = x_j^k: maps moments to interpolatory weights
@@ -380,7 +380,7 @@ def delta_quadric_apply(psi, offset=0.0):
     w = _lorentz_weights(c, h[:, None], _DELTA_LADDER[:, None, None])
     vols = np.einsum("rnpj,npj,n->r", w, Psi, nu_w) * (w_ang / (8.0 * math.pi))
     vol, coarser = (_eps_limit(_DELTA_LADDER[k:k + 7], vols[k:k + 7])
-                    for k in (5, 4))
+                    for k in (1, 0))
     return DeltaResult(complex(surface), complex(vol), float(abs(vol - coarser)))
 
 

@@ -52,15 +52,12 @@ class SuiteConfig:
             # a repeated value would repeat its check IDs
             if len(set(vals)) < len(vals):
                 raise ValueError(f"{name} values must not repeat")
-        # the mellin_ratio end-to-end calibration at the first rho and R
-        # misses its 5e-4 tolerance from |rho| = 0.053 (at R = 0.4) and
-        # 2.56 (at R = 4) outward; rho = 0 is excluded with them
+        # the mellin_ratio end-to-end checks (ray table on s in [1e-3, 400])
+        # miss their 5e-5 from |rho| = 0.025 and 2.84 outward (both at
+        # R = 4); rho = 0 is excluded with them
         if not all(0.2 <= abs(rho) <= 2.0 for rho in self.rho_list):
             raise ValueError("|rho| values must lie in [0.2, 2]")
-        # the mellin_ratio end-to-end checks (ray table on s in [1e-3, 400])
-        # miss their tolerances from R = 0.235 and 4.6 outward (the
-        # calibration's 5e-4, R first in the list) and from R = 0.215 and
-        # 4.95 (the grid's 1e-3)
+        # and from R = 0.217 and 4.68 outward (both at |rho| = 2)
         if not all(0.4 <= R <= 4.0 for R in self.R_list):
             raise ValueError("R values must lie in [0.4, 4]")
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
@@ -702,23 +699,22 @@ def suite_mellin_ratio(cfg: SuiteConfig):
                     {"rho": rho, "R": R, "eps": e},
                     mellin.closed_form_ratio(rho, R, e),
                     mellin.reference_ratio(rho, R, e), 1e-8, kind="rel"))
-    # end-to-end grid with single-constant calibration at the first point
+    # end-to-end grid: each ray-table ratio against its reference on its own
     table = mellin.RayTable(parities, cfg.R_list)
     rho0, R0 = cfg.rho_list[0], cfg.R_list[0]
     for e in parities:
         # one "fc" Mellin sum per rho, shared by the ratios at every R
         rows = [table.ratio(rho, cfg.R_list, e) for rho in cfg.rho_list]
-        calib = rows[0][0] / mellin.reference_ratio(rho0, R0, e)
         checks.append(make_check(
             f"ratio.e2e_calibration.e{e}", "S6.ratio-e2e",
-            {"rho0": rho0, "R0": R0, "eps": e}, calib, 1.0, 5e-4,
-            kind="rel"))
+            {"rho0": rho0, "R0": R0, "eps": e},
+            rows[0][0] / mellin.reference_ratio(rho0, R0, e), 1.0, 5e-5, kind="rel"))
         for rho, row in zip(cfg.rho_list, rows):
             for R, value in zip(cfg.R_list, row):
                 checks.append(make_check(
                     f"ratio.e2e.e{e}.rho{rho}.R{R}", "S6.ratio-e2e",
-                    {"rho": rho, "R": R, "eps": e}, value / calib,
-                    mellin.reference_ratio(rho, R, e), 1e-3, kind="rel"))
+                    {"rho": rho, "R": R, "eps": e}, value,
+                    mellin.reference_ratio(rho, R, e), 5e-5, kind="rel"))
     # intermediate Gamma/trig identities at random rho
     rhos = SplitMix64(cfg.seed + 6).uniforms(10, 0.05, 3.0)
     for i, rho in enumerate(rhos.tolist()):

@@ -362,22 +362,24 @@ def _mp_ktilde_derivs(n, x):
 
 
 def test_ktilde_derivs_supported_range():
-    # x above 690 (subnormal values), NaN, x <= 0, and a nonnegative
-    # order's Kt_(n+1) overflowing (numpy's overflow warning comes first)
+    # x above 690, NaN, x <= 0, a nonnegative order's Kt_(n+1) overflowing
+    # (numpy's overflow warning comes first), and Kt_(n+1) subnormal at 690
+    # from n = 2 on (Kt_3 = 2.5e-309)
     for n, x in ((0, 700.0), (-3, 691.0), (0, math.nan), (2, 0.0),
-                 (-1, -1.0), (0, 1e-160), (5, 1e-30)):
+                 (-1, -1.0), (0, 1e-160), (5, 1e-30), (2, _DERIVS_X_MAX),
+                 (3, _DERIVS_X_MAX), (4, _DERIVS_X_MAX), (5, _DERIVS_X_MAX)):
         with pytest.raises(ValueError), np.errstate(over="ignore"):
             _ktilde_derivs(n, np.array([0.5, x]))
-    # within 1e-12 of mpmath up to x = 300 and 1e-10 at 690, quietly (the
-    # worst here: 2.6e-14, and 6.2e-11 where n = 4 is subnormal at 690);
-    # n = -9 and 5 at x = 1
-    cases = [(n, (1e-30, 1e-6, 0.09, 0.55, 3.0, 300.0, _DERIVS_X_MAX))
-             for n in range(-8, 5)] + [(-9, (1.0,)), (5, (1.0,))]
+    # within 1e-12 of mpmath, quietly (the worst here: 2.6e-14); 690 for
+    # n <= 1 and 650 for n = 2..4; n = -9 and 5 at x = 1
+    xs = (1e-30, 1e-6, 0.09, 0.55, 3.0, 300.0)
+    cases = ([(n, xs + (_DERIVS_X_MAX,)) for n in range(-8, 2)]
+             + [(n, xs + (650.0,)) for n in range(2, 5)]
+             + [(-9, (1.0,)), (5, (1.0,))])
     for n, xs in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _ktilde_derivs(n, np.array(xs))
         for i, x in enumerate(xs):
-            tol = 1e-12 if x <= 300 else 1e-10
             for g, want in zip(got, _mp_ktilde_derivs(n, x)):
-                assert abs(g[i] - want) <= tol * abs(want), (n, x)
+                assert abs(g[i] - want) <= 1e-12 * abs(want), (n, x)

@@ -319,12 +319,27 @@ def test_suite_config_rejects_bad_parity_and_empty_lists(kwargs):
 
 
 def test_cli_rho_supported_range_passes():
-    # |rho| in [0.2, 2] holds the mellin_ratio calibration at every R in
-    # [0.4, 4], first in the list or not; outside it the calibration check
-    # can fail (rho = 0.1 at the default R), so such rho are refused with
-    # exit 2 (test above)
+    # |rho| in [0.2, 2] and R in [0.4, 4] hold the mellin_ratio end-to-end
+    # checks' 5e-5 (worst 1.21e-5, at rho = 2, R = 4); they miss it from
+    # |rho| = 0.025 and 2.84, R = 0.217 and 4.68 outward, so values
+    # outside the ranges are refused with exit 2 (test above)
     assert main(["mellin_ratio"]) == 0
     assert main(["mellin_ratio", "--rho=-0.2,2", "--R", "0.4,4"]) == 0
+
+
+def test_cli_ratio_checks_do_not_depend_on_list_order(tmp_path):
+    # each ratio.e2e check compares its own ray-table ratio with the
+    # reference, so permuting --rho and --R moves none of their values
+    # (ratio.e2e_calibration is left out: its parameters name the first pair)
+    computed = []
+    for rho, R in (("0.3,0.7,1,2", "0.5,1,2"), ("2,1,0.7,0.3", "2,0.5,1")):
+        out = tmp_path / "r.json"
+        assert main(["mellin_ratio", "--rho", rho, "--R", R, "--format",
+                     "json", "--out", str(out), "--no-wall-time"]) == 0
+        computed.append({c["check_id"]: c["computed"]
+                         for c in json.loads(out.read_text())["checks"]
+                         if c["check_id"].startswith("ratio.e2e.")})
+    assert len(computed[0]) == 24 and computed[0] == computed[1]
 
 
 @pytest.mark.parametrize("suite", ["bessel", "fourier", "corollary", "lemma",

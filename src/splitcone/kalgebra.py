@@ -151,15 +151,6 @@ class KBasisElement(NamedTuple):
     def in_l2_lattice(self):
         return self.n <= min(self.l, self.k)
 
-    def evaluate(self, r, th1, th2):
-        """Function value at cone chart points (vectorized)."""
-        r = np.asarray(r, dtype=float)
-        return (
-            r ** (self.l + self.k)
-            * special.ktilde(self.n, 2.0 * r)
-            * np.exp(1j * (self.a * np.asarray(th1) + self.b * np.asarray(th2)))
-        )
-
 
 class KVector:
     """Immutable finite combination of basis elements with exact coefficients."""
@@ -208,12 +199,13 @@ class KVector:
         return "KVector(" + " + ".join(bits) + ")"
 
     def evaluate(self, r, th1, th2):
-        """Sum of the terms' values: one Kt call for all orders, one array
-        expression for all terms, summed along the term axis in order.  Each
-        Kt row is bit for bit the single-order `special.ktilde`; r^(|a|+|b|)
-        is numpy's power with an array of exponents, which on some points
-        differs in the last bit from the scalar power of
-        KBasisElement.evaluate."""
+        """Sum of the terms' values at cone chart points, each term's
+        function as in the module docstring; the one basis evaluator.  One
+        Kt call for all orders, one array expression for all terms, summed
+        along the term axis in order.  Each Kt row is bit for bit the
+        single-order `special.ktilde`; r^(|a|+|b|) is numpy's power with an
+        array of exponents, so a one-term vector and the same term inside a
+        longer one can differ in the last bit."""
         r = np.asarray(r, dtype=float)
         shape = np.broadcast(r, th1, th2).shape
         if not self.terms:

@@ -10,8 +10,9 @@ The ratio M Pl / M FC must equal `reference_ratio`, R^(-2+2i rho)
 odd parity.  It is computed two ways:
 
   * `closed_form_ratio`: the per-theta Mellin images of the two ray chains
-    are explicit Gamma-function expressions, whose ratio must not depend
-    on theta.
+    are explicit Gamma-function expressions, taken at theta = 0.  That
+    their ratio does not depend on theta is a check of its own
+    (`ratio.theta_independent.e*` in the `mellin_ratio` suite).
   * `RayTable.ratio`: both operators are applied on the ray s -> s xi0
     at the nodes of a rule on s in [1e-3, 400] and transformed by it.
     The `mellin_ratio` suite compares each such ratio to the reference on
@@ -237,18 +238,12 @@ def _check_rho_R(rho, R):
         raise ValueError("rho must be finite and nonzero, R finite and positive")
 
 
-_THETAS = (0.0, 0.5, 1.5)  # the angles closed_form_ratio compares
-
-
 def closed_form_ratio(rho, R, parity_eps):
-    """M Pl / M FC from the per-theta Gamma expressions; raises
-    ArithmeticError unless it is the same at every angle of _THETAS."""
+    """M Pl / M FC from the per-theta Gamma expressions at theta = 0 (the
+    ratio does not depend on theta; the module docstring names the check)."""
     _check_rho_R(rho, R)
-    vals = [m_pl / m_fc for m_pl, m_fc in (
-        per_theta_mellin_closed_forms(rho, R, th, parity_eps) for th in _THETAS)]
-    if max(abs(v - vals[0]) for v in vals) > 1e-11 * abs(vals[0]):
-        raise ArithmeticError("closed-form ratio is not theta-independent")
-    return vals[0]
+    m_pl, m_fc = per_theta_mellin_closed_forms(rho, R, 0.0, parity_eps)
+    return m_pl / m_fc
 
 
 # Tail terms (at 0, at infinity) of the ray values for the weight
@@ -268,18 +263,21 @@ _RAY_WINDOW = (1e-3, 400.0, 1.3)
 
 class RayTable:
     """Ray evaluations of both operators at the nodes of a log-s
-    `MellinRule`, for each parity and R given; `ratio` gives M Pl / M FC.
+    `MellinRule`, for each parity and R given; `ratio` gives M Pl / M FC
+    and `pl_sum` its numerator.
 
     The operators act on the test function of each parity at the base
     point (1, 0.7, 0.3), radial profile "sqrt_exponential".  The radial
     rows do not depend on the parity, so the "fc" rows are built once, and
     the "pl" rows of every R in one call (one J0 x grid).  The table keeps
-    the values, in `fc` (by parity) and `pl` (by parity and R); `ratio`
-    fits their tails with the terms of `_FC_ROW_TAILS` and `_PL_ROW_TAILS`:
-    both chains close like s^(-3/2), and the Psi0 ("fc") values open like
-    A + B log s, the Phi0+ ("pl") ones like a constant.  Over |rho| in
-    [0.2, 2] and R in [0.4, 4] the ratio is within 1.21e-5 of
-    `reference_ratio`, 2.6e-7 on the suite's default lists.
+    the values, in `fc` (by parity) and `pl` (by parity and R), and each
+    test function's angular constant C+ in `c_plus` (by parity), the factor
+    that the ratio divides out.  The Mellin sums fit the values' tails with
+    the terms of `_FC_ROW_TAILS` and `_PL_ROW_TAILS`: both chains close like
+    s^(-3/2), and the Psi0 ("fc") values open like A + B log s, the Phi0+
+    ("pl") ones like a constant.  Over |rho| in [0.2, 2] and R in [0.4, 4]
+    the ratio is within 1.21e-5 of `reference_ratio`, 2.6e-7 on the
+    suite's default lists.
     """
 
     def __init__(self, parities, R_list):
@@ -288,12 +286,19 @@ class RayTable:
         s, radial = self._fc_rule.s, "sqrt_exponential"
         fc_rows = ray_rows(radial, "fc", s)
         j0_rows, = ray_rows(radial, "pl", s, np.reshape(R_list, (-1, 1)))
-        self.fc, self.pl = {}, {}
+        self.fc, self.pl, self.c_plus = {}, {}, {}
         for e in parities:
             f = make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), e, radial)
+            self.c_plus[e] = f.c_plus
             self.fc[e] = ray_values(f, "fc", s, rows=fc_rows)
             for R, row in zip(R_list, j0_rows):
                 self.pl[e, R] = ray_values(f, "pl", s, R, [row])
+
+    def pl_sum(self, rho, R, parity_eps):
+        """M Pl(rho) at R for the parity, from the table's "pl" values."""
+        if (parity_eps, R) not in self.pl:
+            raise ValueError(f"ray table has no values at R = {R}")
+        return self._pl_rule(self.pl[parity_eps, R], rho).value
 
     def ratio(self, rho, R, parity_eps):
         """M Pl / M FC at (rho, R, parity) from the table's values.  For a
@@ -303,9 +308,6 @@ class RayTable:
             _check_rho_R(rho, each)
         if parity_eps not in self.fc:
             raise ValueError(f"ray table has no parity {parity_eps}")
-        for each in Rs:
-            if (parity_eps, each) not in self.pl:
-                raise ValueError(f"ray table has no values at R = {each}")
         fc = self._fc_rule(self.fc[parity_eps], rho).value
-        out = [self._pl_rule(self.pl[parity_eps, each], rho).value / fc for each in Rs]
+        out = [self.pl_sum(rho, each, parity_eps) / fc for each in Rs]
         return out if np.ndim(R) else out[0]

@@ -40,9 +40,11 @@ with a worst error/estimate of 0.42.
 Batches: `hyperbolic_oscillatory` broadcasts p, q and delta and returns
 the pair (H, error estimate) from one pass of the rule, each an array of
 the broadcast shape; scalar input returns a Python complex and a float,
-by the same code path.  The rule runs once per distinct (|p|, +-q, delta),
-found on one 24-byte key of the three floats' exact bits, so a conjugate
-pair or a repeated element costs one row and delta = -0.0 and 0.0 stay
+by the same code path.  Each element has the canonical row (|p|, +-q,
+delta), q's sign flipped with p's.  The rule runs once per distinct row,
+so always at p > 0, found on one 24-byte key of the three floats' exact
+bits, and the elements with p < 0 take its conjugate: a conjugate pair
+or a repeated element costs one row, and delta = -0.0 and 0.0 stay
 apart.  Rows are evaluated _BLOCK at a time, so a suite's batch (the
 `fourier` suite's is about 110 rows) is one block and memory stays flat
 for any batch; each row is summed in a fixed order on its own, so an
@@ -92,11 +94,9 @@ def _unbatch(values, shape):
 
 
 def _contour_rule(p, q, delta):
-    """(H, error estimate) for flat arrays of one shape, by the trapezoidal
-    rule on the contour of the module docstring.  A |g| of 0 or inf (p q
-    under- or overflowed) gives a NaN estimate."""
-    flip = p < 0.0
-    p, q = np.where(flip, -p, p), np.where(flip, -q, q)
+    """(H, error estimate) for flat arrays of one shape with p > 0, by the
+    trapezoidal rule on the contour of the module docstring.  A |g| of 0 or
+    inf (p q under- or overflowed) gives a NaN estimate."""
     k = np.arange(_N + 1)
     # t = 0 once and +-t twice; the coarse rule takes even k at step 2h
     fine = np.where(k == 0, 1.0, 2.0)
@@ -124,7 +124,7 @@ def _contour_rule(p, q, delta):
         scale = np.exp(1j * g)
         h = scale * step * total
         est = np.abs(scale) * step * (gap + 8.0 * _EPS * (1.0 + size) * mass)
-    return np.where(flip, np.conj(h), h), est
+    return h, est
 
 
 def hyperbolic_oscillatory(p, q, delta=0.0):
@@ -145,17 +145,16 @@ def hyperbolic_oscillatory(p, q, delta=0.0):
     if (delta < 0.0).any():
         raise ValueError("delta must be nonnegative")
     # H(p, q, delta) = conj H(-p, -q, delta): one rule pass for each exact
-    # bit pattern of (|p|, +-q, delta), on its first element, conjugated
-    # for the elements whose sign of p differs from that one's; a row's key
-    # is its 24 bytes, so -0.0 and 0.0 differ
+    # bit pattern of the canonical row (|p|, +-q, delta), conjugated where
+    # p < 0; a row's key is its 24 bytes, so -0.0 and 0.0 differ
     flip = p < 0.0
     rows = np.empty((len(p), 3))
     rows[:, 0], rows[:, 1], rows[:, 2] = np.abs(p), np.where(flip, -q, q), delta
     _, first, inverse = np.unique(rows.view(_ROW_KEY).ravel(),
                                   return_index=True, return_inverse=True)
-    h, est = _contour_rule(p[first], q[first], delta[first])
+    h, est = _contour_rule(*rows[first].T)
     h, est = h[inverse], est[inverse]
-    h = np.where(flip != flip[first][inverse], np.conj(h), h)
+    h = np.where(flip, np.conj(h), h)
     # a NaN estimate fails too
     if not (est <= _ERROR_BUDGET).all():
         raise QuadratureError(

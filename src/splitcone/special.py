@@ -5,10 +5,10 @@ J0, Y0 and K0 are thin wrappers over `scipy.special`: they check the
 domain (rejecting NaN), keep the Gamma poles an error, and return a Python
 float for scalar input.  K_n of every order comes from one table per call:
 scipy's K0 and K1, then the upward recurrence K_(m+1) = K_(m-1) + (2m/x) K_m
-(DLMF 10.29.1), which is stable for K as K grows with m.  Kt_n and its
-closed-form derivative read their rows from the same table.  Its values
-are pinned independently by the integral oracle (`bessel.kn_oracle`) and by
-the mpmath test of the K family.
+(DLMF 10.29.1), which is stable for K as K grows with m.  Kt_n of any
+set of orders reads its rows from the same table.  Its values are pinned
+independently by the integral oracle (`bessel.kn_oracle`) and by the
+mpmath test of the K family.
 
 The hyperbolic integral representations (sin/cos of u*cosh t, cos of
 u*sinh t, exp of -u*cosh t) are wired up in `oracles` as independent
@@ -28,7 +28,6 @@ __all__ = [
     "bessel_k0",
     "bessel_kn",
     "ktilde",
-    "ktilde_deriv_2r",
     "gamma_complex",
 ]
 
@@ -129,13 +128,6 @@ def ktilde(n, r):
             if not np.isfinite(rows[i]).all():
                 rows[i] = _ktilde(m, x, table)
     return rows
-
-
-def ktilde_deriv_2r(n, r):
-    """Closed form of d/dr Kt_n(2r), namely -2r Kt_{n+1}(2r)."""
-    r = _as_positive_array(r, "ktilde_deriv_2r")
-    n, x = int(n + 1), 2.0 * r
-    return -2.0 * r * _ktilde(n, x, _k_table(abs(n), x))
 
 
 def gamma_complex(z):

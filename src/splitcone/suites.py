@@ -217,7 +217,7 @@ def suite_bessel(cfg: SuiteConfig):
     h = 1e-5 * np.maximum(1.0, r)
     ns = (-2, 0, 1, 3)
     fd = (special.ktilde(ns, 2 * (r + h)) - special.ktilde(ns, 2 * (r - h))) / (2 * h)
-    cf = np.array([special.ktilde_deriv_2r(n, r) for n in ns])
+    cf = -2.0 * r * special.ktilde([n + 1 for n in ns], 2 * r)
     checks.append(make_check(
         "bessel.ktilde_derivative", "S4.K-deriv", {"h": "1e-5*max(1,r)"},
         np.max(np.abs(fd - cf) / np.maximum(np.abs(cf), 1e-300)), 0.0, 1e-6))
@@ -369,8 +369,7 @@ def suite_kernels(cfg: SuiteConfig):
         "delta_cone.odd_vanishes", "S2.delta-cone", {"psi": "odd"},
         abs(res.surface) + abs(res.volume), 0.0, 1e-8))
     away = lambda X: np.exp(-(X**2).sum(axis=-1)) * np.clip(
-        X[..., 0] ** 2 + X[..., 1] ** 2 - X[..., 2] ** 2 - X[..., 3] ** 2 - 1.0,
-        0.0, None) ** 2
+        norm(X) - 1.0, 0.0, None) ** 2
     res = kernels.delta_cone_apply(away)
     checks.append(make_check(
         "delta_cone.support_away", "S2.delta-cone", {"psi": "off-cone"},
@@ -609,8 +608,7 @@ def suite_operators(cfg: SuiteConfig):
     def one_bump(r, th1, th2):
         d2 = operators._torus_dist(th1, fexp.center[0]) ** 2 \
             + operators._torus_dist(th2, fexp.center[1]) ** 2
-        g = np.cos(th1 - base.theta1) - np.cos(th2 - base.theta2)
-        t = np.asarray(r) * g
+        t = np.asarray(r) * operators._pairing(base, th1, th2)
         bump = operators._bump(np.broadcast_to(d2, t.shape).copy(), 0.5)
         return bump * np.exp(-np.abs(t))
 
@@ -631,8 +629,9 @@ def suite_operators(cfg: SuiteConfig):
         lambda r, t1, t2: gauss.values(r, t1 - shift[0], t2 - shift[1]),
         gauss.decay,
     )
+    v0s = {}
     for name, op in (("fcstar", operators.op_FCstar), ("fc", operators.op_FC)):
-        v0 = op(gauss, ConePoint(0.9, 0.5, 1.2))
+        v0 = v0s[name] = op(gauss, ConePoint(0.9, 0.5, 1.2))
         v1 = op(gauss_rot, ConePoint(0.9, 0.5 + shift[0], 1.2 + shift[1]))
         checks.append(make_check(
             f"op_{name}.equivariance", "S3.operators", {"shift": str(shift)},
@@ -652,8 +651,9 @@ def suite_operators(cfg: SuiteConfig):
         "op_fc.scaling", "S3.operators", {"lambda": lam},
         v_scaled, v_plain / lam**2, 2e-6 * max(abs(v_plain), 1e-3)))
 
-    # self-consistency of the generic grid under refinement
-    v_coarse = operators.op_FCstar(gauss, ConePoint(0.9, 0.5, 1.2))
+    # self-consistency of the generic grid under refinement; the coarse
+    # value is the equivariance check's
+    v_coarse = v0s["fcstar"]
     v_fine = operators.op_FCstar(gauss, ConePoint(0.9, 0.5, 1.2), refine=1.6)
     checks.append(make_check(
         "op_fcstar.grid_refinement", "S3.operators", {},
@@ -702,13 +702,20 @@ def suite_mellin_ratio(cfg: SuiteConfig):
     # end-to-end grid: each ray-table ratio against its reference on its own
     table = mellin.RayTable(parities, cfg.R_list)
     rho0, R0 = cfg.rho_list[0], cfg.R_list[0]
+    # the calibration checks the factor that the ratio divides out: the Pl
+    # sum at (rho0, R0) is C+ times the per-theta image at theta = 0 times
+    # B(1 - i rho0, 1/2)/2, the integral of cosh^-(2 - 2i rho0) over [0, inf)
+    beta0 = (special.gamma_complex(1.0 - 1j * rho0) * math.sqrt(math.pi)
+             / special.gamma_complex(1.5 - 1j * rho0) / 2.0)
     for e in parities:
-        # one "fc" Mellin sum per rho, shared by the ratios at every R
-        rows = [table.ratio(rho, cfg.R_list, e) for rho in cfg.rho_list]
+        m_pl = mellin.per_theta_mellin_closed_forms(rho0, R0, 0.0, e)[0]
         checks.append(make_check(
             f"ratio.e2e_calibration.e{e}", "S6.ratio-e2e",
             {"rho0": rho0, "R0": R0, "eps": e},
-            rows[0][0] / mellin.reference_ratio(rho0, R0, e), 1.0, 5e-5, kind="rel"))
+            table.pl_sum(rho0, R0, e) / (table.c_plus[e] * m_pl * beta0), 1.0,
+            5e-5, kind="rel"))
+        # one "fc" Mellin sum per rho, shared by the ratios at every R
+        rows = [table.ratio(rho, cfg.R_list, e) for rho in cfg.rho_list]
         for rho, row in zip(cfg.rho_list, rows):
             for R, value in zip(cfg.R_list, row):
                 checks.append(make_check(

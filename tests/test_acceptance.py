@@ -121,7 +121,7 @@ def test_criterion_06_kbessel_algebra():
             h = 1e-5 * max(1.0, r)
             fd = (special.ktilde(n, 2 * (r + h))
                   - special.ktilde(n, 2 * (r - h))) / (2 * h)
-            cf = special.ktilde_deriv_2r(n, r)
+            cf = -2.0 * r * special.ktilde(n + 1, 2 * r)
             worst_d = max(worst_d, abs(fd - cf) / abs(cf))
     ok2 = worst_d < 1e-6
     _report("criterion 6 (K-Bessel recurrence and derivative)", ok1 and ok2,

@@ -76,7 +76,7 @@ def test_basis_evaluation_two_forms():
     r, t1, t2, pts = cone_points(12)
     for (n, a, b) in ((0, 2, -1), (-1, 0, 3), (1, 1, 1)):
         e = KBasisElement(n, a, b)
-        chart = e.evaluate(r, t1, t2)
+        chart = KVector({e: ONE_G}).evaluate(r, t1, t2)
         z1 = pts[:, 0] + 1j * e.s1 * pts[:, 1]
         z2 = pts[:, 2] + 1j * e.s2 * pts[:, 3]
         direct = special.ktilde(n, 2 * r) * z1**e.l * z2**e.k
@@ -305,7 +305,7 @@ def test_kvector_evaluate_is_the_sum_of_its_terms_bitwise(raw):
     r, t1, t2, _ = cone_points(7, seed=3)
     acc = np.zeros(r.shape, dtype=complex)
     for key, c in v.terms.items():
-        acc = acc + complex(c) * key.evaluate(r, t1, t2)
+        acc = acc + complex(c) * KVector({key: ONE_G}).evaluate(r, t1, t2)
     assert v.evaluate(r, t1, t2).tolist() == acc.tolist()
 
 

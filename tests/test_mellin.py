@@ -265,17 +265,19 @@ def test_ray_table_mellin_sums_match_their_closed_forms():
     # [0, inf); measured, "fc" 3.4e-7 on both grids, "pl" 3.7e-8 on the
     # suite's default grid and 1.2e-5 at the corners (R = 4)
     table = RayTable((0, 1), [0.4, 0.5, 1.0, 2.0, 4.0])
+    for e in (0, 1):
+        assert table.c_plus[e] == make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), e).c_plus
     for rhos, Rs, pl_tol in (((0.3, 0.7, 1.0, 2.0), (0.5, 1.0, 2.0), 1e-7),
                              ((0.2, -0.2, 2.0, -2.0), (0.4, 4.0), 5e-5)):
         for e in (0, 1):
-            c_plus = make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), e).c_plus
+            c_plus = table.c_plus[e]
             for rho in rhos:
                 beta = (gamma_complex(1.0 - 1j * rho) * math.sqrt(math.pi)
                         / gamma_complex(1.5 - 1j * rho) / 2.0)
                 fc = table._fc_rule(table.fc[e], rho).value
                 for R in Rs:
                     m_pl, m_fc = per_theta_mellin_closed_forms(rho, R, 0.0, e)
-                    pl = table._pl_rule(table.pl[e, R], rho).value
+                    pl = table.pl_sum(rho, R, e)
                     assert abs(fc / (c_plus * m_fc * beta) - 1.0) < 1e-6
                     assert abs(pl / (c_plus * m_pl * beta) - 1.0) < pl_tol
 

@@ -138,6 +138,25 @@ def test_h_conjugate_pairs_and_duplicates_match_lone_calls(monkeypatch):
     assert rows == [6, 6]
 
 
+def test_contour_rule_sees_only_canonical_rows(monkeypatch):
+    # H(p, q, delta) = conj H(-p, -q, delta) is applied once, by
+    # hyperbolic_oscillatory: the rule gets each distinct row with p > 0,
+    # also where a row's first element has p < 0
+    seen = []
+    rule = quadrature._contour_rule
+
+    def record(p, q, delta):
+        seen.append(p.copy())
+        return rule(p, q, delta)
+
+    monkeypatch.setattr(quadrature, "_contour_rule", record)
+    p = np.array([-0.8, 0.8, -1.3, 2.0, -2.0])
+    q = np.array([-0.5, 0.5, 2.1, -0.3, 0.7])
+    value, _ = hyperbolic_oscillatory(p, q, 0.1)
+    assert len(seen) == 1 and len(seen[0]) == 4 and (seen[0] > 0.0).all()
+    assert value[0] == np.conj(value[1])
+
+
 def test_h_batch_of_several_blocks_matches_lone_calls():
     # 320 distinct rows, more than one block, with every sign branch,
     # damped and undamped, |g| from about 0.04 to 130: each element is
@@ -259,8 +278,9 @@ def test_h_strongly_damped_against_hankel():
 
 def test_ft_regularized_carries_the_estimate_of_its_h_pass(monkeypatch):
     # the fourier suite's batch of 218 transforms at seed 2024: value and
-    # estimate are -1/4 and 1/4 of one contour pass on the (p, q) that
-    # ft_regularized hands to H, byte for byte
+    # estimate are -1/4 and 1/4 of one contour pass on the canonical rows
+    # (|p|, +-q) of the (p, q) that ft_regularized hands to H, conjugated
+    # where p < 0, byte for byte
     from splitcone import kernels
     from splitcone.suites import SuiteConfig, suite_fourier
 
@@ -281,6 +301,9 @@ def test_ft_regularized_carries_the_estimate_of_its_h_pass(monkeypatch):
     assert len(inputs) == len(results) == 1
     (p, q, delta), res = inputs[0], results[0]
     assert delta == 0.0 and res.value.shape == (218,)
-    value, est = quadrature._contour_rule(p, q, np.zeros_like(p))
+    flip = p < 0.0
+    value, est = quadrature._contour_rule(
+        np.abs(p), np.where(flip, -q, q), np.zeros_like(p))
+    value = np.where(flip, np.conj(value), value)
     assert res.value.tobytes() == (-0.25 * value).tobytes()
     assert res.error_estimate.tobytes() == (0.25 * est).tobytes()

@@ -385,3 +385,18 @@ def test_console_entry_point():
          "text"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "summary:" in proc.stdout
+
+
+def test_every_exported_name_exists():
+    import importlib
+    import pkgutil
+
+    import splitcone
+
+    modules = [importlib.import_module(f"splitcone.{m.name}")
+               for m in pkgutil.iter_modules(splitcone.__path__)]
+    exported = [(mod, name) for mod in modules
+                for name in getattr(mod, "__all__", ())]
+    assert len(exported) > 50
+    assert [f"{mod.__name__}.{name}" for mod, name in exported
+            if not hasattr(mod, name)] == []

@@ -64,7 +64,8 @@ def test_ktilde_negative_orders_at_tiny_x():
         warnings.simplefilter("error")
         rows = special.ktilde(orders, xs)
         singles = [[special.ktilde(n, x) for x in xs] for n in orders]
-        derivs = [special.ktilde_deriv_2r(n - 1, x / 2) for n in orders for x in xs]
+        # d/dr Kt_(n-1)(2r) = -2r Kt_n(2r) at r = x/2
+        derivs = [-2.0 * r * special.ktilde(n, 2.0 * r) for n in orders for r in xs / 2]
     assert rows.tolist() == singles
     with mpmath.workdps(30):
         want = np.array([[float(2**n * mpmath.mpf(x) ** -n * mpmath.besselk(-n, x))
@@ -143,9 +144,10 @@ def test_domain_rejections():
         special.bessel_kn(2, np.array([1.0, math.nan]))
     for bad in (math.nan, 0.0, -1.0):
         arr = np.array([0.5, bad, 2.0])
-        for fn in (special.ktilde, special.ktilde_deriv_2r):
-            with pytest.raises(ValueError):
-                fn(1, arr)
+        with pytest.raises(ValueError):
+            special.ktilde(1, arr)
+        with pytest.raises(ValueError):  # in -2r Kt_2(2r) = d/dr Kt_1(2r)
+            special.ktilde(2, 2 * arr)
         with pytest.raises(ValueError):
             special.ktilde([0, 1], arr)
 
@@ -217,8 +219,8 @@ def test_ktilde_recurrence_and_derivative():
         for r in (0.4, 1.3):
             h = 1e-5 * max(1.0, r)
             fd = (special.ktilde(n, 2 * (r + h)) - special.ktilde(n, 2 * (r - h))) / (2 * h)
-            assert abs(fd - special.ktilde_deriv_2r(n, r)) < 1e-6 * abs(
-                special.ktilde_deriv_2r(n, r))
+            cf = -2.0 * r * special.ktilde(n + 1, 2 * r)
+            assert abs(fd - cf) < 1e-6 * abs(cf)
 
 
 def test_ktilde_iterated_relation():
@@ -273,7 +275,7 @@ def test_bessel_suite_array_forms_equal_scalar_loops():
         for r in (0.3, 1.0, 2.0):
             h = 1e-5 * max(1.0, r)
             fd = (special.ktilde(n, 2 * (r + h)) - special.ktilde(n, 2 * (r - h))) / (2 * h)
-            cf = special.ktilde_deriv_2r(n, r)
+            cf = -2.0 * r * special.ktilde(n + 1, 2 * r)
             worst = max(worst, abs(fd - cf) / max(abs(cf), 1e-300))
     assert got["bessel.ktilde_derivative"] == worst
     worst = 0.0

@@ -37,13 +37,12 @@ from scipy.special import hankel1e, hankel2e, kve
 
 from . import special
 from .geometry import ConePoint, cone_embed, pair
-from .numerics import gauss_legendre, panel_nodes
+from .numerics import Estimate, gauss_legendre, panel_nodes
 from .quadrature import hyperbolic_oscillatory
 
 __all__ = [
     "psi0",
     "phi0_plus",
-    "FtResult",
     "ft_regularized",
     "ft_closed_form",
     "corollary_kernels",
@@ -94,12 +93,6 @@ def phi0_plus(t):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class FtResult:
-    value: complex
-    error_estimate: float
-
-
 def _polar_radii(xi):
     """(r1, r2) of a ConePoint or stacked (..., 4) arrays."""
     if isinstance(xi, ConePoint):
@@ -125,11 +118,10 @@ def ft_regularized(R, xi, sign_R2, sign_eps):
 
     R, the signs and xi (a ConePoint, or one or stacked (..., 4)
     coordinates) broadcast: a batch of transforms is one H call, and each
-    value is bit for bit what it would be alone.  Returns an FtResult
-    carrying the error estimate of the same H pass (the gap to its half
-    rule plus rounding), as arrays for a batch; non-convergence anywhere
-    in the batch raises QuadratureError instead of returning a silent
-    value.
+    value is bit for bit what it would be alone.  Returns an `Estimate`
+    whose estimate is that of the same H pass (the gap to its half rule
+    plus rounding), as arrays for a batch; non-convergence anywhere in the
+    batch raises QuadratureError instead of returning a silent value.
     """
     _check_signs(sign_R2, sign_eps)
     _check_radius(R)
@@ -143,7 +135,7 @@ def ft_regularized(R, xi, sign_R2, sign_eps):
     eta = -np.copysign(1.0, b) * sign_eps
     p, q = a * eta, -b * eta * sign_R2 * R * R
     h, est = hyperbolic_oscillatory(p, q, 0.0)
-    return FtResult(-0.25 * h, 0.25 * est)
+    return Estimate(-0.25 * h, 0.25 * est)
 
 
 def ft_closed_form(R, q, sign_R2, sign_eps):
@@ -272,11 +264,6 @@ class DeltaResult:
     surface: complex
     volume: complex
     volume_error: float
-
-    @property
-    def rel_difference(self):
-        scale = max(abs(self.surface), abs(self.volume), 1e-300)
-        return abs(self.surface - self.volume) / scale
 
 
 # Volume route: +-i eps rungs 0.2/2^k, k = 4..11; the fit to eps -> 0 takes

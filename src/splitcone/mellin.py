@@ -22,20 +22,17 @@ odd parity.  It is computed two ways:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import ConePoint
-from .numerics import panel_nodes
+from .numerics import Estimate, panel_nodes
 from .operators import make_f_xi_eps, ray_rows, ray_values
 from .special import gamma_complex
 
 __all__ = [
-    "MellinResult",
     "MellinRule",
     "mellin",
-    "mellin_power_tail",
     "gr_2667_integrals",
     "per_theta_mellin_closed_forms",
     "closed_form_ratio",
@@ -45,13 +42,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MellinResult:
-    rho: float
-    value: complex
-    error_estimate: float
-
-
 class MellinRule:
     """M f(rho) from the values of f at the rule's nodes `s`: one row of
     values, or a 2-D array of rows, each transformed.
@@ -59,12 +49,14 @@ class MellinRule:
     Inside [s_lo, s_hi]: Gauss-Legendre of order 8 on equal panels in
     log s, at most `step` long.  Beyond each edge f is a sum of the tail
     terms `lower` (at 0) or `upper` (at infinity), a number p standing for
-    s^p and a pair (p, 1) for s^p log s.  Their coefficients are fitted by
-    least squares on the edge panel's nodes and their tails added by
-    `mellin_power_tail`.  A call gives a `MellinResult` whose estimate is
+    s^p and a pair (p, 1) for s^p log s.  Their coefficients c are fitted
+    by least squares on the edge panel's nodes.  With mu = p + 1 - i rho a
+    term's tail is c e^mu / mu at the edge e, times (log e - 1/mu) for a
+    log term, negated above.  A call gives an `Estimate` whose estimate is
     the last fitted term of each tail.  Supported: 0 < s_lo < s_hi < inf,
-    0 < step < inf and a finite rho; ValueError otherwise, as for a term
-    whose tail diverges.
+    0 < step < inf, tail terms of log power 0 or 1 whose tails converge
+    (p + 1 > 0 below, p + 1 < 0 above, for every rho) and a finite rho;
+    ValueError otherwise.
     """
 
     def __init__(self, lower, upper, s_lo, s_hi, step):
@@ -75,18 +67,24 @@ class MellinRule:
         breaks = np.linspace(x_lo, x_hi, math.ceil((x_hi - x_lo) / step) + 1)
         self._x, self._w = panel_nodes(breaks, 8)
         self.s = np.exp(self._x)
-        # (side, edge, [(p, k)], edge nodes, least-squares map to the coefficients)
+        # (sign, edge, [(p, k)], edge nodes, least-squares map to the
+        # coefficients); the sign is -1 above, where a tail is negated
         self._tails = []
-        for side, edge, terms, idx in (("lower", s_lo, lower, slice(0, 8)),
-                                       ("upper", s_hi, upper, slice(-8, None))):
+        for sign, edge, terms, idx in ((1.0, s_lo, lower, slice(0, 8)),
+                                       (-1.0, s_hi, upper, slice(-8, None))):
             terms = [t if isinstance(t, tuple) else (t, 0) for t in terms]
+            for p, k in terms:
+                if k not in (0, 1):
+                    raise ValueError("a tail term has log power 0 or 1")
+                if not sign * (p + 1.0) > 0.0:
+                    raise ValueError(f"the tail of s^{p} past {edge} diverges")
             if terms:
                 s = self.s[idx]
                 A = np.array([s**p * np.log(s) if k else s**p for p, k in terms])
                 scale = np.abs(A).max(axis=1, keepdims=True)
                 u, sv, vt = np.linalg.svd((A / scale).T, full_matrices=False)
                 fit = (vt.T / sv) @ u.T / scale
-                self._tails.append((side, edge, terms, idx, fit))
+                self._tails.append((sign, edge, terms, idx, fit))
 
     def __call__(self, values, rho):
         if not math.isfinite(rho):
@@ -94,12 +92,18 @@ class MellinRule:
         values = np.asarray(values, dtype=complex)
         total = values * np.exp((1.0 - 1j * rho) * self._x) @ self._w
         last = 0.0
-        for side, edge, terms, idx, fit in self._tails:
-            tails = [mellin_power_tail(c, p, rho, edge, side, k)
-                     for c, (p, k) in zip(fit @ values[..., idx].T, terms)]
+        for sign, edge, terms, idx, fit in self._tails:
+            tails = []
+            for c, (p, k) in zip(fit @ values[..., idx].T, terms):
+                # the exponent of s in f(s) s^(1-i rho)/s ds, integrated
+                mu = p + 1.0 - 1j * rho
+                tail = c * edge**mu / mu
+                if k:
+                    tail *= math.log(edge) - 1.0 / mu
+                tails.append(tail if sign > 0.0 else -tail)
             total = total + sum(tails)
             last = last + abs(tails[-1])
-        return MellinResult(float(rho), total, last)
+        return Estimate(total, last)
 
 
 def mellin(f, rho, lower, upper):
@@ -108,32 +112,8 @@ def mellin(f, rho, lower, upper):
     rule's own the gap to the same rule at 1.3, half the resolution."""
     full, half = (rule(f(rule.s), rho) for rule in (
         MellinRule(lower, upper, 1e-6, 1e6, step) for step in (0.65, 1.3)))
-    return MellinResult(full.rho, full.value,
-                        abs(full.value - half.value) + full.error_estimate)
-
-
-def mellin_power_tail(coeff, power, rho, s_edge, side, logs=0):
-    """Closed-form M-contribution of coeff * s^power (log s)^logs beyond a
-    window edge: int_0^s_edge (side="lower") or int_s_edge^inf ("upper").
-
-    With mu = power + 1 - i rho it is +-coeff s_edge^mu / mu, times
-    (log s_edge - 1/mu) for logs = 1.  Supported: logs 0 or 1, a finite
-    s_edge > 0 and a tail that converges, Re mu > 0 below and Re mu < 0
-    above; ValueError otherwise (a divergent tail has no value to return).
-    """
-    if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', not {side!r}")
-    if logs not in (0, 1):
-        raise ValueError("a tail term has log power 0 or 1")
-    if not (math.isfinite(s_edge) and s_edge > 0.0):
-        raise ValueError("the window edge must be finite and positive")
-    mu = power + 1.0 - 1j * rho  # exponent of s in f(s) s^(1-i rho)/s ds
-    if not (mu.real > 0.0 if side == "lower" else mu.real < 0.0):
-        raise ValueError(f"the {side} tail of s^{power} diverges")
-    tail = coeff * s_edge**mu / mu
-    if logs:
-        tail *= math.log(s_edge) - 1.0 / mu
-    return tail if side == "lower" else -tail
+    return Estimate(full.value,
+                    abs(full.value - half.value) + full.error_estimate)
 
 
 def gr_2667_integrals(a, b):

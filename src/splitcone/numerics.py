@@ -1,5 +1,7 @@
-"""Shared numerical utilities: a reproducible RNG read in array blocks
-and panel-based Gauss-Legendre quadrature.
+"""Shared numerical utilities: a reproducible RNG read in array blocks,
+panel-based Gauss-Legendre quadrature, and `Estimate`, the (value, error
+estimate) pair that H (`quadrature`), `kernels.ft_regularized` and the
+Mellin rule return.
 
 Every routine here is deterministic for fixed inputs.  The package sums
 with numpy reductions in a fixed order (`np.add.reduce`, `np.dot`), so
@@ -8,10 +10,20 @@ results do not depend on worker count anywhere in it.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+class Estimate(NamedTuple):
+    """A value and the estimate of its error, each a number or an array of
+    the value's shape; a tuple, so `value, error_estimate = ...` unpacks."""
+
+    value: object
+    error_estimate: object
 
 
 class SplitMix64:

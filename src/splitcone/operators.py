@@ -134,8 +134,7 @@ class TestFunctionFxiEps:
     parity_eps: int
     width: float
     center: tuple
-    radial: str  # "sqrt_exponential" | "exponential"
-    decay: DecayCertificate
+    decay: DecayCertificate  # its kind is the radial profile m
     c_plus: float = field(compare=False)
     c_minus: float = field(compare=False)
     g_min: float = field(compare=False)
@@ -162,7 +161,7 @@ class TestFunctionFxiEps:
     def radial_part(self, t):
         """|t|^(-1/2) m(|t|) against the pairing value t."""
         a = np.abs(np.asarray(t, dtype=float))
-        if self.radial == "sqrt_exponential":
+        if self.decay.kind == "sqrt_exponential":
             return a**-0.5 * np.exp(-np.sqrt(a))
         return a**-0.5 * np.exp(-a)
 
@@ -248,7 +247,6 @@ def make_f_xi_eps(base_xi: ConePoint, parity_eps, radial="sqrt_exponential"):
         parity_eps=parity_eps,
         width=w,
         center=center,
-        radial=radial,
         decay=DecayCertificate(
             radial, math.sqrt(rate) if radial == "sqrt_exponential" else rate),
         c_plus=cp,
@@ -512,11 +510,11 @@ def op_PlHatPrime(f, R, xi: ConePoint):
 def ray_values(f: TestFunctionFxiEps, op, s_grid, R=None, rows=None):
     """Ray evaluations op(f)(s xi0) over a grid of s > 0 (complex array),
     op "fc" (F_C) or "pl" (Pl_R hat prime at R), from C+- and the radial
-    rows; rows, if given, are `ray_rows(f.radial, op, s_grid, R)`.  This is
-    the ray route; the `op_*` functions never take it."""
+    rows; rows, if given, are `ray_rows(f.decay.kind, op, s_grid, R)`.
+    This is the ray route; the `op_*` functions never take it."""
     _checked_s(op, s_grid, R)
     if rows is None:
-        rows = ray_rows(f.radial, op, s_grid, R)
+        rows = ray_rows(f.decay.kind, op, s_grid, R)
     r0 = f.base_xi.r
     if op == "fc":
         kk, yy = rows

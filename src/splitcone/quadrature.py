@@ -38,18 +38,18 @@ overflowed) raise; in between the estimate decides (the edge falls from
 with a worst error/estimate of 0.42.
 
 Batches: `hyperbolic_oscillatory` broadcasts p, q and delta and returns
-the pair (H, error estimate) from one pass of the rule, each an array of
-the broadcast shape; scalar input returns a Python complex and a float,
-by the same code path.  Each element has the canonical row (|p|, +-q,
-delta), q's sign flipped with p's.  The rule runs once per distinct row,
-so always at p > 0, found on one 24-byte key of the three floats' exact
-bits, and the elements with p < 0 take its conjugate: a conjugate pair
-or a repeated element costs one row, and delta = -0.0 and 0.0 stay
-apart.  Rows are evaluated _BLOCK at a time, so a suite's batch (the
-`fourier` suite's is about 110 rows) is one block and memory stays flat
-for any batch; each row is summed in a fixed order on its own, so an
-element's value and estimate are bit for bit the same in any batch and
-block, and results do not depend on worker count.
+the `numerics.Estimate` (H, error estimate) from one pass of the rule,
+each an array of the broadcast shape; scalar input gives a Python
+complex and a float, by the same code path.  Each element has the
+canonical row (|p|, +-q, delta), q's sign flipped with p's.  The rule
+runs once per distinct row, so always at p > 0, found on one 24-byte key
+of the three floats' exact bits, and the elements with p < 0 take its
+conjugate: a conjugate pair or a repeated element costs one row, and
+delta = -0.0 and 0.0 stay apart.  Rows are evaluated _BLOCK at a time,
+so a suite's batch (the `fourier` suite's is about 110 rows) is one
+block and memory stays flat for any batch; each row is summed in a fixed
+order on its own, so an element's value and estimate are bit for bit the
+same in any batch and block, and results do not depend on worker count.
 
 The settings are module constants read at call time: the rule's _N, its
 decay cut-off _CUT, its _ERROR_BUDGET and the _BLOCK size.  One element
@@ -61,6 +61,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .numerics import Estimate
 
 __all__ = ["QuadratureError", "hyperbolic_oscillatory"]
 
@@ -128,8 +130,8 @@ def _contour_rule(p, q, delta):
 
 
 def hyperbolic_oscillatory(p, q, delta=0.0):
-    """(H(p, q, delta), error estimate), H as defined in the module
-    docstring.  p*q != 0.
+    """Estimate(H(p, q, delta), error estimate), H as defined in the
+    module docstring.  p*q != 0.
 
     p, q and delta broadcast; both parts have the broadcast shape, or are
     a Python complex and a float for scalar input.  The estimate is the
@@ -160,4 +162,4 @@ def hyperbolic_oscillatory(p, q, delta=0.0):
         raise QuadratureError(
             f"hyperbolic_oscillatory error estimate {est.max():.2e} above budget"
         )
-    return _unbatch(h, shape), _unbatch(est, shape)
+    return Estimate(_unbatch(h, shape), _unbatch(est, shape))

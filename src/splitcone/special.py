@@ -103,19 +103,17 @@ def ktilde(n, r):
     the unique convention under which the three-term recurrence
     r^2 Kt_{n+1}(2r) = n Kt_n(2r) + Kt_{n-1}(2r) holds across n = 0.
 
-    A sequence of orders gives one row per order, each bit for bit the
-    single-order value: one K table, its rows stacked once and scaled by
-    2^n x^-n in one product.  Each x^-n stays a power with a scalar
-    exponent (numpy's array-exponent power differs in the last bit from
-    its scalar paths for exponents 2 and -1); a row that is not finite is
-    recomputed by the single-order rule, with its warnings.
+    A sequence of orders gives one row per order, a single order its one
+    row: one K table, its rows stacked once and scaled by 2^n x^-n in one
+    product.  Each x^-n stays a power with a scalar exponent (numpy's
+    array-exponent power differs in the last bit from its scalar paths for
+    exponents 2 and -1), so a row does not depend on the other orders
+    asked for; a row that is not finite is recomputed by `_ktilde`, with
+    its warnings.
     """
     x = _as_positive_array(r, "ktilde")
-    try:
-        ns = [int(m) for m in n]
-    except TypeError:  # a single order
-        n = int(n)
-        return _ktilde(n, x, _k_table(abs(n), x))
+    many = np.iterable(n)
+    ns = [int(m) for m in n] if many else [int(n)]
     table = _k_table(max(abs(m) for m in ns), x)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.array([2.0**m for m in ns]).reshape(
@@ -127,7 +125,7 @@ def ktilde(n, r):
         for i, m in enumerate(ns):
             if not np.isfinite(rows[i]).all():
                 rows[i] = _ktilde(m, x, table)
-    return rows
+    return rows if many else rows[0]
 
 
 def gamma_complex(z):

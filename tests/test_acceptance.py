@@ -160,7 +160,8 @@ def test_criterion_09_delta_two_routes():
     worst = 0.0
     for name, psi in _gaussian_family().items():
         res = kernels.delta_cone_apply(psi)
-        worst = max(worst, res.rel_difference)
+        scale = max(abs(res.surface), abs(res.volume), 1e-300)
+        worst = max(worst, abs(res.surface - res.volume) / scale)
     _report("criterion 9 (delta functional two-route, 5 Gaussians)",
             worst < 1e-5, f"worst rel {worst:.2e} (<1e-5), {time.time()-t0:.0f}s")
 

@@ -15,7 +15,6 @@ from splitcone.mellin import (
     gamma_chain_identities,
     gr_2667_integrals,
     mellin,
-    mellin_power_tail,
     per_theta_mellin_closed_forms,
     reference_ratio,
 )
@@ -104,7 +103,6 @@ def test_mellin_rule_matches_mellin_bitwise():
             assert np.array_equal(got.value, full.value)
             assert np.array_equal(
                 got.error_estimate, abs(full.value - half.value) + full.error_estimate)
-            assert got.rho == full.rho == rho
 
 
 @pytest.mark.parametrize("kind", ["pl", "fc"])
@@ -139,47 +137,30 @@ def test_mellin_rational():
 
 
 def test_mellin_power_tail():
-    # int_0^e c s^p s^-i rho ds against direct quadrature
-    rho, p, c, e = 0.7, 0.5, 2.0, 0.1
-    tail = mellin_power_tail(c, p, rho, e, "lower")
-    s = np.linspace(1e-9, e, 400000)
-    ref = np.trapezoid(c * s**p * s ** (-1j * rho), s)
-    assert abs(tail - ref) < 1e-5 * abs(ref)
-    # int_400^inf c s^-2.5 s^-i rho ds
-    ref = complex(mpmath.quad(lambda t: c * t ** (-2.5 - 1j * rho),
-                              [400, mpmath.inf]))
-    tail = mellin_power_tail(c, -2.5, rho, 400.0, "upper")
-    assert abs(tail - ref) < 1e-12 * abs(ref)
-    # the terms s^p log s, on both sides
-    for p, edge, side, span in ((0.0, 1e-3, "lower", [0, 1e-3]),
-                                (1.0, 1e-3, "lower", [0, 1e-3]),
-                                (-2.0, 400.0, "upper", [400, mpmath.inf])):
-        ref = complex(mpmath.quad(
-            lambda t: c * t ** (p - 1j * rho) * mpmath.log(t), span))
-        tail = mellin_power_tail(c, p, rho, edge, side, 1)
-        assert abs(tail - ref) < 1e-13 * abs(ref)
+    # a rule whose one tail term is the integrand c s^p (log s)^k: its sum
+    # is int c s^(p - i rho) (log s)^k ds over the window and that tail
+    rho, c, lo, hi = 0.7, 2.0, 1e-3, 400.0
+    for term, below in ((0.5, True), (-2.5, False), ((0.0, 1), True),
+                        ((1.0, 1), True), ((-2.0, 1), False)):
+        p, k = term if isinstance(term, tuple) else (term, 0)
+        rule = MellinRule([term] if below else [], [] if below else [term],
+                          lo, hi, 1.3)
+        got = rule(c * rule.s**p * np.log(rule.s)**k, rho).value
+        with mpmath.workdps(30):
+            ref = complex(mpmath.quad(
+                lambda t: c * t ** (p - 1j * rho) * mpmath.log(t)**k,
+                [0, lo, 1, hi] if below else [lo, 1, hi, mpmath.inf]))
+        assert abs(got - ref) < 1e-13 * abs(ref), term
 
 
 def test_mellin_power_tail_rejects_what_it_cannot_give():
-    for side in ("uper", "Lower", "", None):
+    # divergent tails (p + 1 <= 0 below, >= 0 above, for every rho) and log
+    # powers other than 0 and 1 fail when the rule is built
+    for lower, upper in (([-1.0], []), ([], [-1.0]), ([-1.5], []),
+                         ([], [0.5]), ([math.nan], []), ([], [math.nan]),
+                         ([(0.0, 2)], []), ([], [(-2.0, -1)])):
         with pytest.raises(ValueError):
-            mellin_power_tail(1.0, -2.0, 0.7, 400.0, side)
-    for logs in (-1, 2, 0.5):
-        with pytest.raises(ValueError):
-            mellin_power_tail(1.0, -2.0, 0.7, 400.0, "upper", logs)
-    # powers whose tails converge on that side, so only the edge is wrong
-    for power, side in ((-0.5, "lower"), (-2.5, "upper")):
-        for edge in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                mellin_power_tail(1.0, power, 0.7, edge, side)
-    # divergent tails: Re mu = power + 1 >= 0 above, <= 0 below
-    for power, rho, side, edge in (
-            (0.5, 0.7, "upper", 400.0), (-1.0, 0.7, "upper", 400.0),
-            (-1.0, 0.0, "upper", 400.0), (math.nan, 0.7, "upper", 400.0),
-            (-1.0, 0.0, "lower", 1e-3), (-1.0, 0.7, "lower", 1e-3),
-            (-1.5, 0.7, "lower", 1e-3), (math.nan, 0.7, "lower", 1e-3)):
-        with pytest.raises(ValueError):
-            mellin_power_tail(1.0, power, rho, edge, side)
+            MellinRule(lower, upper, 1e-3, 400.0, 1.3)
 
 
 def test_gr_2667():

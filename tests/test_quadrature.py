@@ -307,3 +307,18 @@ def test_ft_regularized_carries_the_estimate_of_its_h_pass(monkeypatch):
     value = np.where(flip, np.conj(value), value)
     assert res.value.tobytes() == (-0.25 * value).tobytes()
     assert res.error_estimate.tobytes() == (0.25 * est).tobytes()
+
+
+def test_h_ft_and_mellin_return_one_estimate_type():
+    from splitcone.kernels import ft_regularized
+    from splitcone.mellin import MellinRule, mellin
+    from splitcone.numerics import Estimate
+
+    h = hyperbolic_oscillatory(0.8, -0.3)
+    value, est = h
+    assert (value, est) == (h.value, h.error_estimate) == (h[0], h[1])
+    rule = MellinRule((0, 1, 2), (), 1e-3, 400.0, 1.3)
+    for got in (h, ft_regularized(1.2, np.array([1.5, 0.0, 0.5, 0.0]), -1, 1),
+                rule(np.exp(-rule.s), 0.7),
+                mellin(lambda s: np.exp(-s), 0.7, (0, 1, 2), ())):
+        assert type(got) is Estimate

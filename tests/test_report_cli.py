@@ -154,7 +154,7 @@ def test_scale_tolerance_recomputes_pass():
 @pytest.mark.parametrize("seed", [2024, 7])
 def test_check_estimates_bound_their_errors(seed):
     # every check that carries its routine's estimate is within it: the
-    # fourier closed forms (FtResult) and the Mellin checks (MellinResult)
+    # fourier closed forms (ft_regularized's) and the Mellin checks (mellin's)
     carried = {}
     for suite in ("fourier", "mellin_ratio"):
         for c in cli.run(SuiteConfig(suite=suite, seed=seed)).checks:

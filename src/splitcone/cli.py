@@ -22,12 +22,9 @@ EXIT_NUMERIC = 3
 
 def _parse_float_list(text):
     try:
-        vals = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a float list: {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty list")
-    return vals
 
 
 def build_parser():
@@ -38,17 +35,19 @@ def build_parser():
     )
     p.add_argument("suite", choices=SUITE_NAMES + ("all",),
                    help="which suite to run")
-    p.add_argument("--rho", type=_parse_float_list, default=None,
-                   metavar="LIST", help="comma-separated spectral parameters")
-    p.add_argument("--R", type=_parse_float_list, default=None,
+    p.add_argument("--rho", type=_parse_float_list,
+                   default=SuiteConfig.rho_list, metavar="LIST",
+                   help="comma-separated spectral parameters")
+    p.add_argument("--R", type=_parse_float_list, default=SuiteConfig.R_list,
                    metavar="LIST", help="comma-separated radii")
-    p.add_argument("--eps-parity", choices=("0", "1", "both"), default="both")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--eps-parity", choices=("0", "1", "both"),
+                   default=SuiteConfig.eps_parity)
+    p.add_argument("--tol", type=float, default=SuiteConfig.tol_scale,
                    help="scale every tolerance by TOL (e.g. 1e-6 forces fails)")
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=int, default=SuiteConfig.seed)
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=SuiteConfig.workers)
     p.add_argument("--no-wall-time", action="store_true",
                    help="write wall_ms as 0 for byte-stable reports")
     return p
@@ -72,20 +71,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    kwargs = dict(
-        suite=args.suite,
-        eps_parity=args.eps_parity,
-        seed=args.seed,
-        workers=max(1, args.workers),
-    )
-    if args.rho is not None:
-        kwargs["rho_list"] = args.rho
-    if args.R is not None:
-        kwargs["R_list"] = args.R
-    if args.tol is not None:
-        kwargs["tol_scale"] = args.tol
     try:
-        cfg = SuiteConfig(**kwargs)
+        cfg = SuiteConfig(suite=args.suite, rho_list=args.rho, R_list=args.R,
+                          eps_parity=args.eps_parity, tol_scale=args.tol,
+                          seed=args.seed, workers=args.workers)
     except (TypeError, ValueError) as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE

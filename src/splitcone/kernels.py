@@ -1,5 +1,5 @@
 """Kernels Psi0 / Phi0+, the epsilon-regularized Fourier transforms of
-(N(X) +- R^2 +- i eps)^-2, their closed-form branch table, the cone/
+(N(X) +- R^2 +- i eps)^-2 and their closed form in those kernels, the cone/
 hyperboloid delta functionals, and the four oscillatory kernel identities.
 
 The production path for the regularized transform follows the exact
@@ -18,13 +18,19 @@ phase oscillatory integral:
              exp(-|b| eps / w) dw/w,
     a = (r1+r2)/2,  b = (r1-r2)/2,  eta = -sign(b) sign_eps.
 
-I(eps) is continuous at eps = 0 (H integrates the conditionally
-convergent ends on a contour where they decay), so the limit is the
-single undamped H call I(0).  An epsilon ladder is left only in the
-delta functionals' volume route, where a rung is a set of exact
-Lorentzian weights on one sampling of psi.  No Bessel identity enters this
-path, so agreement with the closed-form branch table is a genuine two-route
-check.
+One routine computes I(eps) as a single H call: `ft_bruteforce_damped`
+checks it at eps = 0.4, and `ft_regularized` takes it at eps = 0, where
+it is continuous (H integrates the conditionally convergent ends on a
+contour where they decay).  An epsilon ladder is left only in the delta
+functionals' volume route, where a rung is a set of exact Lorentzian
+weights on one sampling of psi.  No Bessel identity enters this path, so
+agreement with the closed form
+
+    F(+-i eps) = (pi/4) (Psi0(t) -+ i sign_R2 Phi0+(t)),
+    t = -sign_R2 <xi, xi> R^2 / 8,
+
+is a genuine two-route check; the sum and difference over the sign of eps
+are the paper's (pi/2) Psi0 and (pi i/2) Phi0+.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 from scipy.special import hankel1e, hankel2e, kve
 
 from . import special
-from .geometry import ConePoint, cone_embed, pair
+from .geometry import cone_embed, pair
 from .numerics import Estimate, gauss_legendre, panel_nodes
 from .quadrature import hyperbolic_oscillatory
 
@@ -94,9 +100,7 @@ def phi0_plus(t):
 
 
 def _polar_radii(xi):
-    """(r1, r2) of a ConePoint or stacked (..., 4) arrays."""
-    if isinstance(xi, ConePoint):
-        xi = cone_embed(xi)
+    """(r1, r2) of one or stacked (..., 4) coordinates."""
     arr = np.asarray(xi, dtype=float)
     return np.hypot(arr[..., 0], arr[..., 1]), np.hypot(arr[..., 2], arr[..., 3])
 
@@ -112,17 +116,9 @@ def _check_radius(R):
         raise ValueError("R must be positive and finite")
 
 
-def ft_regularized(R, xi, sign_R2, sign_eps):
-    """lim_{eps->0+} (1/4pi^2) int e^{i xi.X} (N(X) + sign_R2 R^2
-    + sign_eps i eps)^-2 dV, as the undamped reduced integral I(0).
-
-    R, the signs and xi (a ConePoint, or one or stacked (..., 4)
-    coordinates) broadcast: a batch of transforms is one H call, and each
-    value is bit for bit what it would be alone.  Returns an `Estimate`
-    whose estimate is that of the same H pass (the gap to its half rule
-    plus rounding), as arrays for a batch; non-convergence anywhere in the
-    batch raises QuadratureError instead of returning a silent value.
-    """
+def _reduced_transform(R, xi, sign_R2, sign_eps, eps):
+    """Estimate of the reduced integral I(eps) of the module docstring: one
+    H pass at the damping |b| eps, broadcast over R, xi and the signs."""
     _check_signs(sign_R2, sign_eps)
     _check_radius(R)
     r1, r2 = _polar_radii(xi)
@@ -134,42 +130,39 @@ def ft_regularized(R, xi, sign_R2, sign_eps):
     b = 0.5 * (r1 - r2)
     eta = -np.copysign(1.0, b) * sign_eps
     p, q = a * eta, -b * eta * sign_R2 * R * R
-    h, est = hyperbolic_oscillatory(p, q, 0.0)
+    h, est = hyperbolic_oscillatory(p, q, np.abs(b) * eps)
     return Estimate(-0.25 * h, 0.25 * est)
 
 
+def ft_regularized(R, xi, sign_R2, sign_eps):
+    """lim_{eps->0+} (1/4pi^2) int e^{i xi.X} (N(X) + sign_R2 R^2
+    + sign_eps i eps)^-2 dV, as the undamped reduced integral I(0).
+
+    R, the signs and xi (one or stacked (..., 4) off-cone coordinates)
+    broadcast: a batch of transforms is one H call, and each value is bit
+    for bit what it would be alone.  Returns an `Estimate` whose estimate
+    is that of the same H pass (the gap to its half rule plus rounding),
+    as arrays for a batch; non-convergence anywhere in the batch raises
+    QuadratureError instead of returning a silent value.
+    """
+    return _reduced_transform(R, xi, sign_R2, sign_eps, 0.0)
+
+
 def ft_closed_form(R, q, sign_R2, sign_eps):
-    """Closed-form branch table of the regularized transform.
+    """Closed form of the regularized transform at q = <xi, xi>:
 
-    sign_R2 = -1 (denominator N - R^2 +- i eps):
-        q > 0: (pi/4) Y0(R sqrt(q)) +- i (pi/4) J0(R sqrt(q))
-        q < 0: -(1/2) K0(R sqrt(-q))
-    sign_R2 = +1 (denominator N + R^2 +- i eps):
-        q > 0: -(1/2) K0(R sqrt(q))
-        q < 0: (pi/4) Y0(R sqrt(-q)) -+ i (pi/4) J0(R sqrt(-q))
+        (pi/4) (Psi0(t) - i sign_R2 sign_eps Phi0+(t)),  t = -sign_R2 q R^2/8,
 
-    R, q and both signs broadcast, each element bit for bit its scalar
-    value; scalar input gives a complex.  A bad value anywhere in the
-    batch raises ValueError.
+    that is (pi/4) (Y0 -+ i J0)(R sqrt|q|) where sign_R2 q < 0 and
+    -(1/2) K0(R sqrt|q|) where sign_R2 q > 0.  R, q and both signs
+    broadcast, each element bit for bit its scalar value; scalar input
+    gives a complex.  A bad value anywhere in the batch (q = 0 on the
+    cone among them) raises ValueError.
     """
     _check_signs(sign_R2, sign_eps)
     _check_radius(R)
-    q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("q must be finite")
-    if np.any(q == 0.0):
-        raise ValueError("closed form is singular on the cone q = 0")
-    R, q, sign_R2, sign_eps = np.broadcast_arrays(
-        np.asarray(R, dtype=float), q, sign_R2, sign_eps)
-    root = R * np.sqrt(np.abs(q))
-    # sign_R2 q < 0: the oscillatory Y0/J0 branch; otherwise the real K0 one
-    osc = sign_R2 * q < 0
-    out = np.zeros(root.shape, dtype=complex)
-    out.real[~osc] = -0.5 * special.bessel_k0(root[~osc])
-    out.real[osc] = 0.25 * math.pi * special.bessel_y0(root[osc])
-    out.imag[osc] = (-sign_R2[osc] * sign_eps[osc] * 0.25 * math.pi
-                     * special.bessel_j0(root[osc]))
-    return out if out.ndim else complex(out)
+    t = -0.125 * sign_R2 * np.asarray(q, dtype=float) * R * R
+    return 0.25 * math.pi * (psi0(t) - 1j * sign_R2 * sign_eps * phi0_plus(t))
 
 
 def corollary_kernels(R, xi, xi2):

@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .numerics import SplitMix64, gauss_legendre, unit_floats
 from .operators import DecayCertificate
-from .quadrature import hyperbolic_oscillatory
 from .report import make_check
 
 @dataclass(frozen=True)
@@ -63,13 +62,17 @@ class SuiteConfig:
         if not (math.isfinite(self.tol_scale) and self.tol_scale > 0):
             raise ValueError("tol scale must be positive and finite")
         # SplitMix64 keeps a seed's low 64 bits and truncates a fraction, so
-        # other seeds would repeat the checks of another while echoing their own
-        try:
-            operator.index(self.seed)
-        except TypeError:
-            raise ValueError("seed must be an integer") from None
+        # other seeds would repeat the checks of another while echoing their
+        # own; a worker count below 1 would be echoed but run as 1
+        for name in ("seed", "workers"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must lie in [0, 2^64)")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
     def parities(self):
         if self.eps_parity == "both":
@@ -383,10 +386,7 @@ def suite_kernels(cfg: SuiteConfig):
     xi = np.array([1.5, 0.0, 0.5, 0.0])
     for sR, se in ((-1, 1), (1, 1)):
         got = kernels.ft_bruteforce_damped(1.0, xi, sR, se, eps=0.4)
-        a, b = 1.0, 0.5
-        eta = -1.0 * se
-        ref = -0.25 * hyperbolic_oscillatory(
-            a * eta, -b * eta * sR, abs(b) * 0.4)[0]
+        ref = kernels._reduced_transform(1.0, xi, sR, se, 0.4).value
         checks.append(make_check(
             f"ft.reduction_oracle.sR{sR:+d}", "S5.eq-ft-reduction",
             {"eps": 0.4, "sign_R2": sR}, got, ref, 1e-12, kind="rel"))
@@ -422,7 +422,7 @@ def suite_fourier(cfg: SuiteConfig):
     for i, (R_i, q_i) in enumerate(zip(R.tolist(), q.tolist())):
         for signs in _FT_SIGN_IDS:
             ref = next(refs)
-            tol = max(1e-4 * abs(ref), 1e-5)
+            tol = 1e-13 * max(abs(ref), 1.0)
             checks.append(make_check(
                 f"ft.closed_form.{i:02d}{signs}", "S5.prop-ft", {"R": R_i, "q": q_i},
                 next(values), ref, tol, estimate=next(estimates)))
@@ -446,6 +446,7 @@ def suite_corollary(cfg: SuiteConfig):
     inners = pair(e[:, 0], e[:, 1])
     syms, antis = kernels.corollary_kernels(Rs, charts[:, 0], charts[:, 1])
     ref_syms = 0.5 * math.pi * kernels.psi0(-inners)
+    ref_antis = 0.5j * math.pi * kernels.phi0_plus(-0.25 * Rs * Rs * inners)
 
     checks = []
     for count, (inner, R) in enumerate(zip(inners.tolist(), Rs.tolist())):
@@ -458,7 +459,7 @@ def suite_corollary(cfg: SuiteConfig):
                 f"corollary.antisym_vanishes.{count:02d}", "S5.cor-kernels",
                 {"inner": inner, "R": R}, anti, 0.0, 1e-6))
         else:
-            ref = 0.5j * math.pi * special.bessel_j0(R * math.sqrt(-2.0 * inner))
+            ref = ref_antis[count]
             # absolute floor keeps the comparison meaningful at J0 zeros
             checks.append(make_check(
                 f"corollary.antisym_j0.{count:02d}", "S5.cor-kernels",

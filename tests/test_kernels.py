@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -18,9 +19,15 @@ from splitcone.kernels import (
     phi0_plus,
     psi0,
 )
-from splitcone.numerics import SplitMix64, unit_floats
+from splitcone.numerics import Estimate, SplitMix64, unit_floats
 from splitcone.quadrature import hyperbolic_oscillatory
-from splitcone.suites import _gaussian_family, _sample_offcone_dual
+from splitcone.suites import (
+    SuiteConfig,
+    _gaussian_family,
+    _sample_offcone_dual,
+    suite_fourier,
+    suite_kernels,
+)
 
 
 def test_psi0_branches():
@@ -132,6 +139,9 @@ def test_ft_regularized_matches_closed_form():
 def test_ft_regularized_rejects_cone():
     with pytest.raises(ValueError):
         ft_regularized(1.0, np.array([1.0, 0.0, 1.0, 0.0]), -1, 1)
+    # xi is off-cone coordinates; a cone chart point is no input at all
+    with pytest.raises(TypeError):
+        ft_regularized(1.0, ConePoint(1.0, 0.3, 0.7), -1, 1)
 
 
 def _criterion_01_points():
@@ -149,16 +159,64 @@ def test_ft_error_estimate_bounds_closed_form_error():
         assert abs(res.value - ref) <= res.error_estimate
 
 
+# (seed, point, sign_R2) of the fourier suite's samples, seeds 0-999, where
+# ft_regularized's error against the closed form at the sampled q is near or
+# above its estimate: the sampled q is 3.4e-15 to 4.9e-15 relative off the
+# float xi's exact <xi, xi>
+_ROUNDED_Q_CASES = [(338, 4, 1), (395, 27, 1), (472, 24, -1), (577, 49, -1),
+                    (577, 49, 1)]
+
+
+def test_ft_estimate_bounds_its_error_at_the_exact_inner_product():
+    for seed, i, sR in _ROUNDED_Q_CASES:
+        R, xi, _ = (v[i] for v in _sample_offcone_dual(SplitMix64(seed), 50))
+        with mpmath.workdps(40):
+            x = [mpmath.mpf(float(v)) for v in xi]
+            q = x[0] ** 2 + x[1] ** 2 - x[2] ** 2 - x[3] ** 2
+            u = mpmath.mpf(float(R)) * mpmath.sqrt(abs(q))
+            for se in (-1, 1):
+                if sR * q < 0:
+                    ref = mpmath.pi / 4 * (mpmath.bessely(0, u)
+                                           - 1j * sR * se * mpmath.besselj(0, u))
+                else:
+                    ref = -mpmath.besselk(0, u) / 2
+                res = ft_regularized(R, xi, sR, se)
+                assert abs(res.value - complex(ref)) <= res.error_estimate, (
+                    seed, i, sR, se)
+
+
+def test_transform_mutants_fail_their_named_checks(monkeypatch):
+    # H scaled by 1 + 1e-6 moves the reduction that both ft.reduction_oracle
+    # checks hold to the independent oracle, and Psi0 scaled likewise every
+    # ft.closed_form reference; the delta routes, most of the kernels
+    # suite's time, are stubbed
+    def failed(suite, prefix):
+        return [c.check_id for c in suite(SuiteConfig(seed=2024))
+                if c.check_id.startswith(prefix) and not c.passed]
+
+    h, psi = kernels.hyperbolic_oscillatory, kernels.psi0
+
+    def scaled_h(*args):
+        value, est = h(*args)
+        return Estimate(value * (1 + 1e-6), est)
+
+    stub = lambda *args: kernels.DeltaResult(1.0, 1.0, 0.0)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "delta_cone_apply", stub)
+        m.setattr(kernels, "delta_hyperboloid_apply", stub)
+        m.setattr(kernels, "hyperbolic_oscillatory", scaled_h)
+        assert failed(suite_kernels, "ft.reduction_oracle") == [
+            "ft.reduction_oracle.sR-1", "ft.reduction_oracle.sR+1"]
+    monkeypatch.setattr(kernels, "psi0", lambda t: psi(t) * (1 + 1e-6))
+    assert len(failed(suite_fourier, "ft.closed_form")) == 200
+
+
 def test_damped_rungs_converge_to_undamped_limit_at_first_order():
     # the +-i eps regularization: on a ladder of ratio 2 each halving of
     # eps halves |I(eps) - I(0)|
     for R, xi, q, sR, se in _criterion_01_points():
-        r1, r2 = kernels._polar_radii(xi)
-        a, b = 0.5 * (r1 + r2), 0.5 * (r1 - r2)
-        eta = -math.copysign(1.0, b) * se
-        p, qq = a * eta, -b * eta * sR * R * R
-        h0 = hyperbolic_oscillatory(p, qq, 0.0)[0]
-        gaps = [abs(hyperbolic_oscillatory(p, qq, abs(b) * e * R * R)[0] - h0)
+        f0 = ft_regularized(R, xi, sR, se).value
+        gaps = [abs(kernels._reduced_transform(R, xi, sR, se, e * R * R).value - f0)
                 for e in (0.2, 0.1, 0.05, 0.025, 0.0125)]
         for coarse, fine in zip(gaps, gaps[1:]):
             assert 1.5 <= coarse / fine <= 2.1
@@ -311,15 +369,6 @@ def test_batched_kernels_match_single_calls():
     assert syms.shape == antis.shape == lv.r1.shape == (2,)
 
 
-def _damped_reference(R, xi, sR, se, eps):
-    """-1/4 H(a eta, -b eta sR R^2, |b| eps), the production reduction at eps."""
-    r1, r2 = kernels._polar_radii(xi)
-    a, b = 0.5 * (r1 + r2), 0.5 * (r1 - r2)
-    eta = -math.copysign(1.0, b) * se
-    return -0.25 * hyperbolic_oscillatory(
-        a * eta, -b * eta * sR * R * R, abs(b) * eps)[0]
-
-
 _SIGN_PAIRS = [(-1, 1), (1, 1), (1, -1), (-1, -1)]
 
 
@@ -328,7 +377,7 @@ def test_bruteforce_oracle_matches_production_at_finite_eps():
     for xi in (np.array([1.5, 0.0, 0.5, 0.0]), np.array([0.5, 0.0, 1.5, 0.0])):
         for sR, se in _SIGN_PAIRS:
             got = ft_bruteforce_damped(1.0, xi, sR, se, eps=0.4)
-            ref = _damped_reference(1.0, xi, sR, se, 0.4)
+            ref = kernels._reduced_transform(1.0, xi, sR, se, 0.4).value
             assert abs(got - ref) < 1e-12 * abs(ref), (xi, sR, se)
 
 
@@ -350,7 +399,7 @@ def test_bruteforce_oracle_over_supported_range():
         xi = np.array([r1, 0.0, 0.0, r2])
         sR, se = _SIGN_PAIRS[k % 4]
         got = ft_bruteforce_damped(R, xi, sR, se, eps=eps)
-        ref = _damped_reference(R, xi, sR, se, eps)
+        ref = kernels._reduced_transform(R, xi, sR, se, eps).value
         assert abs(got - ref) < 1e-12 * abs(ref), (R, eps, r1, r2, sR, se)
 
 

@@ -136,7 +136,7 @@ def test_mellin_rational():
     assert abs(r.value - ref) < 1e-13 * abs(ref)
 
 
-def test_mellin_power_tail():
+def test_mellin_rule_tail_terms_against_mpmath():
     # a rule whose one tail term is the integrand c s^p (log s)^k: its sum
     # is int c s^(p - i rho) (log s)^k ds over the window and that tail
     rho, c, lo, hi = 0.7, 2.0, 1e-3, 400.0
@@ -153,7 +153,7 @@ def test_mellin_power_tail():
         assert abs(got - ref) < 1e-13 * abs(ref), term
 
 
-def test_mellin_power_tail_rejects_what_it_cannot_give():
+def test_mellin_rule_rejects_tails_it_cannot_give():
     # divergent tails (p + 1 <= 0 below, >= 0 above, for every rho) and log
     # powers other than 0 and 1 fail when the rule is built
     for lower, upper in (([-1.0], []), ([], [-1.0]), ([-1.5], []),

@@ -280,7 +280,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["not-a-suite"]) == 2
     assert main(["corollary", "--tol", "-1"]) == 2
     assert main(["corollary", "--rho", "abc"]) == 2
-    assert main(["fourier", "--panel-budget", "3"]) == 2
+    assert main(["fourier", "--no-such-option", "3"]) == 2
     # an unwritable output path is a usage error with one line on stderr
     capsys.readouterr()
     assert main(["bessel", "--out", str(tmp_path / "nodir" / "x.json")]) == 2
@@ -299,6 +299,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
     ("--seed", "-1"), ("--seed", str(2**64)),
     ("--R", "1,1.0"), ("--rho", "0.3,0.30"),
+    ("--workers", "0"), ("--workers", "-3"),
 ])
 def test_cli_bad_parameters_are_usage_errors(flag, value, capsys):
     assert main(["mellin_ratio", f"{flag}={value}"]) == 2
@@ -308,8 +309,8 @@ def test_cli_bad_parameters_are_usage_errors(flag, value, capsys):
 
 @pytest.mark.parametrize("kwargs", [
     {"eps_parity": "2"}, {"rho_list": ()}, {"R_list": ()},
-    {"seed": 1.5}, {"seed": 2.0},
-], ids=["parity-2", "rho-empty", "R-empty", "seed-1.5", "seed-2.0"])
+    {"seed": 1.5}, {"seed": 2.0}, {"workers": 2.0},
+], ids=["parity-2", "rho-empty", "R-empty", "seed-1.5", "seed-2.0", "workers-2.0"])
 def test_suite_config_rejects_bad_parity_and_empty_lists(kwargs):
     # each used to be accepted and then fail mid-run (make_f_xi_eps, or an
     # IndexError in suite_mellin_ratio), or, for a fractional seed, run the

@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import ConePoint
 from .numerics import Estimate, panel_nodes
-from .operators import make_f_xi_eps, ray_rows, ray_values
+from .operators import _with_parity, make_f_xi_eps, ray_rows, ray_values
 from .special import gamma_complex
 
 __all__ = [
@@ -247,9 +247,11 @@ class RayTable:
     and `pl_sum` its numerator.
 
     The operators act on the test function of each parity at the base
-    point (1, 0.7, 0.3), radial profile "sqrt_exponential".  The radial
-    rows do not depend on the parity, so the "fc" rows are built once, and
-    the "pl" rows of every R in one call (one J0 x grid).  The table keeps
+    point (1, 0.7, 0.3), radial profile "sqrt_exponential"; its bump
+    placement does not depend on the parity, so it is searched once.  The
+    radial rows do not depend on the parity either, so the "fc" rows are
+    built once, and the "pl" rows of every R in one call (one J0 x grid;
+    46,582 Bessel points in all at R = 0.5, 1, 2).  The table keeps
     the values, in `fc` (by parity) and `pl` (by parity and R), and each
     test function's angular constant C+ in `c_plus` (by parity), the factor
     that the ratio divides out.  The Mellin sums fit the values' tails with
@@ -267,8 +269,11 @@ class RayTable:
         fc_rows = ray_rows(radial, "fc", s)
         j0_rows, = ray_rows(radial, "pl", s, np.reshape(R_list, (-1, 1)))
         self.fc, self.pl, self.c_plus = {}, {}, {}
+        f = None
         for e in parities:
-            f = make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), e, radial)
+            # one bump placement search serves both parities
+            f = (make_f_xi_eps(ConePoint(1.0, 0.7, 0.3), e, radial)
+                 if f is None else _with_parity(f, e))
             self.c_plus[e] = f.c_plus
             self.fc[e] = ray_values(f, "fc", s, rows=fc_rows)
             for R, row in zip(R_list, j0_rows):

@@ -36,7 +36,7 @@ and xi; the ray route (C+- times `ray_rows`) is `ray_values` alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -255,6 +255,15 @@ def make_f_xi_eps(base_xi: ConePoint, parity_eps, radial="sqrt_exponential"):
     )
 
 
+def _with_parity(f, parity_eps):
+    """f's test function at parity_eps: the bump placement does not depend
+    on the parity, so only the angular constants C+- are computed again."""
+    if parity_eps not in (0, 1):
+        raise ValueError("parity_eps must be 0 or 1")
+    cp, cm = _angular_constants(f.base_xi, f.center, f.width, parity_eps)
+    return replace(f, parity_eps=parity_eps, c_plus=cp, c_minus=cm)
+
+
 def _angular_constants(base, center, width, parity_eps):
     """C+- = int_{+-g>0} psi / g^2 over the angular torus.
 
@@ -281,45 +290,56 @@ def _angular_constants(base, center, width, parity_eps):
 # ----- separable fast path: on the ray, C+- times parity-free radial rows -----
 
 
-def _u_weight(radial, u):
-    """Weight of the substituted radial integral: t = u^2 gives
-    2 u^2 exp(-u) (sqrt profile) or 2 u^2 exp(-u^2) (exponential)."""
+def _u_decay(radial, u):
+    """The weight of the substituted radial integral divided by 2 u^2:
+    t = u^2 gives the weight 2 u^2 exp(-u) (sqrt profile) or
+    2 u^2 exp(-u^2) (exponential)."""
+    return np.exp(-u) if radial == "sqrt_exponential" else np.exp(-u * u)
+
+
+def _u_max(radial):
+    """End of the radial u range: past it the weight's tail integral is
+    negligible against the rows.  For the sqrt profile that tail,
+    2 (U^2 + 2U + 2) e^-U, is 8.2e-16 at U = 43; the exponential profile's
+    range sqrt(log 1e12) + 4 = 9.26 leaves a tail of 6e-37."""
     if radial == "sqrt_exponential":
-        return 2.0 * u * u * np.exp(-u)
-    return 2.0 * u * u * np.exp(-u * u)
+        return 43.0
+    return math.sqrt(math.log(1e12)) + 4.0
 
 
-def _u_max(radial, tol=1e-12):
-    """End of the radial u range: the weight is below tol past it."""
-    if radial == "sqrt_exponential":
-        return math.log(1.0 / tol) + 12.0
-    return math.sqrt(math.log(1.0 / tol)) + 4.0
+def _u_step(radial):
+    """Step of the u grid of `ray_rows`: it serves every c <= pi / step,
+    so the step in x = c u is at most pi on both of its grids.  Order-10
+    panels of 4 integrate the weight 2 u^2 e^-u to the rows' rounding, and
+    panels of 1 the weight 2 u^2 e^-u^2: the J0 rows are within 7.3e-16
+    and 6.3e-16 of the largest row, and 1.3e-11 and 4.6e-11 at twice these
+    steps."""
+    return 4.0 if radial == "sqrt_exponential" else 1.0
 
 
-# Depth of the grading toward 0: the first panel of length step is cut at
-# step / 2^k, k = 1.._GRADED (step / 2^20 is 9.5e-7 at step 1).  A Gauss
-# panel [a, 2a] resolves the log singularity of K0 and Y0 at 0 to about
-# 5e-16 of its contribution ([a, 3a] only to about 1e-12).
+# Depth of the grading toward 0 of the K0 and Y0 rows: the first panel of
+# length step is cut at step / 2^k, k = 1.._GRADED (step / 2^20 is 3.8e-6
+# at step 4 and 3.0e-6 at step pi).  A Gauss panel [a, 2a] resolves the log singularity of K0
+# and Y0 at 0 to about 5e-16 of its contribution ([a, 3a] only to about
+# 1e-12).  J0 is entire, so its rows take no grading.
 _GRADED = 20
-# Step of the shared u grid of `ray_rows`: it serves every c <= pi / _U_STEP,
-# so the step in x = c u is at most pi on both of its grids.
-_U_STEP = 1.0
+# K0(x) <= sqrt(pi / 2x) e^-x (DLMF 10.40(ii)) is below half the least
+# subnormal float from x = 745 on, so K0 rounds to 0.0 there (scipy's K0
+# is 0.0 from x = 742.09): the x grid evaluates it below _K0_ZERO only.
+_K0_ZERO = 745.0
 
 
-def _u_grid(step, n):
+def _u_grid(step, n, halvings):
     """Order-10 panel nodes and weights on [0, n step]: panels of length
     step (at most the kernels' oscillation length), the first one graded
-    toward 0 by halving, as the Bessel kernels are log-singular there.
+    toward 0 by `halvings` halvings where the kernels are log-singular.
 
-    It depends on nothing but step and n, and its breaks step k are
-    computed one by one, so the grid of n panels is the first 10 (_GRADED
-    + n) nodes of every longer one.  `ray_rows` builds it twice a call at
-    most: in u at step _U_STEP and in x = c u at step pi."""
-    small = [step]
-    for _ in range(_GRADED):
-        small.append(small[-1] / 2.0)
-    breaks = np.concatenate(
-        [[0.0], small[:0:-1], step * np.arange(1.0, n + 1.0)])
+    It depends on nothing but its arguments, and its breaks step k are
+    computed one by one, so the grid of n panels is the first 10
+    (halvings + n) nodes of every longer one.  `ray_rows` builds it twice
+    a call at most: in u at step `_u_step` and in x = c u at step pi."""
+    breaks = np.concatenate([[0.0], step / 2.0 ** np.arange(halvings, 0, -1),
+                             step * np.arange(1.0, n + 1.0)])
     return panel_nodes(breaks, 10)
 
 
@@ -336,18 +356,21 @@ def _checked_s(op, s_grid, R):
 
 def ray_rows(radial, op, s_grid, R=None):
     """Radial rows int_0^inf W(u) fn(c u) du of op's ray restriction, W the
-    weight `_u_weight`: fn = K0 and Y0 at c = 2 sqrt(2s) for "fc", J0 at
-    c = R sqrt(2s) for "pl".  R may be an array that broadcasts against
+    weight 2 u^2 `_u_decay`: fn = K0 and Y0 at c = 2 sqrt(2s) for "fc",
+    J0 at c = R sqrt(2s) for "pl".  R may be an array that broadcasts against
     s_grid; the rows then take the broadcast shape, and all of them share
     one x grid.
 
-    Up to c = pi / _U_STEP = pi every row takes one shared u grid of step
-    _U_STEP = 1, and the kernels are evaluated at c u one c at a time.
-    Past it the panels are pi / c long in u, so pi long in x = c u: each
-    kernel is evaluated once on one x grid, as far as the largest c needs,
-    and each such c takes a prefix of it, weighted by W(x / c) / c.  Either
-    way the step in x is at most pi.  The prefix has about 126 c nodes, so
-    c is supported up to 3e3 (0.4 M nodes: the "fc" row at s = 1e6)."""
+    Up to c = pi / `_u_step` (pi / 4 for "sqrt_exponential", pi for
+    "exponential") every row takes one shared u grid of that step, and the
+    kernels are evaluated at c u one c at a time.  Past it the panels are
+    pi / c long in u, so pi long in x = c u: each kernel is evaluated once
+    on one x grid, as far as the largest c needs (K0 only below
+    `_K0_ZERO`, where it is not 0.0), and each such c takes a prefix of
+    it, weighted by W(x / c) / c.  Either way the step in x is at most pi.
+    Only the K0 and Y0 grids are graded toward 0 (`_GRADED`).  The prefix
+    has about 137 c nodes, so c is supported up to 3e3 (0.4 M nodes: the
+    "fc" row at s = 1e6)."""
     if radial not in ("sqrt_exponential", "exponential"):
         raise ValueError(f"unknown radial profile {radial!r}")
     root = np.sqrt(2.0 * _checked_s(op, s_grid, R))
@@ -357,23 +380,30 @@ def ray_rows(radial, op, s_grid, R=None):
     if np.any(cs > 3.0e3):
         raise ValueError("ray rows are supported for c <= 3e3")
     fns = [getattr(special, "bessel_" + kind) for kind in kinds]
-    u_max = _u_max(radial)
+    halvings = _GRADED if op == "fc" else 0
+    u_max, step = _u_max(radial), _u_step(radial)
     rows = np.empty((len(kinds), len(cs)))
-    small = cs <= math.pi / _U_STEP
+    small = cs <= math.pi / step
     if small.any():
-        u, w = _u_grid(_U_STEP, math.ceil(u_max / _U_STEP))
-        weight = _u_weight(radial, u)
+        u, w = _u_grid(step, math.ceil(u_max / step), halvings)
+        weight = 2.0 * u * u * _u_decay(radial, u) * w
         for i in np.flatnonzero(small).tolist():
-            rows[:, i] = [np.dot(weight * fn(cs[i] * u), w) for fn in fns]
+            rows[:, i] = [np.dot(fn(cs[i] * u), weight) for fn in fns]
     if not small.all():
         panels = [math.ceil(c * u_max / math.pi) for c in cs.tolist()]
-        x, wx = _u_grid(math.pi, max(panels))
-        fx = [fn(x) for fn in fns]
+        x, wx = _u_grid(math.pi, max(panels), halvings)
+        fx = []
+        for kind, fn in zip(kinds, fns):
+            n = int(np.searchsorted(x, _K0_ZERO)) if kind == "k0" else x.size
+            fx.append(np.concatenate([fn(x[:n]), np.zeros(x.size - n)]))
+        # W(x / c) / c = decay(x / c) 2 x^2 / c^3: the 2 x^2 goes into the
+        # weights once, so each c takes one exp
+        x2w = 2.0 * x * x * wx
         for i in np.flatnonzero(~small).tolist():
-            m = 10 * (_GRADED + panels[i])
+            m = 10 * (halvings + panels[i])
             c = float(cs[i])
-            wc = _u_weight(radial, x[:m] / c) * wx[:m]
-            rows[:, i] = [np.dot(f[:m], wc) / c for f in fx]
+            wc = _u_decay(radial, x[:m] / c) * x2w[:m]
+            rows[:, i] = [np.dot(f[:m], wc) / (c * c * c) for f in fx]
     return list(rows.reshape((len(kinds),) + shape))
 
 

@@ -82,8 +82,9 @@ class SuiteConfig:
 
 def _sample_offcone_dual(rng, n):
     """n points (R, xi, q): R in [0.5, 2], stacked (n, 4) xi at random
-    angles and q = <xi, xi> with |q| in [0.25, 16] of random sign.  A point
-    is 6 words: R, |q|, the sign (the word's low bit), sigma, two angles."""
+    angles with <xi, xi> drawn in [0.25, 16] of random sign, and q the
+    `pair` of the float xi.  A point is 6 words: R, |<xi, xi>|, the sign
+    (the word's low bit), sigma, two angles."""
     w = rng.words((n, 6))
     lo, hi = np.array([(0.5, 2.0), (0.25, 16.0), (0.0, 1.0), (1.0, 4.0),
                        (0.0, 2 * math.pi), (0.0, 2 * math.pi)]).T
@@ -93,7 +94,7 @@ def _sample_offcone_dual(rng, n):
     r1, r2 = 0.5 * (sig + q / sig), 0.5 * (sig - q / sig)
     xi = np.stack([r1 * np.cos(a1), r1 * np.sin(a1),
                    r2 * np.cos(a2), r2 * np.sin(a2)], axis=-1)
-    return R, xi, q
+    return R, xi, pair(xi, xi)
 
 
 # ranges of a cone chart's (r, theta1, theta2) draws

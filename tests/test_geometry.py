@@ -200,8 +200,8 @@ class _ScalarWalk:
             sig = math.sqrt(abs(q)) * 1.3
         r1, r2 = 0.5 * (sig + q / sig), 0.5 * (sig - q / sig)
         a1, a2 = self.uniform(0.0, 2.0 * math.pi), self.uniform(0.0, 2.0 * math.pi)
-        return R, [r1 * math.cos(a1), r1 * math.sin(a1),
-                   r2 * math.cos(a2), r2 * math.sin(a2)], q
+        x = [r1 * math.cos(a1), r1 * math.sin(a1), r2 * math.cos(a2), r2 * math.sin(a2)]
+        return R, x, x[0] * x[0] + x[1] * x[1] - x[2] * x[2] - x[3] * x[3]
 
     def cone_pair(self):
         return [[self.uniform(0.3, 2.0), self.uniform(0.0, 2 * math.pi),

@@ -160,9 +160,9 @@ def test_ft_error_estimate_bounds_closed_form_error():
 
 
 # (seed, point, sign_R2) of the fourier suite's samples, seeds 0-999, where
-# ft_regularized's error against the closed form at the sampled q is near or
-# above its estimate: the sampled q is 3.4e-15 to 4.9e-15 relative off the
-# float xi's exact <xi, xi>
+# ft_regularized's error against the closed form at the drawn <xi, xi> is
+# near or above its estimate: the drawn value is 3.4e-15 to 4.9e-15
+# relative off the float xi's exact <xi, xi>
 _ROUNDED_Q_CASES = [(338, 4, 1), (395, 27, 1), (472, 24, -1), (577, 49, -1),
                     (577, 49, 1)]
 

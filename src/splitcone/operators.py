@@ -127,6 +127,45 @@ def _klein_orbit(c1, c2, parity_eps=0):
 
 
 @dataclass(frozen=True)
+class _Profile:
+    """A radial profile m of the test function and what the code uses of it."""
+
+    m: callable  # m(t)
+    weight: callable  # m(u^2): t = u^2 gives the ray rows the weight 2 u^2 m(u^2)
+    u_max: float  # end of the rows' u range
+    u_step: float  # step of the rows' u grid (`ray_rows`)
+    rate: callable  # decay rate of f's certificate, from r0 g_min
+    m_sq_integral: float  # int_0^inf m(t)^2 dt, the radial factor of ||f||^2
+
+
+# The u range ends where the weight's tail integral is negligible against
+# the rows: for "sqrt_exponential" that tail, 2 (U^2 + 2U + 2) e^-U, is
+# 8.2e-16 at U = 43; the exponential profile's range sqrt(log 1e12) + 4 =
+# 9.26 leaves a tail of 6e-37.  The u grid serves every c <= pi / u_step,
+# so the step in x = c u is at most pi on both of the rows' grids.
+# Order-10 panels of 4 integrate the weight 2 u^2 e^-u to the rows'
+# rounding, and panels of 1 the weight 2 u^2 e^-u^2: the J0 rows are within
+# 7.3e-16 and 6.3e-16 of the largest row, and 1.3e-11 and 4.6e-11 at twice
+# these steps.
+_PROFILES = {
+    "sqrt_exponential": _Profile(
+        m=lambda t: np.exp(-np.sqrt(t)), weight=lambda u: np.exp(-u),
+        u_max=43.0, u_step=4.0, rate=math.sqrt, m_sq_integral=0.5),
+    "exponential": _Profile(
+        m=lambda t: np.exp(-t), weight=lambda u: np.exp(-u * u),
+        u_max=math.sqrt(math.log(1e12)) + 4.0, u_step=1.0,
+        rate=lambda a: a, m_sq_integral=0.5),
+}
+
+
+def _profile(radial):
+    """The `_PROFILES` entry of a radial profile; ValueError for any other name."""
+    if radial not in _PROFILES:
+        raise ValueError(f"unknown radial profile {radial!r}")
+    return _PROFILES[radial]
+
+
+@dataclass(frozen=True)
 class TestFunctionFxiEps:
     """Localized test function f(xi') = psi * |<xi0,xi'>|^(-1/2) m(|.|)."""
 
@@ -161,9 +200,7 @@ class TestFunctionFxiEps:
     def radial_part(self, t):
         """|t|^(-1/2) m(|t|) against the pairing value t."""
         a = np.abs(np.asarray(t, dtype=float))
-        if self.decay.kind == "sqrt_exponential":
-            return a**-0.5 * np.exp(-np.sqrt(a))
-        return a**-0.5 * np.exp(-a)
+        return a**-0.5 * _PROFILES[self.decay.kind].m(a)
 
     def values(self, r, th1, th2):
         g = self.pairing_factor(th1, th2)
@@ -227,8 +264,7 @@ def make_f_xi_eps(base_xi: ConePoint, parity_eps, radial="sqrt_exponential"):
     """
     if parity_eps not in (0, 1):
         raise ValueError("parity_eps must be 0 or 1")
-    if radial not in ("sqrt_exponential", "exponential"):
-        raise ValueError(f"unknown radial profile {radial!r}")
+    profile = _profile(radial)
     w = 0.8
     found = None
     for _ in range(4):
@@ -240,15 +276,13 @@ def make_f_xi_eps(base_xi: ConePoint, parity_eps, radial="sqrt_exponential"):
     if found is None:
         raise ValueError("no admissible bump placement at this base point")
     g_min, center = found
-    rate = base_xi.r * g_min
     cp, cm = _angular_constants(base_xi, center, w, parity_eps)
     return TestFunctionFxiEps(
         base_xi=base_xi,
         parity_eps=parity_eps,
         width=w,
         center=center,
-        decay=DecayCertificate(
-            radial, math.sqrt(rate) if radial == "sqrt_exponential" else rate),
+        decay=DecayCertificate(radial, profile.rate(base_xi.r * g_min)),
         c_plus=cp,
         c_minus=cm,
         g_min=g_min,
@@ -264,8 +298,10 @@ def _with_parity(f, parity_eps):
     return replace(f, parity_eps=parity_eps, c_plus=cp, c_minus=cm)
 
 
-def _angular_constants(base, center, width, parity_eps):
-    """C+- = int_{+-g>0} psi / g^2 over the angular torus.
+def _angular_constants(base, center, width, parity_eps, power=1):
+    """C+- = int_{+-g>0} psi / g^2 over the angular torus; at power 2 the
+    same integrals of psi^2 / g^2 (the discs are disjoint, so psi^2 is the
+    sum of the squared bumps).
 
     Each bump depends only on the distance to its centre, so it is
     integrated in polar coordinates about that centre: 40 Gauss-Legendre
@@ -273,13 +309,13 @@ def _angular_constants(base, center, width, parity_eps):
     """
     x, wx = gauss_legendre(40)
     r = 0.5 * width * (x + 1.0)
-    wr = (0.5 * width * wx) * r * _bump(r * r, width)
+    wr = (0.5 * width * wx) * r * _bump(r * r, width) ** power
     a = np.arange(20) * (2.0 * np.pi / 20)
     cp = 0.0
     cm = 0.0
     for (c1, c2), coeff in _klein_orbit(*center, parity_eps):
         g = _pairing(base, c1 + np.outer(r, np.cos(a)), c2 + np.outer(r, np.sin(a)))
-        val = coeff * (2.0 * np.pi / 20) * float(np.sum(wr[:, None] / (g * g)))
+        val = coeff**power * (2.0 * np.pi / 20) * float(np.sum(wr[:, None] / (g * g)))
         if np.median(np.sign(g)) > 0:
             cp += val
         else:
@@ -288,33 +324,6 @@ def _angular_constants(base, center, width, parity_eps):
 
 
 # ----- separable fast path: on the ray, C+- times parity-free radial rows -----
-
-
-def _u_decay(radial, u):
-    """The weight of the substituted radial integral divided by 2 u^2:
-    t = u^2 gives the weight 2 u^2 exp(-u) (sqrt profile) or
-    2 u^2 exp(-u^2) (exponential)."""
-    return np.exp(-u) if radial == "sqrt_exponential" else np.exp(-u * u)
-
-
-def _u_max(radial):
-    """End of the radial u range: past it the weight's tail integral is
-    negligible against the rows.  For the sqrt profile that tail,
-    2 (U^2 + 2U + 2) e^-U, is 8.2e-16 at U = 43; the exponential profile's
-    range sqrt(log 1e12) + 4 = 9.26 leaves a tail of 6e-37."""
-    if radial == "sqrt_exponential":
-        return 43.0
-    return math.sqrt(math.log(1e12)) + 4.0
-
-
-def _u_step(radial):
-    """Step of the u grid of `ray_rows`: it serves every c <= pi / step,
-    so the step in x = c u is at most pi on both of its grids.  Order-10
-    panels of 4 integrate the weight 2 u^2 e^-u to the rows' rounding, and
-    panels of 1 the weight 2 u^2 e^-u^2: the J0 rows are within 7.3e-16
-    and 6.3e-16 of the largest row, and 1.3e-11 and 4.6e-11 at twice these
-    steps."""
-    return 4.0 if radial == "sqrt_exponential" else 1.0
 
 
 # Depth of the grading toward 0 of the K0 and Y0 rows: the first panel of
@@ -337,7 +346,7 @@ def _u_grid(step, n, halvings):
     It depends on nothing but its arguments, and its breaks step k are
     computed one by one, so the grid of n panels is the first 10
     (halvings + n) nodes of every longer one.  `ray_rows` builds it twice
-    a call at most: in u at step `_u_step` and in x = c u at step pi."""
+    a call at most: in u at the profile's u step and in x = c u at step pi."""
     breaks = np.concatenate([[0.0], step / 2.0 ** np.arange(halvings, 0, -1),
                              step * np.arange(1.0, n + 1.0)])
     return panel_nodes(breaks, 10)
@@ -356,12 +365,12 @@ def _checked_s(op, s_grid, R):
 
 def ray_rows(radial, op, s_grid, R=None):
     """Radial rows int_0^inf W(u) fn(c u) du of op's ray restriction, W the
-    weight 2 u^2 `_u_decay`: fn = K0 and Y0 at c = 2 sqrt(2s) for "fc",
+    weight 2 u^2 m(u^2) of `_PROFILES`: fn = K0 and Y0 at c = 2 sqrt(2s) for "fc",
     J0 at c = R sqrt(2s) for "pl".  R may be an array that broadcasts against
     s_grid; the rows then take the broadcast shape, and all of them share
     one x grid.
 
-    Up to c = pi / `_u_step` (pi / 4 for "sqrt_exponential", pi for
+    Up to c = pi / u_step (pi / 4 for "sqrt_exponential", pi for
     "exponential") every row takes one shared u grid of that step, and the
     kernels are evaluated at c u one c at a time.  Past it the panels are
     pi / c long in u, so pi long in x = c u: each kernel is evaluated once
@@ -371,8 +380,7 @@ def ray_rows(radial, op, s_grid, R=None):
     Only the K0 and Y0 grids are graded toward 0 (`_GRADED`).  The prefix
     has about 137 c nodes, so c is supported up to 3e3 (0.4 M nodes: the
     "fc" row at s = 1e6)."""
-    if radial not in ("sqrt_exponential", "exponential"):
-        raise ValueError(f"unknown radial profile {radial!r}")
+    profile = _profile(radial)
     root = np.sqrt(2.0 * _checked_s(op, s_grid, R))
     kinds, cs = (("k0", "y0"), 2.0 * root) if op == "fc" else (
         ("j0",), np.asarray(R, dtype=float) * root)
@@ -381,12 +389,12 @@ def ray_rows(radial, op, s_grid, R=None):
         raise ValueError("ray rows are supported for c <= 3e3")
     fns = [getattr(special, "bessel_" + kind) for kind in kinds]
     halvings = _GRADED if op == "fc" else 0
-    u_max, step = _u_max(radial), _u_step(radial)
+    u_max, step = profile.u_max, profile.u_step
     rows = np.empty((len(kinds), len(cs)))
     small = cs <= math.pi / step
     if small.any():
         u, w = _u_grid(step, math.ceil(u_max / step), halvings)
-        weight = 2.0 * u * u * _u_decay(radial, u) * w
+        weight = 2.0 * u * u * profile.weight(u) * w
         for i in np.flatnonzero(small).tolist():
             rows[:, i] = [np.dot(fn(cs[i] * u), weight) for fn in fns]
     if not small.all():
@@ -396,13 +404,13 @@ def ray_rows(radial, op, s_grid, R=None):
         for kind, fn in zip(kinds, fns):
             n = int(np.searchsorted(x, _K0_ZERO)) if kind == "k0" else x.size
             fx.append(np.concatenate([fn(x[:n]), np.zeros(x.size - n)]))
-        # W(x / c) / c = decay(x / c) 2 x^2 / c^3: the 2 x^2 goes into the
+        # W(x / c) / c = m(x^2 / c^2) 2 x^2 / c^3: the 2 x^2 goes into the
         # weights once, so each c takes one exp
         x2w = 2.0 * x * x * wx
         for i in np.flatnonzero(~small).tolist():
             m = 10 * (halvings + panels[i])
             c = float(cs[i])
-            wc = _u_decay(radial, x[:m] / c) * x2w[:m]
+            wc = profile.weight(x[:m] / c) * x2w[:m]
             rows[:, i] = [np.dot(f[:m], wc) / (c * c * c) for f in fx]
     return list(rows.reshape((len(kinds),) + shape))
 
@@ -553,30 +561,20 @@ def ray_values(f: TestFunctionFxiEps, op, s_grid, R=None, rows=None):
     return (1j / (4.0 * math.pi * r0 * r0)) * f.c_minus * rows[0]
 
 
-# radii per f call in `l2_norm_sq`
-_L2_BLOCK = 32
-
-
-def l2_norm_sq(f, n_r=160, n_th=48):
-    """Numerical L^2 norm squared against the r/2 dr dth1 dth2 density,
-    over the radii where f's decay certificate exceeds 1e-10."""
-    r_max = f.decay.truncation_radius(1e-10)
-    xg, wg = gauss_legendre(n_r)
-    v = 0.5 * math.sqrt(r_max) * (xg + 1.0)
-    wv = 0.5 * math.sqrt(r_max) * wg
-    r = v * v
-    th = np.arange(n_th) * (2.0 * np.pi / n_th)
+def l2_norm_sq(f: TestFunctionFxiEps):
+    """||f||^2 against the r/2 dr dth1 dth2 density.  With t = r0 r g, the
+    radial integral of |f|^2 r/2 dr is psi^2 / (2 r0^2 g^2) int_0^inf m^2 dt
+    = psi^2 / (4 r0^2 g^2), so only the angular integral of psi^2 / g^2 is
+    numerical: the trapezoid rule on 256 x 256 torus angles (2.0e-8 off the
+    separable value at 160 angles, 1.4e-11 at 256)."""
+    th = np.arange(256) * (2.0 * np.pi / 256)
     T1, T2 = np.meshgrid(th, th, indexing="ij")
-    # f on (radius, T1, T2) blocks of _L2_BLOCK radii: f's angular factors
-    # are evaluated once a block, not once a radius, and a block's arrays
-    # stay small
-    acc = np.empty(len(r))
-    for i in range(0, len(r), _L2_BLOCK):
-        vals = np.abs(f(r[i:i + _L2_BLOCK, None, None], T1, T2)) ** 2
-        acc[i:i + _L2_BLOCK] = vals.reshape(len(vals), -1).sum(axis=1)
-    acc *= (2.0 * np.pi / n_th) ** 2
-    meas = 0.5 * r * 2.0 * v  # (r/2) dr = (r/2) 2v dv
-    return float(np.dot(acc * meas, wv))
+    psi = f.angular_psi(T1, T2)
+    on = psi != 0.0
+    g = f.pairing_factor(T1[on], T2[on])
+    r0 = f.base_xi.r
+    return (_PROFILES[f.decay.kind].m_sq_integral / (2.0 * r0 * r0)
+            * (2.0 * np.pi / 256) ** 2 * float(np.sum(psi[on] ** 2 / (g * g))))
 
 
 # ----- reference chains for ray evaluations (theta-integrand form) -----

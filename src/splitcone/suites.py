@@ -552,12 +552,12 @@ def suite_operators(cfg: SuiteConfig):
         checks.append(make_check(
             f"fxi.angular_constant_parity.e{e}", "S6.f-xi-eps", {"eps": e},
             f.c_minus, (-1.0) ** e * f.c_plus, 1e-12))
-        # L2 membership: norm finite and stable under grid refinement
-        n1 = operators.l2_norm_sq(f, n_r=140, n_th=48)
-        n2 = operators.l2_norm_sq(f, n_r=220, n_th=64)
+        # L2 membership: ||f||^2 (radial integral in closed form, int m^2 =
+        # 1/2) against the polar disc rule of its angular integral
+        disc = sum(operators._angular_constants(base, f.center, f.width, e, 2))
         checks.append(make_check(
-            f"fxi.l2_membership.e{e}", "S6.f-xi-eps", {"eps": e}, n1, n2,
-            1e-3, kind="rel"))
+            f"fxi.l2_membership.e{e}", "S6.f-xi-eps", {"eps": e},
+            operators.l2_norm_sq(f), disc / (4.0 * base.r * base.r), 1e-9, kind="rel"))
 
         # ray-restriction fidelity against the reference chains
         for R in (1.0, 2.0):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import mpmath
@@ -126,26 +127,43 @@ def test_angular_constants_against_tensor_reference():
 
 
 def test_f_values_and_l2():
-    f = make_f_xi_eps(BASE, 0)
-    v = f.values(np.array([0.5, 1.0]), 0.1, 0.2)
-    assert v.shape == (2,)
-    n1 = l2_norm_sq(f, n_r=140, n_th=48)
-    n2 = l2_norm_sq(f, n_r=220, n_th=64)
-    assert n1 > 0
-    assert abs(n1 - n2) < 1e-3 * n2
-    # the radius blocks (two full, one partial) give the per-radius
-    # loop's value bit for bit
-    n_r, n_th = 70, 16
-    sqrt_rmax = math.sqrt(f.decay.truncation_radius(1e-10))
-    xg, wg = gauss_legendre(n_r)
-    v = 0.5 * sqrt_rmax * (xg + 1.0)
-    th = np.arange(n_th) * (2.0 * np.pi / n_th)
+    # l2_norm_sq takes the radial integral in closed form; this tensor rule
+    # integrates f itself: Gauss-Legendre in v = sqrt(r) over the radii
+    # where f's certificate exceeds 1e-10, times l2_norm_sq's torus grid of
+    # 256 x 256 angles
+    xg, wg = gauss_legendre(140)
+    th = np.arange(256) * (2.0 * np.pi / 256)
     T1, T2 = np.meshgrid(th, th, indexing="ij")
-    r = v * v
-    acc = np.array([(np.abs(f(rv, T1, T2)) ** 2).sum() for rv in r])
-    acc *= (2.0 * np.pi / n_th) ** 2
-    loop = float(np.dot(acc * (0.5 * r * 2.0 * v), 0.5 * sqrt_rmax * wg))
-    assert l2_norm_sq(f, n_r=n_r, n_th=n_th) == loop
+    for radial, e in itertools.product(("sqrt_exponential", "exponential"), (0, 1)):
+        f = make_f_xi_eps(BASE, e, radial)
+        assert f.values(np.array([0.5, 1.0]), 0.1, 0.2).shape == (2,)
+        on = f.angular_support_mask(T1, T2)
+        sqrt_rmax = math.sqrt(f.decay.truncation_radius(1e-10))
+        v = 0.5 * sqrt_rmax * (xg + 1.0)
+        acc = np.array([np.sum(f(rv, T1[on], T2[on]) ** 2) for rv in v * v])
+        acc *= (2.0 * np.pi / 256) ** 2
+        tensor = float(np.dot(acc * (0.5 * v * v * 2.0 * v), 0.5 * sqrt_rmax * wg))
+        assert abs(l2_norm_sq(f) - tensor) <= 1e-12 * tensor
+    # the narrow-bump base (width 0.392), against the polar disc rule
+    f = make_f_xi_eps(ConePoint(1.0, 0.1, 1.6), 0)
+    disc = sum(operators._angular_constants(f.base_xi, f.center, f.width, 0, 2))
+    assert abs(l2_norm_sq(f) - disc / 4.0) <= 1e-6 * disc / 4.0
+
+
+@pytest.mark.parametrize("radial", ["sqrt_exponential", "exponential"])
+def test_radial_profile_table(radial):
+    p = operators._PROFILES[radial]
+    with mpmath.workdps(20):
+        # int_0^inf m^2 dt, the radial factor l2_norm_sq uses
+        m2 = mpmath.quad(lambda t: float(p.m(float(t))) ** 2, [0, 1, 10, mpmath.inf])
+        assert abs(m2 - 0.5) <= 1e-14 and p.m_sq_integral == 0.5
+        # the weight's tail past the u range
+        tail = mpmath.quad(lambda u: 2 * u * u * float(p.weight(float(u))),
+                           [p.u_max, mpmath.inf])
+        assert tail <= 1e-15
+    # the ray weight is m at u^2
+    u = np.linspace(0.0, p.u_max, 101)
+    np.testing.assert_allclose(p.weight(u), p.m(u * u), rtol=1e-15, atol=0.0)
 
 
 def test_ray_chain_fidelity():

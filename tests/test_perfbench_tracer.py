@@ -50,10 +50,11 @@ def test_traced_mellin_ratio_run_matches_untraced():
         traced = _report("mellin_ratio")
     finally:
         tracer.uninstall()
-    # both parities' ray tables share one set of radial rows, past c = pi
-    # each kernel is evaluated once on one x = c u grid, and up to it on one
-    # u grid of step 1: 175,374 special-function points (302,074 with a
-    # step-0.5 u grid up to c = 2 pi, 518,844 on a u grid per c, 1,037,364
-    # with rows per parity)
-    assert tracer.layer_metrics()["special.points"][0] <= 180_000
+    # both parities' ray tables share one set of radial rows; up to
+    # c = pi / u_step they share one u grid, past it each kernel is
+    # evaluated once on one x = c u grid, with J0 ungraded and K0 only below
+    # x = 745: 46,908 special-function points (175,374 with a step-1 u grid
+    # up to c = pi, graded J0 grids and K0 on the whole x grid; 518,844 on a
+    # u grid per c, 1,037,364 with rows per parity)
+    assert tracer.layer_metrics()["special.points"][0] <= 50_000
     assert traced == plain

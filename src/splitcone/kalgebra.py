@@ -128,9 +128,10 @@ class KBasisElement(NamedTuple):
 
     @classmethod
     def from_powers(cls, n, l, k, s1=1, s2=1):
+        n, l, k = special._integers((n, l, k))
         if l < 0 or k < 0 or s1 not in (1, -1) or s2 not in (1, -1):
             raise ValueError("need l, k >= 0 and signs +-1")
-        return cls(int(n), s1 * int(l), s2 * int(k))
+        return cls(n, s1 * l, s2 * k)
 
     @property
     def l(self):
@@ -457,10 +458,10 @@ def _ktilde_derivs(n, x):
 
 
 # The arrays every ambient closed form of one element is built from, each
-# computed once: the coordinates, the extension's radius rad, Kt_n(2 rad)
-# and its first two derivatives, the monomials m1 = z1^l and m2 = z2^k
-# (z1 = x1 + i s1 x2, z2 = x3 + i s2 x4) and their derivatives
-# m1d = l z1^(l-1) and m2d = k z2^(k-1).
+# computed once: the coordinates, the extension's radius rad, Kt_n(2 rad) and
+# its first two derivatives, the monomials m1 = z1^l and m2 = z2^k (z1 =
+# x1 + i s1 x2, z2 = x3 + i s2 x4) and their derivatives m1d = l z1^(l-1)
+# and m2d = k z2^(k-1), each only where a d_j asked for reads it (else None).
 _Pieces = namedtuple("_Pieces", "x1 x2 x3 x4 rad kt ktp ktpp m1 m2 m1d m2d")
 
 
@@ -481,15 +482,18 @@ class AmbientBasis:
         self.elem = elem
         self.extend_along = extend_along
 
-    def _pieces(self, pts):
+    def _pieces(self, pts, *js):
         e = self.elem
         x1, x2, x3, x4 = (pts[..., i] for i in range(4))
         rad = np.hypot(x3, x4) if self.extend_along == "r2" else np.hypot(x1, x2)
         kt, ktp, ktpp = _ktilde_derivs(e.n, 2.0 * rad)
         z1 = x1 + 1j * e.s1 * x2
         z2 = x3 + 1j * e.s2 * x4
-        m1d = e.l * z1 ** (e.l - 1) if e.l > 0 else np.zeros_like(z1)
-        m2d = e.k * z2 ** (e.k - 1) if e.k > 0 else np.zeros_like(z2)
+        m1d = m2d = None
+        if any(j <= 2 for j in js):
+            m1d = e.l * z1 ** (e.l - 1) if e.l > 0 else np.zeros_like(z1)
+        if any(j >= 3 for j in js):
+            m2d = e.k * z2 ** (e.k - 1) if e.k > 0 else np.zeros_like(z2)
         return _Pieces(x1, x2, x3, x4, rad, kt, ktp, ktpp,
                        z1**e.l, z2**e.k, m1d, m2d)
 
@@ -498,21 +502,21 @@ class AmbientBasis:
         return p.kt * p.m1 * p.m2
 
     def _product_partial(self, j, p, G, Gp):
-        """d_j of G(rad) m1 m2, given the radial factor and its derivative
-        with respect to rad."""
+        """d_j of G(rad) m1 m2, p from `_pieces(pts, j)`; Gp() forms G's
+        derivative with respect to rad, only where d_j reaches rad."""
         e = self.elem
         m1, m2, m1d, m2d = p.m1, p.m2, p.m1d, p.m2d
         if j <= 2:
             if self.extend_along == "r2":
                 return G * m1d * m2 if j == 1 else 1j * e.s1 * G * m1d * m2
             if j == 1:
-                return Gp * (p.x1 / p.rad) * m1 * m2 + G * m1d * m2
-            return Gp * (p.x2 / p.rad) * m1 * m2 + G * 1j * e.s1 * m1d * m2
+                return Gp() * (p.x1 / p.rad) * m1 * m2 + G * m1d * m2
+            return Gp() * (p.x2 / p.rad) * m1 * m2 + G * 1j * e.s1 * m1d * m2
         if self.extend_along == "r1":
             return G * m1 * m2d if j == 3 else G * m1 * 1j * e.s2 * m2d
         if j == 3:
-            return Gp * (p.x3 / p.rad) * m1 * m2 + G * m1 * m2d
-        return Gp * (p.x4 / p.rad) * m1 * m2 + G * m1 * 1j * e.s2 * m2d
+            return Gp() * (p.x3 / p.rad) * m1 * m2 + G * m1 * m2d
+        return Gp() * (p.x4 / p.rad) * m1 * m2 + G * m1 * 1j * e.s2 * m2d
 
     def box22(self, pts):
         """(d11 + d22 - d33 - d44) F in closed form."""
@@ -535,12 +539,12 @@ class AmbientBasis:
         e = self.elem
         pts = np.asarray(pts, dtype=float)
         eps = 1.0 if j in (1, 2) else -1.0
-        p = self._pieces(pts)
-        g = self._product_partial(j, p, p.kt, 2.0 * p.ktp)
+        p = self._pieces(pts, j)
+        g = self._product_partial(j, p, p.kt, lambda: 2.0 * p.ktp)
         # H = G2(rad) m1 m2 with G2 = 2 rad Kt'(2 rad);
         # G2' = 2 Kt'(2 rad) + 4 rad Kt''(2 rad)
         dH = self._product_partial(j, p, 2.0 * p.rad * p.ktp,
-                                   2.0 * p.ktp + 4.0 * p.rad * p.ktpp)
+                                   lambda: 2.0 * p.ktp + 4.0 * p.rad * p.ktpp)
         deg_g = (e.l + e.k) * g + dH
         return eps * pts[..., j - 1] * self._box22(p) - 2.0 * deg_g
 
@@ -549,8 +553,9 @@ class AmbientBasis:
         if not (1 <= j < k <= 4):
             raise ValueError("need 1 <= j < k <= 4")
         pts = np.asarray(pts, dtype=float)
-        p = self._pieces(pts)
-        dj, dk = (self._product_partial(i, p, p.kt, 2.0 * p.ktp) for i in (j, k))
+        p = self._pieces(pts, j, k)
+        dj, dk = (self._product_partial(i, p, p.kt, lambda: 2.0 * p.ktp)
+                  for i in (j, k))
         ej = 1.0 if j in (1, 2) else -1.0
         ek = 1.0 if k in (1, 2) else -1.0
         xj = pts[..., j - 1]

@@ -332,6 +332,8 @@ def _angular_constants(base, center, width, parity_eps, power=1):
 # and Y0 at 0 to about 5e-16 of its contribution ([a, 3a] only to about
 # 1e-12).  J0 is entire, so its rows take no grading.
 _GRADED = 20
+# Most c of one kernel call on the u grid (about 300 nodes): 160 kB a kernel.
+_C_BLOCK = 64
 # K0(x) <= sqrt(pi / 2x) e^-x (DLMF 10.40(ii)) is below half the least
 # subnormal float from x = 745 on, so K0 rounds to 0.0 there (scipy's K0
 # is 0.0 from x = 742.09): the x grid evaluates it below _K0_ZERO only.
@@ -371,15 +373,15 @@ def ray_rows(radial, op, s_grid, R=None):
     one x grid.
 
     Up to c = pi / u_step (pi / 4 for "sqrt_exponential", pi for
-    "exponential") every row takes one shared u grid of that step, and the
-    kernels are evaluated at c u one c at a time.  Past it the panels are
-    pi / c long in u, so pi long in x = c u: each kernel is evaluated once
-    on one x grid, as far as the largest c needs (K0 only below
-    `_K0_ZERO`, where it is not 0.0), and each such c takes a prefix of
-    it, weighted by W(x / c) / c.  Either way the step in x is at most pi.
-    Only the K0 and Y0 grids are graded toward 0 (`_GRADED`).  The prefix
-    has about 137 c nodes, so c is supported up to 3e3 (0.4 M nodes: the
-    "fc" row at s = 1e6)."""
+    "exponential") every row takes one shared u grid of that step, and each
+    kernel is evaluated at c u for up to `_C_BLOCK` c at once.  Past it the
+    panels are pi / c long in u, so pi long in x = c u: each kernel is
+    evaluated once on one x grid, as far as the largest c needs (K0 only
+    below `_K0_ZERO`, where it is not 0.0), and each such c takes a prefix
+    of it, weighted by W(x / c) / c.  Either way the step in x is at most
+    pi.  Only the K0 and Y0 grids are graded toward 0 (`_GRADED`).  The
+    prefix has about 137 c nodes, so c is supported up to 3e3 (0.4 M
+    nodes: the "fc" row at s = 1e6)."""
     profile = _profile(radial)
     root = np.sqrt(2.0 * _checked_s(op, s_grid, R))
     kinds, cs = (("k0", "y0"), 2.0 * root) if op == "fc" else (
@@ -395,8 +397,11 @@ def ray_rows(radial, op, s_grid, R=None):
     if small.any():
         u, w = _u_grid(step, math.ceil(u_max / step), halvings)
         weight = 2.0 * u * u * profile.weight(u) * w
-        for i in np.flatnonzero(small).tolist():
-            rows[:, i] = [np.dot(fn(cs[i] * u), weight) for fn in fns]
+        at = np.flatnonzero(small)
+        for block in np.split(at, range(_C_BLOCK, at.size, _C_BLOCK)):
+            fu = [fn(cs[block, None] * u) for fn in fns]
+            for t, i in enumerate(block.tolist()):
+                rows[:, i] = [np.dot(f[t], weight) for f in fu]
     if not small.all():
         panels = [math.ceil(c * u_max / math.pi) for c in cs.tolist()]
         x, wx = _u_grid(math.pi, max(panels), halvings)

@@ -18,6 +18,7 @@ checks; they never feed the production values.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 from scipy import special as sp
@@ -35,12 +36,21 @@ __all__ = [
 def _as_positive_array(u, name, allow_zero=False):
     """u as a float array, checked once per public call (NaN fails)."""
     x = np.asarray(u, dtype=float)
+    lo = x.min(initial=np.inf)  # NaN if any point is NaN
     if allow_zero:
-        if not (x >= 0).all():
+        if not lo >= 0:
             raise ValueError(f"{name} requires a nonnegative argument")
-    elif not (x > 0).all():
+    elif not lo > 0:
         raise ValueError(f"{name} requires a positive argument")
     return x
+
+
+def _integers(ns):
+    """ns as ints (numpy integers pass); ValueError where int() truncates."""
+    try:
+        return [operator.index(n) for n in ns]
+    except TypeError:
+        raise ValueError(f"expected integers, got {ns!r}") from None
 
 
 def _like_input(out):
@@ -64,14 +74,13 @@ def bessel_k0(u):
 
 def _k_table(nmax, x):
     """[K_0(x), ..., K_nmax(x)] on an already checked argument.  At tiny x
-    the higher orders overflow to inf, which is their value as a float, so
-    the recurrence does not warn about it."""
+    the higher orders overflow to inf, which is their value as a float; the
+    caller's error state keeps the recurrence from warning about it."""
     table = [sp.k0(x)]
     if nmax >= 1:
         table.append(sp.k1(x))
-    with np.errstate(over="ignore"):
-        for m in range(1, nmax):
-            table.append(table[m - 1] + (2.0 * m / x) * table[m])
+    for m in range(1, nmax):
+        table.append(table[m - 1] + (2.0 * m / x) * table[m])
     return table
 
 
@@ -93,7 +102,8 @@ def _ktilde(n, x, table):
 def bessel_kn(n, u):
     """K_n for integer n of either sign (K_{-n} = K_n)."""
     x = _as_positive_array(u, "bessel_kn")
-    return _like_input(_k_table(abs(int(n)), x)[-1])
+    with np.errstate(over="ignore"):
+        return _like_input(_k_table(abs(_integers([n])[0]), x)[-1])
 
 
 def ktilde(n, r):
@@ -104,28 +114,27 @@ def ktilde(n, r):
     r^2 Kt_{n+1}(2r) = n Kt_n(2r) + Kt_{n-1}(2r) holds across n = 0.
 
     A sequence of orders gives one row per order, a single order its one
-    row: one K table, its rows stacked once and scaled by 2^n x^-n in one
-    product.  Each x^-n stays a power with a scalar exponent (numpy's
-    array-exponent power differs in the last bit from its scalar paths for
-    exponents 2 and -1), so a row does not depend on the other orders
-    asked for; a row that is not finite is recomputed by `_ktilde`, with
-    its warnings.
+    row: one K table, and each row scaled as (2^n x^-n) K_|n| (K_0 itself
+    for n = 0) under one error state, then stacked once.  Each x^-n stays
+    a power with a scalar exponent (numpy's array-exponent power differs
+    in the last bit from its scalar paths for exponents 2 and -1), so a row
+    does not depend on the other orders asked for.  If a value is not
+    finite, the rows are recomputed by `_ktilde`, with its warnings.  An
+    order that is not an integer is a ValueError.
     """
     x = _as_positive_array(r, "ktilde")
     many = np.iterable(n)
-    ns = [int(m) for m in n] if many else [int(n)]
-    table = _k_table(max(abs(m) for m in ns), x)
+    ns = _integers(n if many else [n])
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.array([2.0**m for m in ns]).reshape(
-            (len(ns),) + (1,) * x.ndim)
-        rows = (scale * np.array([x ** (-float(m)) for m in ns])
-                * np.array([table[abs(m)] for m in ns]))
-        total = rows.sum()
-    if not math.isfinite(total):
-        for i, m in enumerate(ns):
-            if not np.isfinite(rows[i]).all():
-                rows[i] = _ktilde(m, x, table)
-    return rows if many else rows[0]
+        table = _k_table(max(map(abs, ns)), x)
+        rows = [(2.0**m * x ** (-float(m))) * table[abs(m)] if m else table[0]
+                for m in ns]
+        out = np.array(rows) if many else rows[0]
+        total = out.sum()
+    if not math.isfinite(total):  # `_ktilde` keeps every finite value
+        rows = [_ktilde(m, x, table) for m in ns]
+        out = np.array(rows) if many else rows[0]
+    return out
 
 
 def gamma_complex(z):

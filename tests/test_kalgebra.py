@@ -67,6 +67,10 @@ def test_basis_element_and_canonical_form():
     assert len(v + v.scaled(-1)) == 0
     with pytest.raises(ValueError):
         KBasisElement.from_powers(0, -1, 0)
+    assert KBasisElement.from_powers(np.int64(1), 2, np.int32(3)) == (1, 2, 3)
+    for bad in ((1.5, 2, 3), (1, 2.0, 3), (1, 2, 3.7)):
+        with pytest.raises(ValueError):
+            KBasisElement.from_powers(*bad)
 
 
 def test_basis_evaluation_two_forms():

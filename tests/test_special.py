@@ -112,6 +112,40 @@ def test_ktilde_rows_match_single_orders():
         special.ktilde(1, 0.7), special.ktilde(-1, 0.7)]
 
 
+# Kt values as float.hex, so that a last-bit move of the one Kt evaluator
+# shows in Tier-1 and not only in the report hashes; none of these calls
+# warns.
+_KTILDE_PINS = [
+    (3, 1.7, ["0x1.eb2f4af307930p+0"]),
+    ([2, -3, 2, 0, -1], [0.3, 1.0, 7.5],
+     ["0x1.e33d19abf3297p+9", "0x1.9ff5712ae8208p+2", "0x1.7daf0764ae6afp-16",
+      "0x1.fa4d77df8121ap-1", "0x1.c67b171223340p-1", "0x1.78a34288cbb9ap-6",
+      "0x1.e33d19abf3297p+9", "0x1.9ff5712ae8208p+2", "0x1.7daf0764ae6afp-16",
+      "0x1.5f598ae31a9bep+0", "0x1.af2107c43e118p-2", "0x1.05481b690a771p-12",
+      "0x1.d5667f10524a8p-2", "0x1.342d2f39d89c2p-2", "0x1.04cc4636ebb4ap-10"]),
+    # K_m overflows and x^m underflows: the `_ktilde` fallback
+    ([-4, -1, 0, -4], [1e-300, 1e-160],
+     ["0x1.7ffffffffffffp+1", "0x1.8000000000000p+1", "0x1.fffffffffffffp-2",
+      "0x1.0000000000000p-1", "0x1.59721b5792256p+9", "0x1.7087905a3ef9dp+8",
+      "0x1.7ffffffffffffp+1", "0x1.8000000000000p+1"]),
+    (-5, 1e-300, ["0x1.7ffffffffffffp+3"]),
+    # near the x = 690 limit of the ambient oracle; Kt_4 subnormal
+    ([0, 1, 4, -2], 689.5,
+     ["0x1.d4b5d54154f3bp-1000", "0x1.5c4d16b25e3cdp-1008",
+      "0x0.00240b0acd9efp-1022", "0x1.aa3f61bd6ffc0p-983"]),
+]
+
+
+@pytest.mark.parametrize("orders, x, pins", _KTILDE_PINS)
+def test_ktilde_pinned_bits(orders, x, pins):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = special.ktilde(orders, x)
+    if not np.iterable(orders) and not np.iterable(x):
+        assert isinstance(got, np.float64)
+    assert [float(v).hex() for v in np.ravel(got)] == pins
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-12, 12), min_size=1, max_size=12),
        st.integers(0, 2**32 - 1))
@@ -142,7 +176,7 @@ def test_domain_rejections():
         special.bessel_j0(math.nan)
     with pytest.raises(ValueError):
         special.bessel_kn(2, np.array([1.0, math.nan]))
-    for bad in (math.nan, 0.0, -1.0):
+    for bad in (math.nan, 0.0, -0.0, -1.0):
         arr = np.array([0.5, bad, 2.0])
         with pytest.raises(ValueError):
             special.ktilde(1, arr)
@@ -150,6 +184,13 @@ def test_domain_rejections():
             special.ktilde(2, 2 * arr)
         with pytest.raises(ValueError):
             special.ktilde([0, 1], arr)
+    # orders must be integers: int() would truncate 2.5 to 2 and 1.9 to 1
+    assert special.ktilde(np.int64(2), 1.0) == special.ktilde(2, 1.0)
+    for bad in ((2.5, 1.0), ([1.9, 0.2], [1.0, 2.0]), (np.float64(2.0), 1.0)):
+        with pytest.raises(ValueError):
+            special.ktilde(*bad)
+    with pytest.raises(ValueError):
+        special.bessel_kn(2.7, 1.0)
 
 
 def test_j0_at_zero_and_first_zero():

@@ -169,7 +169,7 @@ class KVector:
 
     @classmethod
     def basis(cls, n, a, b, coeff=ONE_G):
-        return cls({KBasisElement(n, a, b): coeff})
+        return cls({KBasisElement(*special._integers((n, a, b))): coeff})
 
     def __add__(self, other):
         out = dict(self.terms)

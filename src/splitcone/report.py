@@ -5,6 +5,16 @@ the CSV columns and the JSON check template all follow it.  `to_json`
 fills that template from the `CheckResult` attributes, writing each field
 down the column of all checks; its cold path, json.dumps, writes the
 report's head and tail and any value that is not a flat scalar.
+
+One `to_json` call formats each distinct float once: a memo, value ->
+repr, lives for the call and serves every column of float itself, and
+checks whose parameters are equal floats share one block.  0.0 == -0.0,
+so no zero is memoized and no row with a zero is shared; 2 == 2.0 ==
+True == np.float64(2), so only float itself enters the memo (the floats
+of a column of floats, ints and booleans; a column with anything else
+keeps the per-column path without it).  Complex values are written part
+by part: most of their parts are distinct, and hashing them costs what
+the memo saves.
 """
 
 from __future__ import annotations
@@ -14,9 +24,10 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -139,7 +150,7 @@ def _report_fields(rep, include_wall_time):
         "suite": rep.suite,
         "config_echo": _params(rep.config_echo),
         "generator": rep.generator,
-        "checks": sorted(rep.checks, key=lambda c: c.check_id),
+        "checks": sorted(rep.checks, key=attrgetter("check_id")),
         "summary": rep.summary,
         "wall_ms": rep.wall_ms if include_wall_time else 0.0,
     }
@@ -160,26 +171,71 @@ def _json(o, pad):
         return "true" if o else "false"
     if type(o) is int:
         return int.__repr__(o)
+    if type(o) is str:
+        return encode_basestring_ascii(o)
     return json.dumps(o, indent=2).replace("\n", "\n" + pad)
 
 
-def _column_json(col, convert, pad):
+def _reprs(col, memo):
+    """float.__repr__ of each of the floats `col`, formatting only the
+    values missing from `memo`, the value -> text map of one report; None
+    if a value is not finite.  0.0 == -0.0 would share one key, so no zero
+    enters `memo`: a zero is left a float, which the "%s" or f-string that
+    writes its cell formats by str, the repr of a float."""
+    new = set(col).difference(memo)  # what memo holds is finite
+    if not all(map(math.isfinite, new)):
+        return None
+    new.discard(0.0)
+    memo.update(zip(new, map(float.__repr__, new)))
+    return list(map(memo.get, col, col))
+
+
+def _blocks(rows, pad, memo):
+    """The `_params` text of each row, a check's sorted (key, value) pairs;
+    TypeError if a key is not a string."""
+    inner, close = pad + "  ", f"\n{pad}}}"
+    keys = list(map(encode_basestring_ascii, [k for row in rows for k, _ in row]))
+    values = _column_json([v for row in rows for _, v in row], _num, inner, memo)
+    lines = iter([f"{inner}{k}: {v}" for k, v in zip(keys, values)])
+    return ["{\n" + ",\n".join(islice(lines, len(row))) + close if row else "{}"
+            for row in rows]
+
+
+def _column_json(col, convert, pad, memo):
     """`_json(convert(v), pad)` for each v of `col` (of v if convert is
-    None).  A column of strings, of finite floats, through `_num` of finite
-    complex numbers, or through `_params` of string-keyed parameters (as
-    the column of all their values) is written in one pass."""
+    None), `memo` as in `_reprs`.  A column of strings, of booleans, of
+    finite floats, through `_num` of finite complex numbers, or through
+    `_params` of string-keyed parameters (as the column of all their
+    values) is written in one pass.  Only float itself goes through
+    `_reprs`, from a column of floats alone or with ints and booleans: an
+    int, a bool or a float subclass equal to a float would take its key."""
     if convert is _params:
-        rows = [sorted(p.items()) for p in col]
-        with suppress(TypeError):  # a key that is not a string
-            keys = list(map(encode_basestring_ascii, [k for row in rows for k, _ in row]))
-            inner, close = pad + "  ", f"\n{pad}}}"
-            values = _column_json([v for row in rows for _, v in row], _num, inner)
-            lines = iter([f"{inner}{k}: {v}" for k, v in zip(keys, values)])
-            return ["{\n" + ",\n".join(islice(lines, len(row))) + close if row else "{}"
-                    for row in rows]
+        with suppress(TypeError):  # a key that is not a string, or not dicts
+            if set(map(type, chain.from_iterable(map(dict.values, col)))) == {float}:
+                # equal items then write equal blocks, but for 0.0 == -0.0:
+                # items that hold a zero may not stand for another check
+                items = [tuple(p.items()) for p in col]
+                counts = Counter(items)
+                if all(v for row, n in counts.items() if n > 1 for _, v in row):
+                    blocks = dict(zip(counts, _blocks(list(map(sorted, counts)), pad, memo)))
+                    return list(map(blocks.__getitem__, items))
+            return _blocks([sorted(p.items()) for p in col], pad, memo)
     elif convert is None:
         with suppress(TypeError):
             return list(map(encode_basestring_ascii, col))
+    types = set(map(type, col))
+    if types == {float}:
+        texts = _reprs(col, memo)
+        if texts is not None:
+            return texts
+    elif types == {bool}:
+        return ["true" if v else "false" for v in col]
+    elif float in types and types <= {float, int, bool}:
+        # ints and booleans go around the memo: 2 == 2.0 == True share a key
+        texts = _reprs([v for v in col if type(v) is float], memo)
+        if texts is not None:
+            texts = iter(texts)
+            return [next(texts) if type(v) is float else _json(v, pad) for v in col]
     with suppress(TypeError, AttributeError, OverflowError):  # not all numbers
         if all(map(cmath.isfinite, col)):
             if convert is None:
@@ -195,7 +251,8 @@ def to_json(rep: VerificationReport, include_wall_time=True) -> str:
     byte: `indent` would select json's pure-Python encoder."""
     fields = _report_fields(rep, include_wall_time)
     columns = zip(*map(_check_fields, fields["checks"]))
-    cells = [_column_json(col, convert, "      ")
+    memo = {}
+    cells = [_column_json(col, convert, "      ", memo)
              for (_, _, convert), col in zip(_CHECK_LAYOUT, columns)]
     checks = ",\n".join(map(_CHECK_TEMPLATE.__mod__, zip(*cells)))
     fields["checks"] = f"[\n{checks}\n  ]" if checks else "[]"

@@ -73,6 +73,20 @@ def test_basis_element_and_canonical_form():
             KBasisElement.from_powers(*bad)
 
 
+def test_kvector_basis_rejects_non_integer_labels():
+    # a float label was truncated by evaluate, or broke the coefficients
+    # of a rewrite
+    for bad in ((1.5, 2, 0), (0, 2.5, 1), (0, 1, np.float64(2.0))):
+        with pytest.raises(ValueError):
+            KVector.basis(*bad)
+    with pytest.raises(ValueError):
+        apply_P(1, KVector.basis(0, 2.5, 1))
+    # numpy integers pass, as in from_powers, and become ints
+    v = KVector.basis(np.int64(1), 2, np.int32(0))
+    assert v == KVector.basis(1, 2, 0)
+    assert all(type(x) is int for x in next(iter(v.terms)))
+
+
 def test_basis_evaluation_two_forms():
     # Kt_n(2r)(xi1 + i s1 xi2)^l (xi3 + i s2 xi4)^k vs the chart form
     from splitcone import special

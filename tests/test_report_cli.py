@@ -208,11 +208,67 @@ def _edge_report():
     return VerificationReport("edge", echo, checks, wall_ms=12.5)
 
 
+def _collision_reports():
+    """Reports whose equal values must still be written apart: the writer
+    formats each distinct float once per report, and 0.0 == -0.0,
+    2 == 2.0 == True and np.float64(0.5) == 0.5 share a dict key."""
+    z, nz = 0.0, -0.0
+    checks = []
+
+    def add(params, computed, reference, tol, kind="abs"):
+        # CheckResult keeps a real computed value a float, so that column
+        # takes the float path of the writer, as abs_error and tolerance do
+        checks.append(CheckResult(f"c.{len(checks):02d}", "S5.prop-ft", params,
+                                  computed, reference, tol, kind=kind))
+
+    # 0.0 then -0.0, and -0.0 then 0.0, down one column (the tolerance)
+    for tol in (z, nz, z, 1e-9, nz, z, nz):
+        add({"R": 0.5, "q": 0.25}, 1.0, 1.0, tol)
+    # across columns: a computed -0.0 ahead of abs_error 0.0, and a
+    # computed 0.0 ahead of a tolerance -0.0
+    add({"R": 0.5, "q": 0.25}, nz, z, 1e-9)
+    add({"R": 0.5, "q": 0.25}, z, nz, nz)
+    # int 2, float 2.0 and True as parameters; 2.0 also a value and a tolerance
+    add({"n": 2, "R": 0.5}, 2.0, 2.0, 2.0)
+    add({"n": 2.0, "R": 0.5}, 2.0, 1.0, 1.0)
+    add({"n": True, "R": 0.5}, 1.0, 1.0, 2.0)
+    add({"n": 1, "R": 0.5}, 1.0, 1.0, 1.0)
+    # np.float64 equal to a plain float elsewhere (the reference column)
+    add({"R": 0.5, "q": 0.25}, 0.25, np.float64(0.25), 1e-9)
+    add({"R": nz, "q": z}, 0.5, np.float64(0.5), 1e-9)
+    # one value as a parameter and as a tolerance
+    for i in range(4):
+        add({"R": 1e-9, "q": 0.25 * i}, 0.25 * i, 0.25 * i + 1e-12, 1e-9)
+    # overlapping key sets, repeated rows (none with a zero, so that equal
+    # rows could be shared)
+    for i in range(8):
+        add({"R": 0.5, "q": 0.25, "s": float(i % 3 + 1)}, 0.75, 0.5, 0.5, "rel")
+        add({"q": 0.25}, 0.75 * i, 0.75 * i, 1e-9)
+    mixed = VerificationReport("collisions", {"seed": 1, "tol": 2.0}, checks)
+
+    # all-float parameters, where equal rows share one block: rows with
+    # 0.0 and -0.0 in both orders, each more than once; 1e-9 is both a
+    # parameter and the tolerance; complex values with signed zero parts
+    rows = [{"R": 0.5, "r": z}, {"R": 0.5, "r": nz}, {"R": 1e-9, "r": 2.0}]
+    shared = [make_check(f"f.{i:02d}", "S5.lemma", rows[i % 3] if i < 18 else rows[(i + 1) % 2],
+                         complex(nz if i % 2 else z, 0.5 * (i % 4)), 0.5 * (i % 4), 1e-9)
+              for i in range(32)]
+    # rows with a zero that occur once each, beside shared rows
+    once = [make_check(f"g.{i:02d}", "S5.lemma",
+                       {"R": float(i), "r": nz if i % 2 else z} if i < 4 else
+                       {"R": 0.5, "r": 0.25 * (i % 3 + 1), "q": 1e-9},
+                       complex(z, nz), complex(nz, 1.0 * (i % 2)), 1e-9) for i in range(32)]
+    return [mixed, VerificationReport("float_rows", {}, shared),
+            VerificationReport("float_rows_once", {}, once)]
+
+
 @pytest.mark.parametrize("rep", [
     _edge_report(),
     VerificationReport("empty", {}, [], wall_ms=3.0),
     VerificationReport("empty_echo", {}, _edge_report().checks[:1]),
-], ids=["edge-values", "zero-checks", "one-check"])
+    *_collision_reports(),
+], ids=["edge-values", "zero-checks", "one-check",
+        "collisions", "float-rows-shared-zeros", "float-rows-single-zeros"])
 def test_json_writer_matches_json_dumps_on_edge_reports(rep):
     for include_wall_time in (True, False):
         assert to_json(rep, include_wall_time) == _json_dumps(rep, include_wall_time)
@@ -257,6 +313,37 @@ _REPORTS = st.builds(VerificationReport, _TEXT, st.dictionaries(_TEXT, _VALUES, 
 def test_json_writer_matches_json_dumps_on_generated_reports(rep):
     for include_wall_time in (True, False):
         assert to_json(rep, include_wall_time) == _json_dumps(rep, include_wall_time)
+
+
+# A small pool of values, so that repeats within a report are common: the
+# zeros of both signs, floats equal to ints and booleans, np.float64 twins.
+_POOL_FLOATS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, 1.0, 1e-9, 5e-324,
+                                math.inf, math.nan])
+_POOL_NUMBERS = st.one_of(_POOL_FLOATS, st.sampled_from([2, 1, 0, True, False]))
+_POOL = st.one_of(_POOL_NUMBERS, st.sampled_from(
+    [np.float64(0.5), np.float64(-0.0), np.float64(2.0), "2.0"]))
+
+
+@st.composite
+def _pooled_reports(draw):
+    # parameters of floats alone share their rows; with ints and booleans
+    # only their floats go through the memo; the rest skip it
+    values = draw(st.sampled_from([_POOL_FLOATS, _POOL_NUMBERS, _POOL]))
+    params = st.dictionaries(st.sampled_from(["R", "q", "n"]), values, max_size=3)
+    numbers = st.one_of(values, st.builds(complex, _POOL_FLOATS, _POOL_FLOATS))
+    checks = []
+    for _ in range(draw(st.integers(0, 40))):
+        build = draw(st.sampled_from([make_check, CheckResult]))
+        checks.append(build(f"p.{draw(st.integers(0, 9))}", "S5",
+                            draw(params), draw(numbers), draw(numbers),
+                            draw(_POOL_FLOATS), kind=draw(st.sampled_from(["abs", "rel"]))))
+    return VerificationReport("pool", {}, checks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pooled_reports())
+def test_json_writer_matches_json_dumps_on_pooled_reports(rep):
+    assert to_json(rep, False) == _json_dumps(rep, False)
 
 
 def test_json_writer_rejects_what_json_dumps_rejects():

@@ -154,11 +154,29 @@ class KBasisElement(NamedTuple):
 
 
 class KVector:
-    """Immutable finite combination of basis elements with exact coefficients."""
+    """Immutable finite combination of basis elements with exact coefficients.
+
+    Its labels are integers: `KVector(terms)` makes each key a
+    `KBasisElement` of ints (numpy integers pass) and raises ValueError on
+    any other label.  The rewrites build their results from labels of
+    checked vectors, so they skip that check (`_of`)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
+        if terms:
+            terms = {KBasisElement(*special._integers(key)): coeff
+                     for key, coeff in terms.items()}
+        self._set(terms)
+
+    @classmethod
+    def _of(cls, terms):
+        """The vector of a rewrite's own terms, whose labels are ints."""
+        v = object.__new__(cls)
+        v._set(terms)
+        return v
+
+    def _set(self, terms):
         clean = {}
         if terms:
             for key, coeff in terms.items():
@@ -169,23 +187,23 @@ class KVector:
 
     @classmethod
     def basis(cls, n, a, b, coeff=ONE_G):
-        return cls({KBasisElement(*special._integers((n, a, b))): coeff})
+        return cls({(n, a, b): coeff})
 
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, _ZERO_G) + c
-        return KVector(out)
+        return KVector._of(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, _ZERO_G) - c
-        return KVector(out)
+        return KVector._of(out)
 
     def scaled(self, coeff):
         coeff = _as_gauss(coeff)
-        return KVector({k: coeff * c for k, c in self.terms.items()})
+        return KVector._of({k: coeff * c for k, c in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, KVector) and self.terms == other.terms
@@ -313,7 +331,7 @@ def apply_P(j, v: KVector):
                  else GaussianInt(d * tc * im, -d * tc * re))
             prev = out.get(t)
             out[t] = w if prev is None else prev + w
-    return KVector(out)
+    return KVector._of(out)
 
 
 def _ladder_terms(n, a, b, plane, sign):
@@ -348,7 +366,7 @@ def apply_raise_lower(sign_op, v: KVector, plane=1, composite=False):
             for label, coeff in _ladder_terms(key.n, key.a, key.b, plane, sign_op):
                 kk = KBasisElement(*label)
                 out[kk] = out.get(kk, _ZERO_G) + GaussianInt(coeff, 0) * c
-        return KVector(out)
+        return KVector._of(out)
     mult = apply_plane_mult(v, plane, sign_op).scaled(2)
     j = 2 * plane - 1
     pcomb = apply_P(j, v) + apply_P(j + 1, v).scaled(GaussianInt(0, sign_op))
@@ -357,7 +375,7 @@ def apply_raise_lower(sign_op, v: KVector, plane=1, composite=False):
         if c.re % 2 or c.im % 2:
             raise ArithmeticError("ladder combination is not even")
         half[key] = GaussianInt(c.re // 2, c.im // 2)
-    return mult + KVector(half)
+    return mult + KVector._of(half)
 
 
 def apply_X(j, k, v: KVector):
@@ -367,11 +385,11 @@ def apply_X(j, k, v: KVector):
     if not (1 <= j < k <= 4):
         raise ValueError("need 1 <= j < k <= 4")
     if (j, k) == (1, 2):
-        return KVector(
+        return KVector._of(
             {key: GaussianInt(0, key.a) * c for key, c in v.terms.items()}
         )
     if (j, k) == (3, 4):
-        return KVector(
+        return KVector._of(
             {key: GaussianInt(0, key.b) * c for key, c in v.terms.items()}
         )
     raise NotImplementedError(

@@ -30,7 +30,11 @@ bump (keeping the |.|^(-1/2) factor nonsingular on supp psi and the level
 set {<xi0, xi'> = 1} compactly within it).
 
 Routes.  The `op_*` functions always integrate over the cone, for any f
-and xi; the ray route (C+- times `ray_rows`) is `ray_values` alone.
+and xi; the ray route (C+- times `ray_rows`) is `ray_values` alone.  Its
+radial rows int_0^inf 2 u^2 m(u^2) fn(c u) du (fn = K0, Y0 or J0) are
+elementary for m = exp(-sqrt(t)), twice the second derivative of a Laplace
+transform, and are evaluated so in long double (`_laplace_rows`); for
+m = exp(-t) they are Gauss quadratures on Bessel grids (`_RowQuadrature`).
 """
 
 from __future__ import annotations
@@ -131,31 +135,9 @@ class _Profile:
     """A radial profile m of the test function and what the code uses of it."""
 
     m: callable  # m(t)
-    weight: callable  # m(u^2): t = u^2 gives the ray rows the weight 2 u^2 m(u^2)
-    u_max: float  # end of the rows' u range
-    u_step: float  # step of the rows' u grid (`ray_rows`)
+    rows: callable  # rows(kinds, c): its ray rows, one per kernel, at the array c
     rate: callable  # decay rate of f's certificate, from r0 g_min
     m_sq_integral: float  # int_0^inf m(t)^2 dt, the radial factor of ||f||^2
-
-
-# The u range ends where the weight's tail integral is negligible against
-# the rows: for "sqrt_exponential" that tail, 2 (U^2 + 2U + 2) e^-U, is
-# 8.2e-16 at U = 43; the exponential profile's range sqrt(log 1e12) + 4 =
-# 9.26 leaves a tail of 6e-37.  The u grid serves every c <= pi / u_step,
-# so the step in x = c u is at most pi on both of the rows' grids.
-# Order-10 panels of 4 integrate the weight 2 u^2 e^-u to the rows'
-# rounding, and panels of 1 the weight 2 u^2 e^-u^2: the J0 rows are within
-# 7.3e-16 and 6.3e-16 of the largest row, and 1.3e-11 and 4.6e-11 at twice
-# these steps.
-_PROFILES = {
-    "sqrt_exponential": _Profile(
-        m=lambda t: np.exp(-np.sqrt(t)), weight=lambda u: np.exp(-u),
-        u_max=43.0, u_step=4.0, rate=math.sqrt, m_sq_integral=0.5),
-    "exponential": _Profile(
-        m=lambda t: np.exp(-t), weight=lambda u: np.exp(-u * u),
-        u_max=math.sqrt(math.log(1e12)) + 4.0, u_step=1.0,
-        rate=lambda a: a, m_sq_integral=0.5),
-}
 
 
 def _profile(radial):
@@ -326,11 +308,78 @@ def _angular_constants(base, center, width, parity_eps, power=1):
 # ----- separable fast path: on the ray, C+- times parity-free radial rows -----
 
 
+# The closed-form rows are evaluated in long double and rounded to float
+# once.  Their terms cancel: the same formulas in double are up to 8.3e-15
+# off in K0 (relative) and 3.1e-15 in Y0 (absolute) on c in [0.05, 3], and
+# with a 64-bit mantissa 1.2e-16 and 1.1e-16.  So they need a long double
+# of at least 63 mantissa bits.
+_LONGDOUBLE_NMANT = np.finfo(np.longdouble).nmant
+_PI_LD = np.arccos(np.longdouble(-1.0))
+# (3)_k (3)_k / ((7/2)_k k!), 0 < k < 30: the coefficients of
+# 2F1(3, 3; 7/2; z) past its leading 1, whose terms past k = 30 are below
+# 2e-21 of the sum at |z| < 0.15
+_K0_SERIES = np.cumprod([np.longdouble((3 + k) * (3 + k)) / ((k + 3.5) * (k + 1))
+                         for k in range(29)])
+
+
+def _k0_row(c, c2):
+    """2 int_0^inf u^2 e^-u K0(c u) du = 2 [A (c^2 + 2) / |c^2 - 1|^(5/2)
+    - 3 / (c^2 - 1)^2], A = arccos(1/c) above c = 1 and arccosh(1/c) below.
+    Both terms diverge at c = 1, so where z = (c - 1) / (2c) has |z| < 0.15
+    (c in (0.77, 1.43)) the row is summed as (8 / 15 c^3) 2F1(3, 3; 7/2; z)."""
+    out = np.empty_like(c)
+    z = (c - 1.0) / (2.0 * c)
+    near = np.abs(z) < 0.15
+    # the powers z^k by products: long double's power function is slow
+    zk = np.cumprod(np.broadcast_to(z[near, None], (np.count_nonzero(near), 29)), axis=1)
+    x = c[near]
+    out[near] = 8.0 * (1.0 + zk @ _K0_SERIES) / (15.0 * x * x * x)
+    for side, acos in ((~near & (c > 1.0), np.arccos), (~near & (c < 1.0), np.arccosh)):
+        x, q = c[side], c2[side] - 1.0
+        out[side] = 2.0 * (acos(1.0 / x) * (x * x + 2.0) / _pow52(np.abs(q)) - 3.0 / (q * q))
+    return out
+
+
+def _y0_row(c, c2):
+    """2 int_0^inf u^2 e^-u Y0(c u) du = -(4/pi) [arsinh(1/c) (2 - c^2) /
+    D^(5/2) - 3 / D^2], D = 1 + c^2."""
+    d = 1.0 + c2
+    return -(4.0 / _PI_LD) * (np.arcsinh(1.0 / c) * (2.0 - c2) / _pow52(d) - 3.0 / (d * d))
+
+
+def _j0_row(c, c2):
+    """2 int_0^inf u^2 e^-u J0(c u) du = 2 (2 - c^2) / (1 + c^2)^(5/2)."""
+    return 2.0 * (2.0 - c2) / _pow52(1.0 + c2)
+
+
+def _pow52(d):
+    """d^(5/2) as d^2 sqrt(d), several times faster than d**2.5 in long double."""
+    return d * d * np.sqrt(d)
+
+
+def _laplace_rows(kinds, cs):
+    """The "sqrt_exponential" rows in closed form: with the weight 2 u^2 e^-u,
+    a row is twice the second derivative at p = 1 of the Laplace transform
+    int_0^inf e^-pu fn(c u) du (Gradshteyn & Ryzhik 6.611.1-3):
+    1 / sqrt(p^2 + c^2) for J0, -(2/pi) arsinh(p/c) / sqrt(p^2 + c^2) for
+    Y0, and arccos(p/c) / sqrt(c^2 - p^2) for K0 (arccosh(p/c) /
+    sqrt(p^2 - c^2) for c < p).  ArithmeticError where long double has
+    fewer than 63 mantissa bits, since the rows would come out worse."""
+    if _LONGDOUBLE_NMANT < 63:
+        raise ArithmeticError(
+            f"the closed-form ray rows need a long double of at least 63 "
+            f"mantissa bits (this platform's has {_LONGDOUBLE_NMANT})")
+    c = cs.astype(np.longdouble)
+    c2 = c * c
+    rows = {"k0": _k0_row, "y0": _y0_row, "j0": _j0_row}
+    return np.array([rows[kind](c, c2) for kind in kinds]).astype(float)
+
+
 # Depth of the grading toward 0 of the K0 and Y0 rows: the first panel of
-# length step is cut at step / 2^k, k = 1.._GRADED (step / 2^20 is 3.8e-6
-# at step 4 and 3.0e-6 at step pi).  A Gauss panel [a, 2a] resolves the log singularity of K0
-# and Y0 at 0 to about 5e-16 of its contribution ([a, 3a] only to about
-# 1e-12).  J0 is entire, so its rows take no grading.
+# length step is cut at step / 2^k, k = 1.._GRADED (step / 2^20 is 9.5e-7
+# at step 1 and 3.0e-6 at step pi).  A Gauss panel [a, 2a] resolves the log
+# singularity of K0 and Y0 at 0 to about 5e-16 of its contribution ([a, 3a]
+# only to about 1e-12).  J0 is entire, so its rows take no grading.
 _GRADED = 20
 # Most c of one kernel call on the u grid (about 300 nodes): 160 kB a kernel.
 _C_BLOCK = 64
@@ -347,11 +396,80 @@ def _u_grid(step, n, halvings):
 
     It depends on nothing but its arguments, and its breaks step k are
     computed one by one, so the grid of n panels is the first 10
-    (halvings + n) nodes of every longer one.  `ray_rows` builds it twice
-    a call at most: in u at the profile's u step and in x = c u at step pi."""
+    (halvings + n) nodes of every longer one.  `_RowQuadrature` builds it
+    twice a call at most: in u at its u step and in x = c u at step pi."""
     breaks = np.concatenate([[0.0], step / 2.0 ** np.arange(halvings, 0, -1),
                              step * np.arange(1.0, n + 1.0)])
     return panel_nodes(breaks, 10)
+
+
+@dataclass(frozen=True)
+class _RowQuadrature:
+    """Ray rows int_0^inf W(u) fn(c u) du by quadrature, W = 2 u^2 weight(u)
+    on [0, u_max], for a profile whose K0 and Y0 rows have no elementary
+    form.
+
+    Up to c = pi / u_step every row takes one shared u grid of that step,
+    and each kernel is evaluated at c u for up to `_C_BLOCK` c at once.
+    Past it the panels are pi / c long in u, so pi long in x = c u: each
+    kernel is evaluated once on one x grid, as far as the largest c needs
+    (K0 only below `_K0_ZERO`, where it is not 0.0), and each such c takes
+    a prefix of it, weighted by W(x / c) / c.  Either way the step in x is
+    at most pi.  Only the K0 and Y0 grids are graded toward 0 (`_GRADED`).
+    The prefix has about 30 c nodes at u_max 9.26, so the x grid at the
+    c <= 3e3 of `ray_rows` stays under 0.1 M nodes."""
+
+    weight: callable  # m(u^2): t = u^2 gives the ray rows the weight 2 u^2 m(u^2)
+    u_max: float  # end of the rows' u range
+    u_step: float  # step of the rows' u grid
+
+    def __call__(self, kinds, cs):
+        fns = [getattr(special, "bessel_" + kind) for kind in kinds]
+        halvings = 0 if kinds == ("j0",) else _GRADED
+        rows = np.empty((len(kinds), len(cs)))
+        small = cs <= math.pi / self.u_step
+        if small.any():
+            u, w = _u_grid(self.u_step, math.ceil(self.u_max / self.u_step), halvings)
+            weight = 2.0 * u * u * self.weight(u) * w
+            at = np.flatnonzero(small)
+            for block in np.split(at, range(_C_BLOCK, at.size, _C_BLOCK)):
+                fu = [fn(cs[block, None] * u) for fn in fns]
+                for t, i in enumerate(block.tolist()):
+                    rows[:, i] = [np.dot(f[t], weight) for f in fu]
+        if not small.all():
+            panels = [math.ceil(c * self.u_max / math.pi) for c in cs.tolist()]
+            x, wx = _u_grid(math.pi, max(panels), halvings)
+            fx = []
+            for kind, fn in zip(kinds, fns):
+                n = int(np.searchsorted(x, _K0_ZERO)) if kind == "k0" else x.size
+                fx.append(np.concatenate([fn(x[:n]), np.zeros(x.size - n)]))
+            # W(x / c) / c = m(x^2 / c^2) 2 x^2 / c^3: the 2 x^2 goes into the
+            # weights once, so each c takes one exp
+            x2w = 2.0 * x * x * wx
+            for i in np.flatnonzero(~small).tolist():
+                m = 10 * (halvings + panels[i])
+                c = float(cs[i])
+                wc = self.weight(x[:m] / c) * x2w[:m]
+                rows[:, i] = [np.dot(f[:m], wc) / (c * c * c) for f in fx]
+        return rows
+
+
+# Each profile's rows are computed one way.  "sqrt_exponential", the
+# profile of `mellin.RayTable`, has them in closed form (`_laplace_rows`).
+# "exponential" takes `_RowQuadrature`: its u range sqrt(log 1e12) + 4 =
+# 9.26 leaves a weight tail of 6e-37, and order-10 panels of 1 integrate
+# the weight 2 u^2 e^-u^2 to the rows' rounding (the J0 rows are within
+# 6.3e-16 of the largest row, and 4.6e-11 at twice the step).
+_PROFILES = {
+    "sqrt_exponential": _Profile(
+        m=lambda t: np.exp(-np.sqrt(t)), rows=_laplace_rows, rate=math.sqrt,
+        m_sq_integral=0.5),
+    "exponential": _Profile(
+        m=lambda t: np.exp(-t),
+        rows=_RowQuadrature(weight=lambda u: np.exp(-u * u),
+                            u_max=math.sqrt(math.log(1e12)) + 4.0, u_step=1.0),
+        rate=lambda a: a, m_sq_integral=0.5),
+}
 
 
 def _checked_s(op, s_grid, R):
@@ -367,21 +485,14 @@ def _checked_s(op, s_grid, R):
 
 def ray_rows(radial, op, s_grid, R=None):
     """Radial rows int_0^inf W(u) fn(c u) du of op's ray restriction, W the
-    weight 2 u^2 m(u^2) of `_PROFILES`: fn = K0 and Y0 at c = 2 sqrt(2s) for "fc",
-    J0 at c = R sqrt(2s) for "pl".  R may be an array that broadcasts against
-    s_grid; the rows then take the broadcast shape, and all of them share
-    one x grid.
+    weight 2 u^2 m(u^2) of the profile m: fn = K0 and Y0 at c = 2 sqrt(2s)
+    for "fc", J0 at c = R sqrt(2s) for "pl".  R may be an array that
+    broadcasts against s_grid; the rows then take the broadcast shape.
 
-    Up to c = pi / u_step (pi / 4 for "sqrt_exponential", pi for
-    "exponential") every row takes one shared u grid of that step, and each
-    kernel is evaluated at c u for up to `_C_BLOCK` c at once.  Past it the
-    panels are pi / c long in u, so pi long in x = c u: each kernel is
-    evaluated once on one x grid, as far as the largest c needs (K0 only
-    below `_K0_ZERO`, where it is not 0.0), and each such c takes a prefix
-    of it, weighted by W(x / c) / c.  Either way the step in x is at most
-    pi.  Only the K0 and Y0 grids are graded toward 0 (`_GRADED`).  The
-    prefix has about 137 c nodes, so c is supported up to 3e3 (0.4 M
-    nodes: the "fc" row at s = 1e6)."""
+    The profile's `_PROFILES` entry computes them: in closed form for
+    "sqrt_exponential" (`_laplace_rows`), by quadrature for "exponential"
+    (`_RowQuadrature`).  Supported for c <= 3e3 (the "fc" row at s = 1e6);
+    ValueError past it."""
     profile = _profile(radial)
     root = np.sqrt(2.0 * _checked_s(op, s_grid, R))
     kinds, cs = (("k0", "y0"), 2.0 * root) if op == "fc" else (
@@ -389,34 +500,7 @@ def ray_rows(radial, op, s_grid, R=None):
     shape, cs = cs.shape, cs.ravel()
     if np.any(cs > 3.0e3):
         raise ValueError("ray rows are supported for c <= 3e3")
-    fns = [getattr(special, "bessel_" + kind) for kind in kinds]
-    halvings = _GRADED if op == "fc" else 0
-    u_max, step = profile.u_max, profile.u_step
-    rows = np.empty((len(kinds), len(cs)))
-    small = cs <= math.pi / step
-    if small.any():
-        u, w = _u_grid(step, math.ceil(u_max / step), halvings)
-        weight = 2.0 * u * u * profile.weight(u) * w
-        at = np.flatnonzero(small)
-        for block in np.split(at, range(_C_BLOCK, at.size, _C_BLOCK)):
-            fu = [fn(cs[block, None] * u) for fn in fns]
-            for t, i in enumerate(block.tolist()):
-                rows[:, i] = [np.dot(f[t], weight) for f in fu]
-    if not small.all():
-        panels = [math.ceil(c * u_max / math.pi) for c in cs.tolist()]
-        x, wx = _u_grid(math.pi, max(panels), halvings)
-        fx = []
-        for kind, fn in zip(kinds, fns):
-            n = int(np.searchsorted(x, _K0_ZERO)) if kind == "k0" else x.size
-            fx.append(np.concatenate([fn(x[:n]), np.zeros(x.size - n)]))
-        # W(x / c) / c = m(x^2 / c^2) 2 x^2 / c^3: the 2 x^2 goes into the
-        # weights once, so each c takes one exp
-        x2w = 2.0 * x * x * wx
-        for i in np.flatnonzero(~small).tolist():
-            m = 10 * (halvings + panels[i])
-            c = float(cs[i])
-            wc = profile.weight(x[:m] / c) * x2w[:m]
-            rows[:, i] = [np.dot(f[:m], wc) / (c * c * c) for f in fx]
+    rows = profile.rows(kinds, cs)
     return list(rows.reshape((len(kinds),) + shape))
 
 

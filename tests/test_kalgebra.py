@@ -87,6 +87,21 @@ def test_kvector_basis_rejects_non_integer_labels():
     assert all(type(x) is int for x in next(iter(v.terms)))
 
 
+def test_kvector_rejects_non_integer_labels():
+    # a vector built from its labels directly is checked as `basis` is: a
+    # float label gave apply_P float coefficients, and evaluate truncated it
+    for bad in (KBasisElement(0, 2.5, 1), (1.5, 2, 0), (0, 1, np.float64(2.0))):
+        with pytest.raises(ValueError):
+            KVector({bad: ONE_G})
+        with pytest.raises(ValueError):
+            KVector({bad: GaussianInt(0, 0), KBasisElement(0, 1, 1): ONE_G})
+    v = KVector({(np.int64(1), 2, np.int32(0)): ONE_G, KBasisElement(0, 1, 1): 2})
+    assert v == KVector.basis(1, 2, 0) + KVector.basis(0, 1, 1, GaussianInt(2, 0))
+    assert all(type(key) is KBasisElement and all(type(x) is int for x in key)
+               for key in v.terms)
+    assert repr(apply_P(1, v)).startswith("KVector(")
+
+
 def test_basis_evaluation_two_forms():
     # Kt_n(2r)(xi1 + i s1 xi2)^l (xi3 + i s2 xi4)^k vs the chart form
     from splitcone import special

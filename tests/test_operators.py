@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from splitcone import operators, suites
+from splitcone import mellin, operators, suites
 from splitcone.geometry import ConePoint
 from splitcone.numerics import gauss_legendre
 from splitcone.operators import (
@@ -157,13 +157,19 @@ def test_radial_profile_table(radial):
         # int_0^inf m^2 dt, the radial factor l2_norm_sq uses
         m2 = mpmath.quad(lambda t: float(p.m(float(t))) ** 2, [0, 1, 10, mpmath.inf])
         assert abs(m2 - 0.5) <= 1e-14 and p.m_sq_integral == 0.5
+    if radial == "sqrt_exponential":
+        # rows in closed form, with no u range
+        assert p.rows is operators._laplace_rows
+        return
+    quad = p.rows
+    with mpmath.workdps(20):
         # the weight's tail past the u range
-        tail = mpmath.quad(lambda u: 2 * u * u * float(p.weight(float(u))),
-                           [p.u_max, mpmath.inf])
+        tail = mpmath.quad(lambda u: 2 * u * u * float(quad.weight(float(u))),
+                           [quad.u_max, mpmath.inf])
         assert tail <= 1e-15
     # the ray weight is m at u^2
-    u = np.linspace(0.0, p.u_max, 101)
-    np.testing.assert_allclose(p.weight(u), p.m(u * u), rtol=1e-15, atol=0.0)
+    u = np.linspace(0.0, quad.u_max, 101)
+    np.testing.assert_allclose(quad.weight(u), p.m(u * u), rtol=1e-15, atol=0.0)
 
 
 def test_ray_chain_fidelity():
@@ -226,22 +232,40 @@ def test_ray_rows_reject_an_unknown_radial_profile():
 
 def _laplace_row(laplace, c):
     """2 int_0^inf u^2 e^-u fn(c u) du as the second derivative at p = 1
-    of the Laplace transform int_0^inf e^-pu fn(c u) du."""
+    of the Laplace transform int_0^inf e^-pu fn(c u) du, by mpmath's
+    differences (which never take p = c itself, where the K0 transform is
+    0 / 0)."""
     with mpmath.workdps(30):
-        return float(2 * mpmath.diff(lambda p: laplace(p, mpmath.mpf(c)), 1, 2))
+        return float(2 * mpmath.diff(lambda p: laplace(p, mpmath.mpf(c)), 1, 2,
+                                     singular=True))
+
+
+# Laplace transforms (Gradshteyn & Ryzhik 6.611.1-3):
+# int e^-pu J0(cu) du = 1 / sqrt(p^2 + c^2),
+# int e^-pu K0(cu) du = arccos(p/c) / sqrt(c^2 - p^2) and
+# int e^-pu Y0(cu) du = -(2/pi) arsinh(p/c) / sqrt(p^2 + c^2)
+def _j0_laplace(p, c):
+    return 1 / mpmath.sqrt(p * p + c * c)
+
+
+def _k0_laplace(p, c):
+    return mpmath.re(mpmath.acos(p / c) / mpmath.sqrt(c * c - p * p))
+
+
+def _y0_laplace(p, c):
+    return -(2 / mpmath.pi) * mpmath.asinh(p / c) / mpmath.sqrt(p * p + c * c)
 
 
 def test_j0_rows_against_closed_forms():
-    # c = R sqrt(2s) at R = 1, on both sides of pi / 4 and of pi, where the
-    # rows change from the u grid to the x = c u grid ("sqrt_exponential"
-    # and "exponential");
-    # 2 int u^2 e^-u J0(cu) du = 2(2-c^2)/(1+c^2)^(5/2) and
+    # c = R sqrt(2s) at R = 1, on both sides of pi, where the "exponential"
+    # rows change from the u grid to the x = c u grid;
+    # 2 int u^2 e^-u J0(cu) du from its Laplace transform and
     # 2 int u^2 e^-u^2 J0(cu) du = (sqrt(pi)/2) 1F1(3/2; 1; -c^2/4)
     s = np.array([c * c / 2.0 for c in (0.05, 0.5, 0.77, 0.8, 2.0, 3.0, 3.3,
                                         6.0, 6.5, 20.0, 55.8, 400.0, 3e3)])
     cs = np.sqrt(2.0 * s)
     for radial, ref_fn in (
-            ("sqrt_exponential", lambda c: 2 * (2 - c * c) / (1 + c * c) ** 2.5),
+            ("sqrt_exponential", lambda c: _laplace_row(_j0_laplace, c)),
             ("exponential", lambda c: 0.5 * math.sqrt(math.pi) * float(
                 mpmath.hyp1f1(1.5, 1, -mpmath.mpf(c) ** 2 / 4)))):
         row, = ray_rows(radial, "pl", s, 1.0)
@@ -250,24 +274,41 @@ def test_j0_rows_against_closed_forms():
 
 
 def test_k0_and_y0_rows_against_mpmath():
-    # Laplace transforms (Gradshteyn & Ryzhik 6.611.3 and 6.611.2):
-    # int e^-pu K0(cu) du = arccos(p/c) / sqrt(c^2 - p^2) and
-    # int e^-pu Y0(cu) du = -(2/pi) arsinh(p/c) / sqrt(p^2 + c^2)
-    def k0(p, c):
-        return mpmath.re(mpmath.acos(p / c) / mpmath.sqrt(c * c - p * p))
-
-    def y0(p, c):
-        return -(2 / mpmath.pi) * mpmath.asinh(p / c) / mpmath.sqrt(p * p + c * c)
-
-    # c on both sides of pi / 4, where the rows change from the u grid to
-    # the x = c u grid, and of pi
-    cs = (0.05, 0.5, 0.77, 0.8, 2.0, 3.0, 3.3, 4.0, 6.0, 6.5, 20.0, 55.8, 400.0)
-    s = np.array([c * c / 8.0 for c in cs])  # c = 2 sqrt(2s)
+    # c = 1 exactly, where both terms of the K0 form diverge; either side of
+    # the edges |z| = 0.15 of its series in z = (c - 1) / 2c (c = 1/1.3 and
+    # 1/0.7) and of |z| = 0.05 (c = 1/1.1 and 1/0.9); and the 80 nodes of a
+    # `RayTable`
+    cs = (0.05, 0.5, 0.77, 0.8, 2.0, 3.0, 3.3, 4.0, 6.0, 6.5, 20.0, 55.8, 400.0,
+          1.0, 1 / 1.1, 1 / 0.9, 1 / 1.3, 1 / 0.7, 0.99 / 1.3, 1.01 / 0.7)
+    s = np.concatenate([[c * c / 8.0 for c in cs],  # c = 2 sqrt(2s)
+                        mellin.MellinRule(*mellin._FC_ROW_TAILS, *mellin._RAY_WINDOW).s])
     kk, yy = ray_rows("sqrt_exponential", "fc", s)
     for c, k, y in zip((2.0 * np.sqrt(2.0 * s)).tolist(), kk, yy):
-        ref = _laplace_row(k0, c)
+        ref = _laplace_row(_k0_laplace, c)
         assert abs(k - ref) <= 2e-15 * abs(ref), c
-        assert abs(y - _laplace_row(y0, c)) <= 1e-15, c
+        assert abs(y - _laplace_row(_y0_laplace, c)) <= 1e-15, c
+
+
+@pytest.mark.parametrize("c", [0.6, 1.0, 1.7])
+def test_fc_rows_against_the_integral(c):
+    # the rows against mpmath's quadrature of 2 int u^2 e^-u fn(c u) du
+    # itself, at c = 1 and either side of it
+    kk, yy = ray_rows("sqrt_exponential", "fc", [c * c / 8.0])
+    with mpmath.workdps(18):  # the quadrature's estimate: 2.2e-20 or less
+        for fn, row in ((lambda x: mpmath.besselk(0, x), kk[0]),
+                        (lambda x: mpmath.bessely(0, x), yy[0])):
+            ref = mpmath.quad(lambda u: 2 * u * u * mpmath.exp(-u) * fn(c * u),
+                              [0, 2, 16, mpmath.inf])
+            assert abs(row - ref) <= 2e-15 * abs(ref) and abs(row - ref) <= 1e-15
+
+
+def test_closed_form_rows_need_a_64_bit_long_double(monkeypatch):
+    monkeypatch.setattr(operators, "_LONGDOUBLE_NMANT", 52)
+    for op, R in (("fc", None), ("pl", 1.0)):
+        with pytest.raises(ArithmeticError, match="63 mantissa bits"):
+            ray_rows("sqrt_exponential", op, [0.5], R)
+        # the quadrature rows use no long double
+        assert np.isfinite(ray_rows("exponential", op, [0.5], R)).all()
 
 
 def test_ray_values_are_the_scalar_values_bitwise():
@@ -296,15 +337,16 @@ def test_ray_values_are_the_scalar_values_bitwise():
 def test_ray_values_pinned():
     f0 = make_f_xi_eps(BASE, 0)
     f1 = make_f_xi_eps(BASE, 1, radial="exponential")
+    # the sqrt-exponential values are those that mpmath's rows, rounded to
+    # float, give; the exponential one is at c = 2 sqrt(12), past pi, with
+    # rows on the shared x grid, which test_j0_rows_against_closed_forms
+    # checks
     v = ray_values(f0, "fc", [0.5])[0]
-    assert (v.real.hex(), v.imag) == ("-0x1.917eebad5154cp-7", 0.0)
-    # c = 2 sqrt(12) and 2 sqrt(14), past pi: rows on the shared x grid,
-    # which test_j0_rows_against_closed_forms and
-    # test_k0_and_y0_rows_against_mpmath check
+    assert (v.real.hex(), v.imag) == ("-0x1.917eebad51527p-7", 0.0)
     v = ray_values(f1, "fc", [6.0])[0]
     assert (v.real.hex(), v.imag) == ("-0x1.b5cacad30d007p-15", 0.0)
     v = ray_values(f0, "pl", [7.0], 2.0)[0]
-    assert (v.real.hex(), v.imag.hex()) == ("-0x0.0p+0", "-0x1.492dce03bc4c5p-13")
+    assert (v.real.hex(), v.imag.hex()) == ("-0x0.0p+0", "-0x1.492dce03bc2dbp-13")
 
 
 def test_generic_path_agrees_with_ray_path():

@@ -50,11 +50,11 @@ def test_traced_mellin_ratio_run_matches_untraced():
         traced = _report("mellin_ratio")
     finally:
         tracer.uninstall()
-    # both parities' ray tables share one set of radial rows; up to
-    # c = pi / u_step they share one u grid, past it each kernel is
-    # evaluated once on one x = c u grid, with J0 ungraded and K0 only below
-    # x = 745: 46,908 special-function points (175,374 with a step-1 u grid
-    # up to c = pi, graded J0 grids and K0 on the whole x grid; 518,844 on a
-    # u grid per c, 1,037,364 with rows per parity)
-    assert tracer.layer_metrics()["special.points"][0] <= 50_000
+    # both parities' ray tables share one set of radial rows, which are in
+    # closed form for the table's sqrt-exponential profile: no Bessel
+    # function is evaluated, and the 326 special-function points are the
+    # suite's scalar gamma_complex calls (46,908 with the rows by
+    # quadrature on a step-4 u grid and one x = c u grid; 518,844 on a u
+    # grid per c, 1,037,364 with rows per parity)
+    assert tracer.layer_metrics()["special.points"][0] <= 326
     assert traced == plain
